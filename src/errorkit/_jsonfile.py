@@ -1,0 +1,79 @@
+"""Reading the JSON input formats: one parse and one schema check per file.
+
+Python's ``json`` accepts ``NaN``, ``Infinity`` and ``-Infinity``, and
+turns a literal such as ``1e309`` into infinity; JSON Schema's
+``number`` lets all of them through. A non-finite value would then
+travel into the results, so every number must fit a finite double
+before the file reaches its schema.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+_MAX = sys.float_info.max
+
+
+def _is_finite(value) -> bool:
+    # Exact for ints of any size as well as floats; false for NaN.
+    return -_MAX <= value <= _MAX
+
+
+def _nonfinite_pointer(node, pointer: str = "") -> str | None:
+    """JSON pointer of the first non-finite number in document order."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not _is_finite(node):
+            return pointer or "/"
+        return None
+    for key, child in items:
+        found = _nonfinite_pointer(child, f"{pointer}/{key}")
+        if found is not None:
+            return found
+    return None
+
+
+def read_json(path, validator, error: type[Exception]):
+    """Parse the JSON file at ``path`` and check it against ``validator``.
+
+    A number that is not a finite double raises ``error`` naming the
+    file, the location and the token; values that parse are exactly
+    what ``json.loads`` gives. A schema violation raises
+    ``jsonschema.ValidationError``, chosen by ``best_match`` as
+    ``jsonschema.validate`` does.
+    """
+    path = Path(path)
+    bad: list[str] = []
+
+    def finite(parse):
+        def checked(token: str):
+            value = parse(token)
+            if not _is_finite(value):
+                bad.append(token)
+            return value
+
+        return checked
+
+    raw = json.loads(
+        path.read_text(encoding="utf-8"),
+        parse_constant=finite(float),
+        parse_float=finite(float),
+        parse_int=finite(int),
+    )
+    # A duplicate key can shadow a rejected token, so look in what parsed.
+    where = _nonfinite_pointer(raw) if bad else None
+    if where is not None:
+        token = bad[0] if len(bad[0]) <= 24 else bad[0][:21] + "..."
+        raise error(f"{path.name}: at {where}: {token} is not a finite number")
+
+    from jsonschema.exceptions import best_match
+
+    violation = best_match(validator.iter_errors(raw))
+    if violation is not None:
+        raise violation
+    return raw

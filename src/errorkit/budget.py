@@ -29,12 +29,13 @@ Budget files are JSON::
 
 from __future__ import annotations
 
-import json
+import functools
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
+
+from ._jsonfile import read_json
 
 __all__ = [
     "BudgetError",
@@ -231,12 +232,17 @@ def monte_carlo_std(
     return float(delta.std(ddof=1))
 
 
-def load_budget(path) -> ErrorBudget:
-    """Load and validate a budget JSON file."""
+@functools.cache
+def _budget_validator():
+    """BUDGET_SCHEMA compiled once; jsonschema is imported on first use."""
     import jsonschema
 
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    jsonschema.validate(raw, BUDGET_SCHEMA)
+    return jsonschema.Draft202012Validator(BUDGET_SCHEMA)
+
+
+def load_budget(path) -> ErrorBudget:
+    """Load and validate a budget JSON file."""
+    raw = read_json(path, _budget_validator(), BudgetError)
     components = tuple(
         BudgetComponent(
             name=c["name"],

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
 from . import budget as budget_mod
@@ -71,6 +70,13 @@ def _resolve_input(name: str, data_dir: str | None) -> Path:
     sys.exit(EXIT_INPUT_ERROR)
 
 
+def _schema_violation():
+    """jsonschema's ValidationError once a loader has imported jsonschema,
+    else no exception type: commands that never validate skip the import."""
+    jsonschema = sys.modules.get("jsonschema")
+    return jsonschema.ValidationError if jsonschema is not None else ()
+
+
 @contextmanager
 def _exit_on_failure():
     """Map library exceptions onto the stable exit-code contract."""
@@ -79,7 +85,7 @@ def _exit_on_failure():
     except SingularSystemError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
-    except jsonschema.ValidationError as exc:
+    except _schema_violation() as exc:
         pointer = "/" + "/".join(str(part) for part in exc.absolute_path)
         click.echo(f"error: at {pointer}: {exc.message}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
@@ -348,7 +354,6 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
     with _exit_on_failure():
         path = _resolve_input(scenario_json, data_dir)
         scenario = simulate_mod.load_scenario(path)
-        warnings: list[str] = []
         lines: list[str] = []
         if scenario.is_differential:
             run = simulate_mod.simulate_differential(
@@ -436,7 +441,7 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                     f"{e.name}: {e.classification} "
                     f"(mean {e.mean:.6g} mm, std {e.std:.6g} mm)"
                 )
-        report = RunReport("simulate", _digest(path), results, warnings)
+        report = RunReport("simulate", _digest(path), results)
         _emit(report, as_json, lines)
 
 

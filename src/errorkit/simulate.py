@@ -31,6 +31,7 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._jsonfile import read_json
 from .dataset import DifferentialRow, MeasurementRow, MeasurementSeries
 
 __all__ = [
@@ -585,16 +587,8 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "required": ["pairs"],
             "properties": {
-                "pairs": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
+                # Each pair is checked by the pair loop in load_scenario.
+                "pairs": {"type": "array", "minItems": 1},
                 "round_readings": {"type": "boolean"},
             },
             "additionalProperties": False,
@@ -602,6 +596,17 @@ SCENARIO_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+
+_JSON_NUMBER = (int, float)
+
+
+@functools.cache
+def _scenario_validator():
+    """SCENARIO_SCHEMA compiled once; jsonschema is imported on first use."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -634,10 +639,7 @@ def load_scenario(path) -> Scenario:
     mode (``true_value`` plus ``schedule``) or a differential mode
     (``differential`` with nominal leg pairs).
     """
-    import jsonschema
-
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    jsonschema.validate(raw, SCENARIO_SCHEMA)
+    raw = read_json(path, _scenario_validator(), ScenarioError)
 
     kind_default_condition = {
         "cycle": "distance",
@@ -672,10 +674,27 @@ def load_scenario(path) -> Scenario:
 
     if has_differential:
         diff = raw["differential"]
-        pairs = tuple((float(a), float(b)) for a, b in diff["pairs"])
-        for i, (a, b) in enumerate(pairs):
-            if not b > a:
-                raise ScenarioError(f"differential pair {i}: need s_ac > s_ab")
+        pairs = []
+        for i, pair in enumerate(diff["pairs"]):
+            # type() rather than isinstance: a bool is not a JSON number.
+            # read_json has already rejected numbers that are not finite.
+            if not (
+                type(pair) is list
+                and len(pair) == 2
+                and type(pair[0]) in _JSON_NUMBER
+                and type(pair[1]) in _JSON_NUMBER
+            ):
+                raise ScenarioError(
+                    f"at /differential/pairs/{i}: expected two numbers "
+                    f"[s_ab, s_ac], got {json.dumps(pair)}"
+                )
+            s_ab, s_ac = float(pair[0]), float(pair[1])
+            if not s_ac > s_ab:
+                raise ScenarioError(
+                    f"at /differential/pairs/{i}: need s_ac > s_ab, "
+                    f"got {json.dumps(pair)}"
+                )
+            pairs.append((s_ab, s_ac))
         if sources[0].kind != "cycle":
             raise ScenarioError(
                 "a differential scenario lists the driving cycle source first"
@@ -683,7 +702,7 @@ def load_scenario(path) -> Scenario:
         return Scenario(
             label=label,
             sources=sources,
-            differential_pairs=pairs,
+            differential_pairs=tuple(pairs),
             round_readings=bool(diff.get("round_readings", False)),
             eps_abs_mm=eps,
         )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from errorkit.budget import (
+    BUDGET_SCHEMA,
     BudgetComponent,
     BudgetError,
     ErrorBudget,
@@ -270,6 +271,29 @@ class TestLoadBudget:
         budget = load_budget(p)
         assert budget.components[0].sensitivity == "proportional"
         assert total_std(budget) == pytest.approx(1.0, rel=1e-14)
+
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(BUDGET_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "text, pointer",
+        [
+            ('{"components": [{"name": "x", "std": NaN, "unit": "mm"}]}',
+             "/components/0/std"),
+            ('{"operating_point_m": Infinity, "components": '
+             '[{"name": "x", "std": 1.0, "unit": "ppm"}]}',
+             "/operating_point_m"),
+            ('{"components": [{"name": "x", "std": 1.0, "unit": "mm", '
+             '"sensitivity": -1e309}]}',
+             "/components/0/sensitivity"),
+        ],
+        ids=["NaN std", "infinite operating point", "overflowing sensitivity"],
+    )
+    def test_nonfinite_number_rejected_at_load(self, tmp_path, text, pointer):
+        p = tmp_path / "budget.json"
+        p.write_text(text)
+        with pytest.raises(BudgetError, match=f"budget.json: at {pointer}: "):
+            load_budget(p)
 
     def test_missing_std_rejected_by_schema(self, tmp_path):
         p = tmp_path / "budget.json"

@@ -8,6 +8,7 @@ from errorkit import dataset
 from errorkit.cli import main
 
 import reference_values as ref
+from test_simulate import MALFORMED_PAIRS, differential_scenario_text
 
 
 @pytest.fixture()
@@ -345,6 +346,15 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "at /sources/0/kind" in result.stderr
 
+    @pytest.mark.parametrize("bad", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+    def test_malformed_pair_is_an_input_error(self, runner, tmp_path, bad):
+        p = tmp_path / "scenario.json"
+        p.write_text(differential_scenario_text(["[10.0, 18.0]", bad]))
+        result = runner.invoke(main, ["simulate", str(p)])
+        assert result.exit_code == 2
+        assert "at /differential/pairs/1" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_json_report(self, runner):
         result = runner.invoke(
             main, ["simulate", "table3_scenario.json", "--json"]
@@ -413,6 +423,14 @@ class TestPropagate:
         result = runner.invoke(main, ["propagate", str(p)])
         assert result.exit_code == 2
         assert "'scale'" in result.stderr
+
+    def test_nonfinite_std_is_an_input_error(self, runner, tmp_path):
+        p = tmp_path / "budget.json"
+        p.write_text('{"components": [{"name": "x", "std": NaN, "unit": "mm"}]}')
+        result = runner.invoke(main, ["propagate", str(p)])
+        assert result.exit_code == 2
+        assert "at /components/0/std" in result.stderr
+        assert "nan" not in result.stdout.lower()
 
     def test_small_monte_carlo_rejected(self, runner):
         result = runner.invoke(

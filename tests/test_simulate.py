@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from errorkit.regression import fit_cycle_differential
 from errorkit.simulate import (
     DEFAULT_EPS_ABS_MM,
+    SCENARIO_SCHEMA,
     ConditionSchedule,
     ConfigurationError,
     ErrorSource,
@@ -24,6 +25,32 @@ from errorkit.dataset import bundled_path, load_differential
 import reference_values as ref
 
 QUARTER_TURN = math.pi / 4.0
+
+# Leg pairs the scenario loader must reject, as JSON text.
+MALFORMED_PAIRS = {
+    "boolean": "true",
+    "string": '"10"',
+    "null": "null",
+    "one number": "[10.0]",
+    "three numbers": "[10.0, 18.0, 26.0]",
+    "nested list": "[[10.0], 18.0]",
+    "boolean leg": "[10.0, true]",
+    "string leg": '[10.0, "18"]',
+    "NaN": "[10.0, NaN]",
+    "Infinity": "[-Infinity, 18.0]",
+    "overflow": "[10.0, 1e309]",
+    "integer beyond double range": "[10, 1" + "0" * 400 + "]",
+    "descending": "[18.0, 10.0]",
+    "equal": "[10.0, 10.0]",
+}
+
+
+def differential_scenario_text(pairs_json):
+    """Scenario file text with the given leg-pair JSON fragments."""
+    return (
+        '{"sources": [{"name": "c", "kind": "cycle", "amplitude_mm": 1.0}], '
+        '"differential": {"pairs": [' + ", ".join(pairs_json) + "]}}"
+    )
 
 
 def campaign_cycle():
@@ -545,6 +572,30 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioError, match="s_ac > s_ab"):
             load_scenario(p)
+
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+    @pytest.mark.parametrize("bad", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+    def test_malformed_pair_names_its_index(self, tmp_path, bad):
+        p = tmp_path / "scenario.json"
+        p.write_text(differential_scenario_text(["[10.0, 18.0]", bad]))
+        with pytest.raises(ScenarioError, match=r"at /differential/pairs/1\b"):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("bad", ["[10.0, true]", "[10.0, 1e309]"])
+    def test_malformed_last_pair_of_a_large_file(self, tmp_path, bad):
+        p = tmp_path / "scenario.json"
+        p.write_text(differential_scenario_text(["[10.0, 18.0]"] * 9999 + [bad]))
+        with pytest.raises(ScenarioError, match=r"at /differential/pairs/9999\b"):
+            load_scenario(p)
+
+    def test_pairs_are_loaded_as_float_tuples(self, tmp_path):
+        p = tmp_path / "scenario.json"
+        p.write_text(differential_scenario_text(["[10, 18]", "[10.5, 18.25]"]))
+        pairs = load_scenario(p).differential_pairs
+        assert pairs == ((10.0, 18.0), (10.5, 18.25))
+        assert all(type(v) is float for pair in pairs for v in pair)
 
     def test_differential_needs_a_cycle_first(self, tmp_path):
         p = tmp_path / "scenario.json"
