@@ -156,14 +156,17 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
             values = series.observed
             unit = series.value_unit or ""
         estimate = regression.random_model(values)
+        relative = estimate.relative_std_ppm
         results = {
             "n": estimate.n,
             "mean": estimate.mean,
             "std": estimate.std,
-            "relative_std_ppm": estimate.relative_std_ppm,
+            "relative_std_ppm": relative,
             "unit": unit,
         }
         report = RunReport("random-model", _digest(path), results)
+        if relative is None:
+            report.warnings.append("relative std is undefined: the mean is 0")
         _emit(
             report,
             as_json,
@@ -171,7 +174,8 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
                 f"n        {estimate.n}",
                 f"mean     {estimate.mean:.6f} {unit}".rstrip(),
                 f"std      {estimate.std:.6g} {unit}".rstrip(),
-                f"rel. std {estimate.relative_std_ppm:.1f} ppm",
+                "rel. std undefined (mean is 0)" if relative is None
+                else f"rel. std {relative:.1f} ppm",
             ],
         )
 

@@ -15,6 +15,15 @@ Series CSV layout is ``condition,observed[,reference]`` with a
 use the four-column layout ``s_ab,s_ac,s2,s1`` (nominal legs, then the
 two readings).  All values use a decimal point; locale-specific comma
 decimals are not supported.
+
+Series, error samples and differential readings are stored as
+read-only float64 columns, one per field; a missing reference is NaN.
+The loaders parse each CSV column with Python's ``float()`` and check
+the whole column at once.  The first bad row, in file order, is
+reported as a :class:`MalformedRowError` naming its 1-based row and its
+column.  Row objects (:class:`MeasurementRow`, :class:`ErrorSample`,
+:class:`DifferentialRow`) are built from the columns only when a caller
+reads them.
 """
 
 from __future__ import annotations
@@ -22,9 +31,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "DatasetError",
@@ -33,7 +46,9 @@ __all__ = [
     "MeasurementRow",
     "MeasurementSeries",
     "DifferentialRow",
+    "DifferentialRows",
     "ErrorSample",
+    "ErrorSamples",
     "ColumnSchema",
     "load_series",
     "load_differential",
@@ -65,12 +80,18 @@ class DatasetError(Exception):
     """Base class for ingestion and conversion failures."""
 
 
-class MalformedRowError(DatasetError):
-    """A CSV cell failed to parse; carries the offending row and column."""
+class MalformedRowError(DatasetError, ValueError):
+    """A row failed to parse or to pass its checks; carries the offending
+    1-based row and the column.
+
+    It is also a ``ValueError``, the type the row types
+    (:class:`MeasurementRow`, :class:`DifferentialRow`) raise for the
+    same faults."""
 
     def __init__(self, row_index: int, column: str, detail: str):
         self.row_index = row_index
         self.column = column
+        self.detail = detail
         super().__init__(f"row {row_index}, column {column!r}: {detail}")
 
 
@@ -86,7 +107,8 @@ class MeasurementRow:
     campaign had one (calibration baselines).  A reference further than
     ``sanity_bound`` (fractional) from the observed value is rejected,
     because real instrument errors are orders of magnitude smaller than
-    the reading itself.
+    the reading itself; so is a NaN reference, since a series stores a
+    missing reference as NaN.
     """
 
     condition: float
@@ -100,6 +122,8 @@ class MeasurementRow:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if self.reference is not None:
+            if math.isnan(self.reference):
+                raise ValueError(f"reference must be finite, got {self.reference!r}")
             gap = abs(self.observed - self.reference)
             if gap >= self.sanity_bound * abs(self.observed):
                 raise ValueError(
@@ -108,25 +132,147 @@ class MeasurementRow:
                 )
 
 
-@dataclass(frozen=True)
-class MeasurementSeries:
-    """An ordered, immutable series of rows sharing unit tags."""
+# The column sets of the columnar types, named by the fields of the
+# record each row or item would be.
+SeriesColumns = namedtuple("SeriesColumns", ["condition", "observed", "reference"])
+SampleColumns = namedtuple("SampleColumns", ["condition", "error"])
+LegColumns = namedtuple("LegColumns", ["s1", "s2"])
 
-    rows: tuple[MeasurementRow, ...]
+
+def _frozen_column(values) -> np.ndarray:
+    """A read-only one-dimensional float64 copy of ``values``."""
+    column = np.array(values, dtype=np.float64)
+    if column.ndim != 1:
+        raise ValueError(f"a column must be one-dimensional, got shape {column.shape}")
+    column.setflags(write=False)
+    return column
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    """Index of the first False entry of a boolean array, or None."""
+    return None if ok.all() else int(np.argmin(ok))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class MeasurementSeries:
+    """An ordered, immutable series of rows sharing unit tags.
+
+    The series is stored as three read-only float64 columns,
+    ``columns.condition``, ``columns.observed`` and ``columns.reference``
+    (NaN where a row has no reference).  ``rows`` builds the
+    :class:`MeasurementRow` tuple from them the first time it is read.
+    """
+
+    columns: SeriesColumns
     condition_unit: str
     value_unit: str
     label: str = ""
+    _sanity_bound: float = field(default=SANITY_BOUND, repr=False)
+    _rows: tuple[MeasurementRow, ...] | None = field(default=None, repr=False)
+
+    def __init__(self, rows, condition_unit: str, value_unit: str, label: str = ""):
+        rows = tuple(rows)
+        self._store(
+            [r.condition for r in rows],
+            [r.observed for r in rows],
+            [math.nan if r.reference is None else r.reference for r in rows],
+            condition_unit, value_unit, label, SANITY_BOUND, rows,
+        )
+
+    def _store(self, condition, observed, reference, *rest):
+        """Set the fields, in order, from three columns and the rest."""
+        columns = SeriesColumns(*map(_frozen_column, (condition, observed, reference)))
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("condition, observed and reference differ in length")
+        for f, value in zip(fields(self), (columns, *rest)):
+            object.__setattr__(self, f.name, value)
+
+    @classmethod
+    def from_columns(
+        cls,
+        conditions,
+        observed,
+        reference=None,
+        *,
+        condition_unit: str,
+        value_unit: str,
+        label: str = "",
+        sanity_bound: float = SANITY_BOUND,
+    ) -> MeasurementSeries:
+        """Build a series from columns, checked as :class:`MeasurementRow`
+        checks each row.
+
+        ``reference`` is optional; NaN entries mean "no reference".
+
+        Raises:
+            MalformedRowError: the first row a MeasurementRow would
+                reject, with its 1-based index, the slot name
+                (``condition``, ``observed`` or ``reference``) and the
+                row's own message.
+            ValueError: the columns differ in length or are not 1-D.
+        """
+        if reference is None:
+            reference = np.full(len(conditions), math.nan)
+        series = cls.__new__(cls)
+        series._store(conditions, observed, reference, condition_unit, value_unit,
+                      label, sanity_bound, None)
+        cond, obs, ref = series.columns
+        with np.errstate(invalid="ignore", over="ignore"):
+            ok = np.isfinite(cond) & np.isfinite(obs)
+            ok &= np.isnan(ref) | ~(np.abs(obs - ref) >= sanity_bound * np.abs(obs))
+        bad = _first_false(ok)
+        if bad is not None:
+            c, o, r = float(cond[bad]), float(obs[bad]), float(ref[bad])
+            try:
+                MeasurementRow(c, o, None if math.isnan(r) else r,
+                               sanity_bound=sanity_bound)
+            except ValueError as exc:
+                slot = ("condition" if not math.isfinite(c)
+                        else "observed" if not math.isfinite(o) else "reference")
+                raise MalformedRowError(bad + 1, slot, str(exc)) from None
+        return series
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns.condition)
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementSeries):
+            return NotImplemented
+        return (
+            (self.condition_unit, self.value_unit, self.label)
+            == (other.condition_unit, other.value_unit, other.label)
+            and all(
+                np.array_equal(a, b, equal_nan=True)
+                for a, b in zip(self.columns, other.columns)
+            )
+        )
+
+    def __hash__(self):
+        # Equal series hash alike: "+ 0.0" turns -0.0 into 0.0, and the
+        # reference column, whose NaNs compare equal, is left out.
+        cond, obs, _ = self.columns
+        return hash((self.condition_unit, self.value_unit, self.label,
+                     (cond + 0.0).tobytes(), (obs + 0.0).tobytes()))
+
+    @property
+    def rows(self) -> tuple[MeasurementRow, ...]:
+        if self._rows is None:
+            cond, obs, ref = (c.tolist() for c in self.columns)
+            bound = self._sanity_bound
+            rows = tuple(
+                MeasurementRow(c, o, None if math.isnan(r) else r, sanity_bound=bound)
+                for c, o, r in zip(cond, obs, ref)
+            )
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     @property
     def conditions(self) -> tuple[float, ...]:
-        return tuple(r.condition for r in self.rows)
+        return tuple(self.columns.condition.tolist())
 
     @property
     def observed(self) -> tuple[float, ...]:
-        return tuple(r.observed for r in self.rows)
+        return tuple(self.columns.observed.tolist())
 
 
 @dataclass(frozen=True)
@@ -160,6 +306,88 @@ class ErrorSample:
     def __post_init__(self):
         if not math.isfinite(self.error):
             raise ValueError(f"error must be finite, got {self.error!r}")
+
+
+class _Records(Sequence):
+    """A read-only sequence of frozen records stored as float64 columns.
+
+    ``columns`` is a named tuple with one column per field of the record
+    type.  An item is built from the columns only when it is indexed,
+    iterated over or unpacked, so a subclass checks in its constructor
+    whatever the record type would reject.
+    """
+
+    _record: type
+    _columns: type
+
+    def __init__(self, *columns):
+        self.columns = self._columns(*map(_frozen_column, columns))
+        if len({len(c) for c in self.columns}) > 1:
+            raise ValueError(f"columns {self.columns._fields} differ in length")
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._record(*(float(c[index]) for c in self.columns))
+
+    def __iter__(self):
+        return map(self._record, *(c.tolist() for c in self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class ErrorSamples(_Records):
+    """(condition, error) samples as columns; items are :class:`ErrorSample`.
+
+    Raises:
+        ValueError: some error is not finite (the ErrorSample message).
+    """
+
+    _record = ErrorSample
+    _columns = SampleColumns
+
+    def __init__(self, conditions, errors):
+        super().__init__(conditions, errors)
+        bad = _first_false(np.isfinite(self.columns.error))
+        if bad is not None:
+            raise ValueError(f"error must be finite, got {float(self.columns.error[bad])!r}")
+
+
+class DifferentialRows(_Records):
+    """Differential reading pairs as s1/s2 columns; items are
+    :class:`DifferentialRow`.
+
+    Raises:
+        MalformedRowError: the first row whose legs are not both finite
+            with ``s1 > s2``, with its 1-based index and the leg's column
+            (``s1`` when the legs are out of order).
+    """
+
+    _record = DifferentialRow
+    _columns = LegColumns
+
+    def __init__(self, s1, s2):
+        super().__init__(s1, s2)
+        s1, s2 = self.columns
+        bad = _first_false(np.isfinite(s1) & np.isfinite(s2) & (s1 > s2))
+        if bad is not None:
+            a, b = float(s1[bad]), float(s2[bad])
+            if not math.isfinite(a):
+                column, detail = "s1", f"must be finite, got {a!r}"
+            elif not math.isfinite(b):
+                column, detail = "s2", f"must be finite, got {b!r}"
+            else:
+                column, detail = "s1", f"require s1 > s2, got s1={a} s2={b}"
+            raise MalformedRowError(bad + 1, column, detail)
 
 
 @dataclass(frozen=True)
@@ -202,15 +430,13 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     text = Path(path).read_text(encoding="utf-8")
     if not text.strip():
         raise EmptyInputError(f"{path}: file is empty")
-    units: dict[str, str] = {}
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("# units:"):
-            units = _parse_units_line(line)
-        elif line.startswith("#") or not line.strip():
-            continue
-        else:
-            lines.append(line)
+    all_lines = text.splitlines()
+    units_lines = [line for line in all_lines if line.startswith("# units:")]
+    units = _parse_units_line(units_lines[-1]) if units_lines else {}
+    lines = [
+        line for line in all_lines
+        if line and line[0] != "#" and not line.isspace()
+    ]
     if not lines:
         raise EmptyInputError(f"{path}: no header row found")
     reader = csv.reader(io.StringIO("\n".join(lines)))
@@ -221,20 +447,67 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     return units, [h.strip() for h in header], rows
 
 
-def _cell_to_float(cell: str, row_index: int, column: str) -> float:
+def _column_index(path, header: list[str], required) -> dict[str, int]:
+    index = {name: i for i, name in enumerate(header)}
+    for name in required:
+        if name not in index:
+            raise DatasetError(f"{path}: missing column {name!r}")
+    return index
+
+
+def _read_column(
+    raw_rows: list[list[str]], pos: int, column: str, *, optional: bool = False
+) -> tuple[np.ndarray, MalformedRowError | None]:
+    """Parse cell ``pos`` of every row with ``float()``.
+
+    Returns the values of the rows before the first bad cell and that
+    cell's error, or every value and None.  In an ``optional`` column a
+    blank or missing cell reads as NaN ("no value"), so a cell that
+    parses to NaN is refused.
+    """
     try:
-        return float(cell)
-    except ValueError:
-        raise MalformedRowError(row_index, column, f"not a number: {cell!r}") from None
+        values = np.array([float(r[pos]) for r in raw_rows])
+        if not (optional and np.isnan(values).any()):
+            return values, None
+    except (ValueError, IndexError):
+        pass
+    # A cell is bad, or an optional column has a gap or a NaN: read cell by cell.
+    values = []
+    for i, raw in enumerate(raw_rows, start=1):
+        cell = raw[pos] if pos < len(raw) else ""
+        if optional and not cell.strip():
+            values.append(math.nan)
+            continue
+        if pos >= len(raw):
+            return np.array(values), MalformedRowError(
+                i, column, f"row has only {len(raw)} cells")
+        try:
+            value = float(cell)
+        except ValueError:
+            return np.array(values), MalformedRowError(
+                i, column, f"not a number: {cell!r}")
+        if optional and math.isnan(value):
+            return np.array(values), MalformedRowError(
+                i, column, f"must be finite, got {value!r}")
+        values.append(value)
+    return np.array(values), None
 
 
-def _float_cell(raw: list[str], index: dict[str, int], column: str, row_index: int) -> float:
-    pos = index[column]
-    if pos >= len(raw):
-        raise MalformedRowError(
-            row_index, column, f"row has only {len(raw)} cells"
-        )
-    return _cell_to_float(raw[pos], row_index, column)
+def _checked_prefix(build, columns):
+    """Build from the parsed ``columns``, or raise the earliest error.
+
+    ``columns`` holds ``(values, error)`` pairs from :func:`_read_column`
+    in the order a row's cells are read.  The rows before the first bad
+    cell are still checked by ``build``, so a check failing on an
+    earlier row wins, as it does when rows are read one at a time.
+    """
+    errors = [err for _, err in columns if err is not None]
+    if not errors:
+        return build(*(values for values, _ in columns))
+    first = min(errors, key=lambda err: err.row_index)
+    n = first.row_index - 1
+    build(*(values[:n] for values, _ in columns))
+    raise first
 
 
 def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
@@ -251,76 +524,66 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
 
     Raises:
         EmptyInputError: the file has no data rows.
-        MalformedRowError: a cell failed to parse, named by row/column.
+        MalformedRowError: a cell failed to parse or to pass the row
+            checks, named by row/column (the first such row in the file).
         DatasetError: a required column is missing.
     """
     schema = schema or ColumnSchema()
     units, header, raw_rows = _read_csv(path)
-    index = {name: i for i, name in enumerate(header)}
-    for required in (schema.condition, schema.observed):
-        if required not in index:
-            raise DatasetError(f"{path}: missing column {required!r}")
-    has_ref = schema.reference in index
-
-    rows = []
-    ref_pos = index[schema.reference] if has_ref else -1
-    for i, raw in enumerate(raw_rows, start=1):
-        cond = _float_cell(raw, index, schema.condition, i)
-        obs = _float_cell(raw, index, schema.observed, i)
-        ref = None
-        if has_ref and ref_pos < len(raw) and raw[ref_pos].strip():
-            ref = _cell_to_float(raw[ref_pos], i, schema.reference)
-        try:
-            rows.append(
-                MeasurementRow(cond, obs, ref, sanity_bound=schema.sanity_bound)
-            )
-        except ValueError as exc:
-            if not math.isfinite(cond):
-                column = schema.condition
-            elif not math.isfinite(obs):
-                column = schema.observed
-            else:
-                column = schema.reference
-            raise MalformedRowError(i, column, str(exc)) from None
-
+    index = _column_index(path, header, (schema.condition, schema.observed))
     cond_unit = schema.condition_unit or units.get("condition") or units.get("*", "")
     value_unit = schema.value_unit or units.get("observed") or units.get("*", "")
-    return MeasurementSeries(
-        rows=tuple(rows),
-        condition_unit=cond_unit,
-        value_unit=value_unit,
-        label=Path(path).stem,
-    )
+    names = {
+        "condition": schema.condition,
+        "observed": schema.observed,
+        "reference": schema.reference,
+    }
+
+    def build(cond, obs, ref=None):
+        try:
+            return MeasurementSeries.from_columns(
+                cond, obs, ref,
+                condition_unit=cond_unit,
+                value_unit=value_unit,
+                label=Path(path).stem,
+                sanity_bound=schema.sanity_bound,
+            )
+        except MalformedRowError as exc:
+            raise MalformedRowError(exc.row_index, names[exc.column], exc.detail) from None
+
+    columns = [
+        _read_column(raw_rows, index[schema.condition], schema.condition),
+        _read_column(raw_rows, index[schema.observed], schema.observed),
+    ]
+    if schema.reference in index:
+        columns.append(_read_column(
+            raw_rows, index[schema.reference], schema.reference, optional=True))
+    return _checked_prefix(build, columns)
 
 
-def load_differential(path) -> list[DifferentialRow]:
-    """Load a four-column differential campaign CSV (s_ab,s_ac,s2,s1)."""
+def load_differential(path) -> DifferentialRows:
+    """Load a four-column differential campaign CSV (s_ab,s_ac,s2,s1).
+
+    Raises:
+        MalformedRowError: a leg failed to parse, is not finite, or
+            ``s1 <= s2``; the first such row in the file, with its column.
+    """
     _, header, raw_rows = _read_csv(path)
-    index = {name: i for i, name in enumerate(header)}
-    for required in ("s1", "s2"):
-        if required not in index:
-            raise DatasetError(f"{path}: missing column {required!r}")
-    rows = []
-    for i, raw in enumerate(raw_rows, start=1):
-        s1 = _float_cell(raw, index, "s1", i)
-        s2 = _float_cell(raw, index, "s2", i)
-        rows.append(DifferentialRow(s1=s1, s2=s2))
-    return rows
+    index = _column_index(path, header, ("s1", "s2"))
+    return _checked_prefix(DifferentialRows, [
+        _read_column(raw_rows, index["s1"], "s1"),
+        _read_column(raw_rows, index["s2"], "s2"),
+    ])
 
 
 def load_differential_pairs(path) -> list[tuple[float, float]]:
     """Return the nominal (s_ab, s_ac) leg pairs of a differential CSV."""
     _, header, raw_rows = _read_csv(path)
-    index = {name: i for i, name in enumerate(header)}
-    for required in ("s_ab", "s_ac"):
-        if required not in index:
-            raise DatasetError(f"{path}: missing column {required!r}")
-    pairs = []
-    for i, raw in enumerate(raw_rows, start=1):
-        ab = _float_cell(raw, index, "s_ab", i)
-        ac = _float_cell(raw, index, "s_ac", i)
-        pairs.append((ab, ac))
-    return pairs
+    index = _column_index(path, header, ("s_ab", "s_ac"))
+    return _checked_prefix(lambda ab, ac: list(zip(ab.tolist(), ac.tolist())), [
+        _read_column(raw_rows, index["s_ab"], "s_ab"),
+        _read_column(raw_rows, index["s_ac"], "s_ac"),
+    ])
 
 
 def _format(value: float, unit: str) -> str:
@@ -329,20 +592,23 @@ def _format(value: float, unit: str) -> str:
 
 def write_series_csv(series: MeasurementSeries, path) -> None:
     """Write a series in the canonical layout; inverse of load_series."""
-    has_ref = any(r.reference is not None for r in series.rows)
+    has_ref = not np.isnan(series.columns.reference).all()
     parts = [f"condition={series.condition_unit}", f"observed={series.value_unit}"]
     if has_ref:
         parts.append(f"reference={series.value_unit}")
     out = ["# units: " + " ".join(parts)]
     out.append("condition,observed,reference" if has_ref else "condition,observed")
-    for r in series.rows:
-        cells = [
-            _format(r.condition, series.condition_unit),
-            _format(r.observed, series.value_unit),
-        ]
-        if has_ref:
-            cells.append("" if r.reference is None else _format(r.reference, series.value_unit))
-        out.append(",".join(cells))
+    cond_fmt = _UNIT_FORMATS.get(series.condition_unit, "%g")
+    value_fmt = _UNIT_FORMATS.get(series.value_unit, "%g")
+    row_fmt = cond_fmt + "," + value_fmt
+    cond, obs, ref = (c.tolist() for c in series.columns)
+    if has_ref:
+        out.extend(
+            row_fmt % (c, o) + "," + ("" if math.isnan(r) else value_fmt % r)
+            for c, o, r in zip(cond, obs, ref)
+        )
+    else:
+        out.extend(row_fmt % pair for pair in zip(cond, obs))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -367,7 +633,7 @@ def write_differential_csv(
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def to_error_samples(series: MeasurementSeries, reference_rule: str) -> list[ErrorSample]:
+def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSamples:
     """Convert a series to (condition, error) samples.
 
     Two conventions are supported:
@@ -376,31 +642,39 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> list[Err
       the error is ``reference - observed``, reported in mm.  Requires
       the series value unit to be metres.
     * ``"mean-reference"``: the series mean plays the reference role and
-      the error is ``(observed - mean) / mean * 1e6``, in ppm.
+      the error is ``(observed - mean) / mean * 1e6``, in ppm.  The mean
+      is the built-in ``sum(...) / n`` of the observed values.
+
+    Returns:
+        ErrorSamples, a read-only sequence of ErrorSample whose
+        ``columns.condition`` and ``columns.error`` hold the data.
 
     Raises:
         DatasetError: explicit-reference requested but some row has no
-            reference, or the rule name is unknown.
+            reference, mean-reference on a series whose mean is 0, or
+            the rule name is unknown.
+        ValueError: some error is not finite.
     """
+    cond, obs, ref = series.columns
     if reference_rule == "explicit-reference":
-        missing = [i for i, r in enumerate(series.rows, 1) if r.reference is None]
-        if missing:
+        missing = np.flatnonzero(np.isnan(ref))
+        if missing.size:
             raise DatasetError(
                 f"explicit-reference requires a reference on every row; "
-                f"missing on rows {missing}"
+                f"missing on rows {(missing + 1).tolist()}"
             )
-        return [
-            ErrorSample(r.condition, (r.reference - r.observed) * 1e3)
-            for r in series.rows
-        ]
+        with np.errstate(over="ignore"):
+            return ErrorSamples(cond, (ref - obs) * 1e3)
     if reference_rule == "mean-reference":
-        if not series.rows:
+        if not len(obs):
             raise EmptyInputError("cannot take the mean of an empty series")
-        mean = sum(r.observed for r in series.rows) / len(series.rows)
-        return [
-            ErrorSample(r.condition, (r.observed - mean) / mean * 1e6)
-            for r in series.rows
-        ]
+        mean = sum(obs.tolist()) / len(obs)
+        if mean == 0.0:
+            raise DatasetError(
+                "mean-reference needs a nonzero mean; the observed values average to 0"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ErrorSamples(cond, (obs - mean) / mean * 1e6)
     raise DatasetError(f"unknown reference rule {reference_rule!r}")
 
 

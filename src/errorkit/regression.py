@@ -61,8 +61,10 @@ class RandomModelEstimate:
     n: int
 
     @property
-    def relative_std_ppm(self) -> float:
-        """Standard deviation as ppm of the mean (meaningless at mean 0)."""
+    def relative_std_ppm(self) -> float | None:
+        """Standard deviation as ppm of the mean; None (undefined) at mean 0."""
+        if self.mean == 0.0:
+            return None
         return self.std / abs(self.mean) * 1e6
 
 
@@ -120,6 +122,19 @@ class Prediction:
     in_domain: bool
 
 
+def _arrays(items, *fields):
+    """Float64 arrays of the named ``fields`` of ``items``.
+
+    A columnar sequence (``ErrorSamples``, ``DifferentialRows``) hands
+    over its stored columns; any other iterable is copied item by item.
+    """
+    columns = getattr(items, "columns", None)
+    if columns is not None:
+        return [getattr(columns, f) for f in fields]
+    items = list(items)
+    return [np.array([getattr(x, f) for x in items], dtype=float) for f in fields]
+
+
 def random_model(values) -> RandomModelEstimate:
     """Mean and standard deviation (n-1 denominator) of a value list."""
     v = np.asarray(list(values), dtype=float)
@@ -152,14 +167,12 @@ def fit_polynomial(
         InsufficientDataError: fewer than degree + 2 samples.
         SingularSystemError: degenerate conditions (e.g. all equal).
     """
-    samples = list(samples)
-    n = len(samples)
+    t, r = _arrays(samples, "condition", "error")
+    n = len(t)
     if n <= degree + 1:
         raise InsufficientDataError(
             f"degree {degree} needs at least {degree + 2} samples, got {n}"
         )
-    t = np.array([s.condition for s in samples], dtype=float)
-    r = np.array([s.error for s in samples], dtype=float)
     offset = float(t.mean()) if center else 0.0
     t = t - offset
 
@@ -235,13 +248,11 @@ def fit_cycle_direct(
         SingularSystemError: all conditions congruent modulo the
             wavelength, so the basis is degenerate.
     """
-    samples = list(samples)
-    if len(samples) < 3:
-        raise InsufficientDataError(f"need at least 3 samples, got {len(samples)}")
+    s, y = _arrays(samples, "condition", "error")
+    if len(s) < 3:
+        raise InsufficientDataError(f"need at least 3 samples, got {len(s)}")
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
-    s = np.array([x.condition for x in samples], dtype=float)
-    y = np.array([x.error for x in samples], dtype=float)
     sin_t, cos_t = _cycle_basis(s, wavelength)
 
     columns = [sin_t, cos_t]
@@ -253,7 +264,7 @@ def fit_cycle_direct(
     a, b = float(sol[0]), float(sol[1])
 
     residuals = y - basis @ sol
-    dof = len(samples) - basis.shape[1]
+    dof = len(s) - basis.shape[1]
     residual_std = float(np.sqrt((residuals**2).sum() / dof)) if dof > 0 else 0.0
     return SinusoidalErrorModel(
         amplitude=math.hypot(a, b),
@@ -283,14 +294,12 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
             legs must sample diverse cycle phases for the sin/cos
             differences to span the basis.
     """
-    rows = list(rows)
-    n = len(rows)
+    s1, s2 = _arrays(rows, "s1", "s2")
+    n = len(s1)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 rows, got {n}")
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
-    s1 = np.array([r.s1 for r in rows], dtype=float)
-    s2 = np.array([r.s2 for r in rows], dtype=float)
     si = s1 - s2
 
     sin1, cos1 = _cycle_basis(s1, wavelength)

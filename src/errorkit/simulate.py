@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._jsonfile import read_json
-from .dataset import DifferentialRow, MeasurementRow, MeasurementSeries
+from .dataset import DifferentialRow, MeasurementSeries
 
 __all__ = [
     "ConfigurationError",
@@ -360,12 +360,8 @@ def simulate_repeated(
     else:
         cond_values = np.arange(1, n + 1, dtype=float)
         cond_unit = "n"
-    rows = tuple(
-        MeasurementRow(condition=float(cv), observed=float(ov))
-        for cv, ov in zip(cond_values, observed)
-    )
-    series = MeasurementSeries(
-        rows=rows, condition_unit=cond_unit, value_unit="m", label=label
+    series = MeasurementSeries.from_columns(
+        cond_values, observed, condition_unit=cond_unit, value_unit="m", label=label
     )
     return RepeatedRun(series=series, contributions=contributions)
 

@@ -66,6 +66,74 @@ class TestRandomModel:
         assert result.exit_code == 0
 
 
+class TestInputErrors:
+    """Inputs that must end in a located input error or a stated warning,
+    never in a traceback or a silent nan."""
+
+    @pytest.fixture()
+    def zero_mean_csv(self, tmp_path):
+        p = tmp_path / "zero.csv"
+        p.write_text("# units: m\ncondition,observed\n1,-1\n2,1\n3,0\n")
+        return str(p)
+
+    @pytest.fixture()
+    def nan_leg_csv(self, tmp_path):
+        src = dataset.bundled_path("table3.csv").read_text().splitlines()
+        cells = src[3].split(",")
+        cells[2] = "nan"  # the s2 leg of data row 2
+        src[3] = ",".join(cells)
+        p = tmp_path / "nan_leg.csv"
+        p.write_text("\n".join(src) + "\n")
+        return str(p)
+
+    def test_zero_mean_random_model_states_the_spread_is_undefined(
+        self, runner, zero_mean_csv
+    ):
+        result = runner.invoke(main, ["random-model", zero_mean_csv])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == [
+            "n        3",
+            "mean     0.000000 m",
+            "std      1 m",
+            "rel. std undefined (mean is 0)",
+        ]
+        assert "warning: relative std is undefined" in result.stderr
+        assert "nan" not in result.stdout
+
+    def test_zero_mean_random_model_json_has_null(self, runner, zero_mean_csv):
+        result = runner.invoke(main, ["random-model", zero_mean_csv, "--json"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["results"]["relative_std_ppm"] is None
+        assert report["warnings"] == ["relative std is undefined: the mean is 0"]
+
+    def test_zero_mean_poly3_fit_is_an_input_error(self, runner, zero_mean_csv):
+        result = runner.invoke(main, ["fit", zero_mean_csv, "--model", "poly3"])
+        assert result.exit_code == 2
+        assert "mean-reference needs a nonzero mean" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--model", "cycle-diff"], ["random-model", "--column", "diff"]],
+    )
+    def test_nan_leg_names_row_and_column(self, runner, nan_leg_csv, argv):
+        result = runner.invoke(main, [argv[0], nan_leg_csv, *argv[1:]])
+        assert result.exit_code == 2
+        assert "row 2, column 's2': must be finite, got nan" in result.stderr
+
+    def test_nan_reference_cell_names_row_and_column(self, runner, tmp_path):
+        src = dataset.bundled_path("table2.csv").read_text().splitlines()
+        cells = src[4].split(",")
+        cells[2] = "nan"  # the reference of data row 3
+        src[4] = ",".join(cells)
+        p = tmp_path / "nan_ref.csv"
+        p.write_text("\n".join(src) + "\n")
+        result = runner.invoke(main, ["fit", str(p), "--model", "cycle"])
+        assert result.exit_code == 2
+        assert "row 3, column 'reference': must be finite, got nan" in result.stderr
+
+
 class TestFitPoly3:
     def test_published_coefficients(self, runner):
         result = runner.invoke(main, ["fit", "table1.csv", "--model", "poly3"])

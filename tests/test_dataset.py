@@ -45,6 +45,11 @@ class TestMeasurementRow:
         with pytest.raises(ValueError, match="finite"):
             MeasurementRow(condition=math.nan, observed=1.0)
 
+    def test_nan_reference_rejected(self):
+        # a series stores a missing reference as NaN, so NaN cannot be one
+        with pytest.raises(ValueError, match="reference must be finite, got nan"):
+            MeasurementRow(condition=1.0, observed=5.0, reference=math.nan)
+
 
 class TestDifferentialRow:
     def test_difference(self):
@@ -117,6 +122,27 @@ class TestLoadSeries:
         series = dataset.load_series(p)
         assert series.rows[0].reference == 5.0001
         assert series.rows[1].reference is None
+
+    def test_nan_reference_cell_reported_as_malformed(self, tmp_path):
+        p = tmp_path / "nan_ref.csv"
+        p.write_text("condition,observed,reference\n1,5.0,5.0001\n2,5.0,nan\n3,5.0,\n")
+        with pytest.raises(MalformedRowError, match="must be finite, got nan") as excinfo:
+            dataset.load_series(p)
+        assert (excinfo.value.row_index, excinfo.value.column) == (2, "reference")
+
+    def test_blank_reference_cell_means_no_reference(self, tmp_path):
+        p = tmp_path / "blank_ref.csv"
+        p.write_text("condition,observed,reference\n1,5.0,5.0001\n2,5.0,  \n")
+        series = dataset.load_series(p)
+        assert series.rows[1].reference is None
+        assert math.isnan(series.columns.reference[1])
+
+    def test_earlier_check_failure_beats_later_parse_failure(self, tmp_path):
+        p = tmp_path / "order.csv"
+        p.write_text("condition,observed\n1,5.0\n2,inf\nx,5.0\n")
+        with pytest.raises(MalformedRowError, match="row 2") as excinfo:
+            dataset.load_series(p)
+        assert excinfo.value.column == "observed"
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "cols.csv"
@@ -221,6 +247,22 @@ class TestDifferentialLoading:
         with pytest.raises(DatasetError, match="missing column"):
             dataset.load_differential(p)
 
+    @pytest.mark.parametrize(
+        "s2, s1, column, detail",
+        [
+            ("nan", "18.0008", "s2", "must be finite, got nan"),
+            ("9.9965", "inf", "s1", "must be finite, got inf"),
+            ("-inf", "18.0008", "s2", "must be finite, got -inf"),
+            ("18.0008", "9.9965", "s1", "require s1 > s2, got s1=9.9965 s2=18.0008"),
+        ],
+    )
+    def test_bad_leg_names_row_and_column(self, tmp_path, s2, s1, column, detail):
+        p = tmp_path / "legs.csv"
+        p.write_text(f"s_ab,s_ac,s2,s1\n10,18,9.9965,18.0008\n10,18,{s2},{s1}\n")
+        with pytest.raises(MalformedRowError) as excinfo:
+            dataset.load_differential(p)
+        assert str(excinfo.value) == f"row 2, column {column!r}: {detail}"
+
     def test_short_row_reported_as_malformed(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("s_ab,s_ac,s2,s1\n10,18,9.9965,18.0008\n30,38\n")
@@ -254,6 +296,18 @@ class TestToErrorSamples:
         series = MeasurementSeries(rows=rows, condition_unit="m", value_unit="m")
         with pytest.raises(DatasetError, match=r"rows \[2, 3\]"):
             dataset.to_error_samples(series, "explicit-reference")
+
+    def test_mean_reference_needs_a_nonzero_mean(self):
+        rows = tuple(MeasurementRow(float(i), v) for i, v in enumerate((-1.0, 1.0, 0.0)))
+        series = MeasurementSeries(rows=rows, condition_unit="", value_unit="")
+        with pytest.raises(DatasetError, match="needs a nonzero mean"):
+            dataset.to_error_samples(series, "mean-reference")
+
+    def test_mean_reference_uses_the_builtin_sum(self, table1_series):
+        obs = table1_series.columns.observed
+        mean = sum(obs.tolist()) / len(obs)
+        samples = dataset.to_error_samples(table1_series, "mean-reference")
+        assert [s.error for s in samples] == [(o - mean) / mean * 1e6 for o in obs.tolist()]
 
     def test_unknown_rule(self, table1_series):
         with pytest.raises(DatasetError, match="unknown reference rule"):

@@ -51,6 +51,11 @@ class TestRandomModel:
         with pytest.raises(InsufficientDataError, match="at least 2"):
             random_model(values)
 
+    def test_relative_std_undefined_at_zero_mean(self):
+        est = random_model([-1.0, 1.0, 0.0])
+        assert est.mean == 0.0
+        assert est.relative_std_ppm is None
+
     def test_relative_std_definition(self):
         est = RandomModelEstimate(mean=-2.0, std=1.0, n=5)
         assert est.relative_std_ppm == 5e5

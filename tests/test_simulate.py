@@ -217,6 +217,13 @@ class TestSimulateRepeated:
         with pytest.raises(ConfigurationError, match="'oven'.*'temperature'"):
             simulate_repeated([source], schedule, true_value=10.0)
 
+    def test_overflowing_series_raises_value_error(self):
+        source = ErrorSource.additive_constant(1e308)
+        schedule = ConditionSchedule.constant(3, distance=10.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="observed must be finite, got inf"):
+                simulate_repeated([source], schedule, true_value=1.797e308)
+
     def test_duplicate_source_names(self):
         sources = [
             ErrorSource.additive_constant(1.0, name="x"),
@@ -346,6 +353,13 @@ class TestSimulateDifferential:
         )
         assert [r.s1 for r in a.rows] == [r.s1 for r in b.rows]
         assert [r.s1 for r in a.rows] != [r.s1 for r in c.rows]
+
+    def test_overflowing_series_raises_value_error(self):
+        source = ErrorSource.additive_constant(1e308)
+        schedule = ConditionSchedule.constant(3, distance=10.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="observed must be finite, got inf"):
+                simulate_repeated([source], schedule, true_value=1.797e308)
 
     def test_duplicate_source_names(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
