@@ -79,11 +79,18 @@ def _schema_violation():
 
 @contextmanager
 def _exit_on_failure():
-    """Map library exceptions onto the stable exit-code contract."""
+    """Map library exceptions onto the stable exit-code contract.
+
+    numpy's floating-point warnings are off; :func:`_emit` refuses a
+    result that is not finite instead."""
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     except SingularSystemError as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL_ERROR)
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
     except _schema_violation() as exc:
         pointer = "/" + "/".join(str(part) for part in exc.absolute_path)
@@ -103,7 +110,25 @@ def _exit_on_failure():
         sys.exit(EXIT_INPUT_ERROR)
 
 
+def _nonfinite(value, pointer=""):
+    """(JSON pointer, value) of each float in ``value`` that is not finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield pointer, value
+    elif isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _nonfinite(item, f"{pointer}/{key}")
+
+
 def _emit(report: RunReport, as_json: bool, lines: list[str]):
+    """Print the report, or exit 3 if some result is not finite."""
+    for pointer, value in _nonfinite(report.results):
+        click.echo(
+            f"error: result {pointer} is {value}: the computation left "
+            "the range of double precision",
+            err=True,
+        )
+        sys.exit(EXIT_NUMERICAL_ERROR)
     if as_json:
         click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return
@@ -195,6 +220,18 @@ def _write_plot_series(path, header_units, rows):
         writer.writerows(rows[1:])
 
 
+def _write_fit_points(path, series, samples, model, condition_format, error_unit):
+    """Write each sample with the model's fitted value and the residual."""
+    rows = [("condition", "observed", "fitted", "residual")]
+    for s in samples:
+        fitted = model(s.condition)
+        rows.append((condition_format % s.condition, "%g" % s.error,
+                     "%.6f" % fitted, "%.6f" % (s.error - fitted)))
+    _write_plot_series(
+        path, f"condition={series.condition_unit} observed={error_unit}", rows
+    )
+
+
 @main.command("fit")
 @click.argument("input_csv")
 @click.option(
@@ -247,22 +284,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"residual std {model.residual_std:.6g} ppm")
             lines.append(f"dof {model.dof}")
             if emit_series:
-                rows = [("condition", "observed", "fitted", "residual")]
-                for s in samples:
-                    fitted = model(s.condition)
-                    rows.append(
-                        (
-                            "%g" % s.condition,
-                            "%g" % s.error,
-                            "%.6f" % fitted,
-                            "%.6f" % (s.error - fitted),
-                        )
-                    )
-                _write_plot_series(
-                    emit_series,
-                    f"condition={series.condition_unit} observed=ppm",
-                    rows,
-                )
+                _write_fit_points(emit_series, series, samples, model, "%g", "ppm")
         elif model_name == "cycle":
             series = dataset.load_series(path)
             samples = dataset.to_error_samples(series, "explicit-reference")
@@ -275,22 +297,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             )
             lines.append(f"dof {model.dof}")
             if emit_series:
-                rows = [("condition", "observed", "fitted", "residual")]
-                for s in samples:
-                    fitted = model(s.condition)
-                    rows.append(
-                        (
-                            "%.4f" % s.condition,
-                            "%g" % s.error,
-                            "%.6f" % fitted,
-                            "%.6f" % (s.error - fitted),
-                        )
-                    )
-                _write_plot_series(
-                    emit_series,
-                    f"condition={series.condition_unit} observed=mm",
-                    rows,
-                )
+                _write_fit_points(emit_series, series, samples, model, "%.4f", "mm")
         else:
             rows_in = dataset.load_differential(path)
             model = regression.fit_cycle_differential(rows_in, wavelength)
@@ -368,7 +375,7 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                 noise_seed=seed,
             )
             contributions = run.diff_contributions
-            diffs = np.array([r.difference for r in run.rows])
+            diffs = run.rows.columns.s1 - run.rows.columns.s2
             results = {
                 "mode": "differential",
                 "n": len(run.rows),

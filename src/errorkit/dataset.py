@@ -349,7 +349,8 @@ class ErrorSamples(_Records):
     """(condition, error) samples as columns; items are :class:`ErrorSample`.
 
     Raises:
-        ValueError: some error is not finite (the ErrorSample message).
+        ValueError: some error is not finite (the ErrorSample message,
+            after the first such 1-based row).
     """
 
     _record = ErrorSample
@@ -359,7 +360,10 @@ class ErrorSamples(_Records):
         super().__init__(conditions, errors)
         bad = _first_false(np.isfinite(self.columns.error))
         if bad is not None:
-            raise ValueError(f"error must be finite, got {float(self.columns.error[bad])!r}")
+            raise ValueError(
+                f"row {bad + 1}: error must be finite, "
+                f"got {float(self.columns.error[bad])!r}"
+            )
 
 
 class DifferentialRows(_Records):
@@ -651,8 +655,8 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
 
     Raises:
         DatasetError: explicit-reference requested but some row has no
-            reference, mean-reference on a series whose mean is 0, or
-            the rule name is unknown.
+            reference, mean-reference on a series whose mean is 0 or
+            overflows, or the rule name is unknown.
         ValueError: some error is not finite.
     """
     cond, obs, ref = series.columns
@@ -672,6 +676,11 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
         if mean == 0.0:
             raise DatasetError(
                 "mean-reference needs a nonzero mean; the observed values average to 0"
+            )
+        if not math.isfinite(mean):
+            raise DatasetError(
+                f"mean-reference needs a finite mean; the mean of the observed "
+                f"values overflows to {mean}"
             )
         with np.errstate(over="ignore", invalid="ignore"):
             return ErrorSamples(cond, (obs - mean) / mean * 1e6)

@@ -12,6 +12,12 @@ series generation for both direct and differential designs, and a
 classifier that names each source's effect from its contribution
 sequence alone.
 
+Both run modes evaluate a source through one array evaluator,
+``_contribution_mm``: a repeated run asks for one contribution per
+repeat of the true value, a differential run for one per leg of each
+pair, as an ``(n, 2)`` array. Only the conditions differ, which is the
+point of the trichotomy.
+
 Unit conventions: distances and legs are in meters, per-source
 contributions are tracked in millimeters, and observed values are
 meters (series) or meters per leg (differential rows).
@@ -41,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._jsonfile import read_json
-from .dataset import DifferentialRow, MeasurementSeries
+from .dataset import DifferentialRows, MeasurementSeries
 
 __all__ = [
     "ConfigurationError",
@@ -61,13 +67,17 @@ __all__ = [
     "DEFAULT_EPS_ABS_MM",
 ]
 
-SOURCE_KINDS = (
-    "additive-constant",
-    "multiplicative",
-    "cycle",
-    "temperature-polynomial",
-    "gaussian-noise",
-)
+# The conditions each source kind may depend on; the first is the one a
+# scenario file's source gets when it names none.
+_KIND_CONDITIONS = {
+    "additive-constant": ("none",),
+    "multiplicative": ("distance", "none"),
+    "cycle": ("distance", "none"),
+    "temperature-polynomial": ("temperature",),
+    "gaussian-noise": ("none",),
+}
+
+SOURCE_KINDS = tuple(_KIND_CONDITIONS)
 
 CONDITION_NAMES = ("none", "distance", "temperature")
 
@@ -82,7 +92,7 @@ _GRID = float(2**30)
 
 
 class ConfigurationError(Exception):
-    """A source references a condition the schedule does not provide."""
+    """A source references a condition the run does not provide."""
 
 
 class ScenarioError(Exception):
@@ -120,14 +130,7 @@ class ErrorSource:
             raise ValueError(
                 f"source {self.name!r}: unknown condition {self.depends_on!r}"
             )
-        allowed = {
-            "additive-constant": ("none",),
-            "gaussian-noise": ("none",),
-            "multiplicative": ("none", "distance"),
-            "cycle": ("none", "distance"),
-            "temperature-polynomial": ("temperature",),
-        }[self.kind]
-        if self.depends_on not in allowed:
+        if self.depends_on not in _KIND_CONDITIONS[self.kind]:
             raise ValueError(
                 f"source {self.name!r}: kind {self.kind!r} cannot depend on "
                 f"{self.depends_on!r}"
@@ -273,7 +276,7 @@ class RepeatedRun:
 class DifferentialRun:
     """Differential rows plus per-source contributions to s1 - s2 (mm)."""
 
-    rows: tuple[DifferentialRow, ...]
+    rows: DifferentialRows
     diff_contributions: dict[str, np.ndarray]
 
 
@@ -287,39 +290,34 @@ def _polynomial_ppm(coeffs: Sequence[float], t: np.ndarray) -> np.ndarray:
 def _contribution_mm(
     source: ErrorSource,
     conditions: Mapping[str, np.ndarray],
-    true_value_m: float,
-    n: int,
-    rng: np.random.Generator | None,
+    nominal_m: np.ndarray,
+    seed: np.random.SeedSequence,
 ) -> np.ndarray:
-    """Vector of this source's contributions (mm) over n repeats."""
+    """This source's contribution (mm) to each reading.
+
+    ``nominal_m`` holds the true value each reading measures, in any
+    shape; the conditions and the result have the same shape. A noise
+    source draws from its own stream, seeded by ``seed``.
+    """
     if source.depends_on != "none" and source.depends_on not in conditions:
         raise ConfigurationError(
             f"source {source.name!r} depends on condition "
-            f"{source.depends_on!r}, which the schedule does not provide"
+            f"{source.depends_on!r}, which the run does not provide"
         )
     if source.kind == "additive-constant":
-        return np.full(n, source.c_mm)
+        return np.full(nominal_m.shape, source.c_mm)
+    s = conditions["distance"] if source.depends_on == "distance" else nominal_m
     if source.kind == "multiplicative":
-        s = (
-            conditions[source.depends_on]
-            if source.depends_on == "distance"
-            else np.full(n, true_value_m)
-        )
         return source.r_ppm * s * 1e-3
     if source.kind == "cycle":
-        s = (
-            conditions[source.depends_on]
-            if source.depends_on == "distance"
-            else np.full(n, true_value_m)
-        )
         return source.amplitude_mm * np.sin(
             2.0 * math.pi * s / source.wavelength_m + source.phase_rad
         )
     if source.kind == "temperature-polynomial":
         r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])
-        return r_ppm * true_value_m * 1e-3
-    # gaussian-noise: a fresh draw per repeat
-    return rng.normal(0.0, source.sigma_mm, n)
+        return r_ppm * nominal_m * 1e-3
+    # gaussian-noise: a fresh draw per reading
+    return np.random.default_rng(seed).normal(0.0, source.sigma_mm, nominal_m.shape)
 
 
 def simulate_repeated(
@@ -341,12 +339,12 @@ def simulate_repeated(
     """
     conditions = schedule.resolve()
     n = schedule.repeats
-    children = np.random.SeedSequence(noise_seed).spawn(max(len(sources), 1))
+    nominal_m = np.full(n, float(true_value))
     contributions: dict[str, np.ndarray] = {}
     total_mm = np.zeros(n)
-    for source, child in zip(sources, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        c = _contribution_mm(source, conditions, true_value, n, rng)
+    seeds = np.random.SeedSequence(noise_seed).spawn(len(sources))
+    for source, seed in zip(sources, seeds):
+        c = _contribution_mm(source, conditions, nominal_m, seed)
         if source.name in contributions:
             raise ConfigurationError(f"duplicate source name {source.name!r}")
         contributions[source.name] = c
@@ -366,14 +364,14 @@ def simulate_repeated(
     return RepeatedRun(series=series, contributions=contributions)
 
 
-def _snap(x: float) -> float:
+def _snap(x: np.ndarray) -> np.ndarray:
     """Quantize to the binary leg grid (2**-30 m)."""
-    return math.floor(x * _GRID + 0.5) / _GRID
+    return np.floor(x * _GRID + 0.5) / _GRID
 
 
-def _round_tenth_mm(x: float) -> float:
+def _round_tenth_mm(x: np.ndarray) -> np.ndarray:
     """Round half up to 0.1 mm, the instrument readout grid."""
-    return math.floor(x * 1e4 + 0.5) / 1e4
+    return np.floor(x * 1e4 + 0.5) / 1e4
 
 
 def simulate_differential(
@@ -397,6 +395,9 @@ def simulate_differential(
     rounding s1 - s2 is bit-identical to the sum of per-source
     difference contributions. Common-mode sources therefore cancel
     exactly, not approximately.
+
+    A reading that is not finite, or ``s1 <= s2``, raises
+    ``MalformedRowError`` (a ``ValueError``) naming the 1-based row.
     """
     if cycle.kind != "cycle":
         raise ConfigurationError(
@@ -406,54 +407,33 @@ def simulate_differential(
     names = [s.name for s in sources]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate source names {names}")
-    for s in extra_sources:
-        if s.depends_on == "temperature":
-            raise ConfigurationError(
-                f"source {s.name!r} depends on condition 'temperature', "
-                "which a differential run does not provide"
-            )
-    children = np.random.SeedSequence(noise_seed).spawn(max(len(sources), 1))
-    draws = {}
-    for s, child in zip(sources, children):
-        if s.kind == "gaussian-noise":
-            rng = np.random.Generator(np.random.PCG64(child))
-            draws[s.name] = rng.normal(0.0, s.sigma_mm, (len(pairs), 2))
-
-    def leg_mm(source: ErrorSource, s_m: float, i: int, leg: int) -> float:
-        if source.kind == "additive-constant":
-            return source.c_mm
-        if source.kind == "multiplicative":
-            return source.r_ppm * s_m * 1e-3
-        if source.kind == "cycle":
-            return source.amplitude_mm * math.sin(
-                2.0 * math.pi * s_m / source.wavelength_m + source.phase_rad
-            )
-        return float(draws[source.name][i, leg])
-
-    rows = []
-    diff_contributions = {name: np.zeros(len(pairs)) for name in names}
-    for i, (s_ab, s_ac) in enumerate(pairs):
-        if not s_ac > s_ab:
-            raise ConfigurationError(
-                f"pair {i}: s_ac must exceed s_ab, got ({s_ab}, {s_ac})"
-            )
-        total2_mm = 0.0
-        diff_mm = 0.0
-        for source in sources:
-            c2 = leg_mm(source, s_ab, i, 0)
-            c1 = leg_mm(source, s_ac, i, 1)
-            dc = c1 - c2
-            diff_contributions[source.name][i] = dc
-            total2_mm += c2
-            diff_mm += dc
-        s2 = _snap(s_ab + total2_mm * 1e-3)
-        diff = _snap((s_ac - s_ab) + diff_mm * 1e-3)
-        s1 = s2 + diff
-        if round_readings:
-            s2 = _round_tenth_mm(s2)
-            s1 = _round_tenth_mm(s1)
-        rows.append(DifferentialRow(s1=s1, s2=s2))
-    return DifferentialRun(rows=tuple(rows), diff_contributions=diff_contributions)
+    legs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
+    bad = np.flatnonzero(~(legs[:, 1] > legs[:, 0]))
+    if bad.size:
+        s_ab, s_ac = pairs[bad[0]]
+        raise ConfigurationError(
+            f"pair {int(bad[0])}: s_ac must exceed s_ab, got ({s_ab}, {s_ac})"
+        )
+    # Column 0 is the short leg s_ab (reading s2), column 1 the long leg.
+    conditions = {"distance": legs}
+    diff_contributions = {}
+    total2_mm = np.zeros(len(legs))
+    diff_mm = np.zeros(len(legs))
+    seeds = np.random.SeedSequence(noise_seed).spawn(len(sources))
+    for source, seed in zip(sources, seeds):
+        c = _contribution_mm(source, conditions, legs, seed)
+        dc = c[:, 1] - c[:, 0]
+        diff_contributions[source.name] = dc
+        total2_mm = total2_mm + c[:, 0]
+        diff_mm = diff_mm + dc
+    s2 = _snap(legs[:, 0] + total2_mm * 1e-3)
+    s1 = s2 + _snap((legs[:, 1] - legs[:, 0]) + diff_mm * 1e-3)
+    if round_readings:
+        s2 = _round_tenth_mm(s2)
+        s1 = _round_tenth_mm(s1)
+    return DifferentialRun(
+        rows=DifferentialRows(s1, s2), diff_contributions=diff_contributions
+    )
 
 
 @dataclass(frozen=True)
@@ -637,18 +617,11 @@ def load_scenario(path) -> Scenario:
     """
     raw = read_json(path, _scenario_validator(), ScenarioError)
 
-    kind_default_condition = {
-        "cycle": "distance",
-        "multiplicative": "distance",
-        "temperature-polynomial": "temperature",
-    }
     sources = tuple(
         ErrorSource(
             name=s["name"],
             kind=s["kind"],
-            depends_on=s.get(
-                "depends_on", kind_default_condition.get(s["kind"], "none")
-            ),
+            depends_on=s.get("depends_on", _KIND_CONDITIONS[s["kind"]][0]),
             **{
                 k: (tuple(v) if k == "coeffs_ppm" else v)
                 for k, v in s.items()

@@ -134,6 +134,60 @@ class TestInputErrors:
         assert "row 3, column 'reference': must be finite, got nan" in result.stderr
 
 
+class TestNonfiniteResults:
+    """Results that overflow exit 3 and name the result; no nan or inf is
+    printed."""
+
+    @pytest.fixture()
+    def huge_csv(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("# units: m\ncondition,observed\n1,1e308\n2,1.5e308\n3,1.7e308\n")
+        return str(p)
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_overflowing_budget_total(self, runner, tmp_path, extra):
+        doc = json.loads(dataset.bundled_path("budget_example.json").read_text())
+        doc["components"][0]["std"] = 1e308
+        p = tmp_path / "budget.json"
+        p.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["propagate", str(p), *extra])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: result /total_std_mm is inf")
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_overflowing_cycle_fit(self, runner, tmp_path, extra):
+        src = dataset.bundled_path("table2.csv").read_text().splitlines()
+        src[2] = "6.0232,1e300,1.005e300"
+        p = tmp_path / "big.csv"
+        p.write_text("\n".join(src) + "\n")
+        result = runner.invoke(main, ["fit", str(p), "--model", "cycle", *extra])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert re.match(r"error: result /\w+ is (inf|nan)", result.stderr)
+
+    def test_overflowing_mean(self, runner, huge_csv):
+        result = runner.invoke(main, ["random-model", huge_csv])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: result /mean is inf")
+
+    def test_overflowing_mean_reference_is_an_input_error(self, runner, huge_csv):
+        result = runner.invoke(main, ["fit", huge_csv, "--model", "poly3"])
+        assert result.exit_code == 2
+        assert "the mean of the observed values overflows to inf" in result.stderr
+
+    def test_monte_carlo_out_of_memory(self, runner):
+        # numpy refuses a 7 PiB request before touching any memory.
+        result = runner.invoke(
+            main,
+            ["propagate", "budget_example.json", "--monte-carlo", str(10**15)],
+        )
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: out of memory: ")
+
+
 class TestFitPoly3:
     def test_published_coefficients(self, runner):
         result = runner.invoke(main, ["fit", "table1.csv", "--model", "poly3"])

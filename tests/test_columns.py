@@ -334,6 +334,10 @@ class TestColumnarTypes:
         with pytest.raises(ValueError, match="error must be finite, got inf"):
             ErrorSamples([0.0, 1.0], [1.0, math.inf])
 
+    def test_error_samples_name_the_nonfinite_row(self):
+        with pytest.raises(ValueError, match=r"^row 2: error must be finite"):
+            ErrorSamples([0.0, 1.0, 2.0], [1.0, math.nan, math.inf])
+
     def test_differential_rows_name_row_and_column(self):
         with pytest.raises(MalformedRowError) as excinfo:
             DifferentialRows([18.0, 18.0], [10.0, 18.0])
