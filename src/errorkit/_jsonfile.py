@@ -51,10 +51,11 @@ def read_json(path, validator, error: type[Exception]):
     bad: list[str] = []
 
     def finite(parse):
-        def checked(token: str):
+        # One call per number token: the bounds are default arguments.
+        def checked(token: str, lo=-_MAX, hi=_MAX, keep=bad.append):
             value = parse(token)
-            if not _is_finite(value):
-                bad.append(token)
+            if not lo <= value <= hi:
+                keep(token)
             return value
 
         return checked

@@ -120,15 +120,20 @@ def _nonfinite(value, pointer=""):
             yield from _nonfinite(item, f"{pointer}/{key}")
 
 
-def _emit(report: RunReport, as_json: bool, lines: list[str]):
-    """Print the report, or exit 3 if some result is not finite."""
-    for pointer, value in _nonfinite(report.results):
+def _refuse_nonfinite(results: dict):
+    """Exit 3 naming the first non-finite result; run before writing files."""
+    for pointer, value in _nonfinite(results):
         click.echo(
             f"error: result {pointer} is {value}: the computation left "
             "the range of double precision",
             err=True,
         )
         sys.exit(EXIT_NUMERICAL_ERROR)
+
+
+def _emit(report: RunReport, as_json: bool, lines: list[str]):
+    """Print the report, or exit 3 if some result is not finite."""
+    _refuse_nonfinite(report.results)
     if as_json:
         click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return
@@ -284,6 +289,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"residual std {model.residual_std:.6g} ppm")
             lines.append(f"dof {model.dof}")
             if emit_series:
+                _refuse_nonfinite(report_body)
                 _write_fit_points(emit_series, series, samples, model, "%g", "ppm")
         elif model_name == "cycle":
             series = dataset.load_series(path)
@@ -297,6 +303,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             )
             lines.append(f"dof {model.dof}")
             if emit_series:
+                _refuse_nonfinite(report_body)
                 _write_fit_points(emit_series, series, samples, model, "%.4f", "mm")
         else:
             rows_in = dataset.load_differential(path)
@@ -310,6 +317,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             )
             lines.append(f"dof {model.dof}")
             if emit_series:
+                _refuse_nonfinite(report_body)
                 rows = [("condition", "fitted")]
                 for s in np.arange(0.0, wavelength, wavelength / 200.0):
                     rows.append(
@@ -385,10 +393,6 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
             lines.append(f"n pairs  {len(run.rows)}")
             lines.append(f"mean s1-s2 {diffs.mean():.6f} m")
             lines.append(f"std  s1-s2 {results['std_difference_m']:.6g} m")
-            if emit_series:
-                dataset.write_differential_csv(
-                    scenario.differential_pairs, run.rows, emit_series
-                )
             if regen_table3:
                 fixture = dataset.load_differential(
                     _resolve_input("table3.csv", data_dir)
@@ -415,7 +419,7 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                 label=scenario.label,
             )
             contributions = run.contributions
-            observed = np.asarray(run.series.observed)
+            observed = run.series.columns.observed
             results = {
                 "mode": "repeated",
                 "n": len(run.series),
@@ -425,8 +429,6 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
             lines.append(f"n        {len(run.series)}")
             lines.append(f"mean     {observed.mean():.6f} m")
             lines.append(f"std      {results['std_m']:.6g} m")
-            if emit_series:
-                dataset.write_series_csv(run.series, emit_series)
         if do_classify:
             eps = eps_abs if eps_abs is not None else scenario.eps_abs_mm
             if eps is None:
@@ -452,6 +454,14 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                     f"{e.name}: {e.classification} "
                     f"(mean {e.mean:.6g} mm, std {e.std:.6g} mm)"
                 )
+        if emit_series:
+            _refuse_nonfinite(results)
+            if scenario.is_differential:
+                dataset.write_differential_csv(
+                    scenario.differential_pairs, run.rows, emit_series
+                )
+            else:
+                dataset.write_series_csv(run.series, emit_series)
         report = RunReport("simulate", _digest(path), results)
         _emit(report, as_json, lines)
 

@@ -23,7 +23,8 @@ the whole column at once.  The first bad row, in file order, is
 reported as a :class:`MalformedRowError` naming its 1-based row and its
 column.  Row objects (:class:`MeasurementRow`, :class:`ErrorSample`,
 :class:`DifferentialRow`) are built from the columns only when a caller
-reads them.
+reads them.  Writing works on columns too: the writers format each line
+from the stored columns, with one format string per line.
 """
 
 from __future__ import annotations
@@ -590,10 +591,6 @@ def load_differential_pairs(path) -> list[tuple[float, float]]:
     ])
 
 
-def _format(value: float, unit: str) -> str:
-    return _UNIT_FORMATS.get(unit, "%g") % value
-
-
 def write_series_csv(series: MeasurementSeries, path) -> None:
     """Write a series in the canonical layout; inverse of load_series."""
     has_ref = not np.isnan(series.columns.reference).all()
@@ -619,21 +616,20 @@ def write_series_csv(series: MeasurementSeries, path) -> None:
 def write_differential_csv(
     pairs, rows, path, *, units: str = "m"
 ) -> None:
-    """Write a differential campaign (nominal pairs plus readings)."""
+    """Write a differential campaign (nominal pairs plus readings).
+
+    ``rows`` is a :class:`DifferentialRows` or a list of :class:`DifferentialRow`.
+    """
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
+    if isinstance(rows, DifferentialRows):
+        s1, s2 = (c.tolist() for c in rows.columns)
+    else:
+        s1, s2 = [r.s1 for r in rows], [r.s2 for r in rows]
+    value_fmt = _UNIT_FORMATS.get(units, "%g")
+    row_fmt = "%g,%g," + value_fmt + "," + value_fmt
     out = [f"# units: {units}", "s_ab,s_ac,s2,s1"]
-    for (ab, ac), row in zip(pairs, rows):
-        out.append(
-            ",".join(
-                [
-                    "%g" % ab,
-                    "%g" % ac,
-                    _format(row.s2, units),
-                    _format(row.s1, units),
-                ]
-            )
-        )
+    out.extend(row_fmt % (ab, ac, b, a) for (ab, ac), b, a in zip(pairs, s2, s1))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

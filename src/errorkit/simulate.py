@@ -492,7 +492,7 @@ def classify_effects(
         effects.append(
             SourceEffect(
                 name=name,
-                contributions=tuple(float(v) for v in values),
+                contributions=tuple(values.tolist()),
                 mean=mean,
                 std=std,
                 max_abs=max_abs,

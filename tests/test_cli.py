@@ -161,10 +161,49 @@ class TestNonfiniteResults:
         src[2] = "6.0232,1e300,1.005e300"
         p = tmp_path / "big.csv"
         p.write_text("\n".join(src) + "\n")
-        result = runner.invoke(main, ["fit", str(p), "--model", "cycle", *extra])
+        out = tmp_path / "out.csv"
+        result = runner.invoke(
+            main, ["fit", str(p), "--model", "cycle", "--emit-series", str(out), *extra]
+        )
         assert result.exit_code == 3
         assert result.stdout == ""
+        assert isinstance(result.exception, SystemExit)
         assert re.match(r"error: result /\w+ is (inf|nan)", result.stderr)
+        assert not out.exists()
+
+    def _refused_without_file(self, result, out, pointer):
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: result {pointer} is inf")
+        assert not out.exists()
+
+    def test_overflowing_simulated_mean_writes_no_series(self, runner, tmp_path):
+        scenario = write_scenario(tmp_path, {
+            "true_value": 1.7e308,
+            "sources": [{"name": "c", "kind": "additive-constant", "c_mm": 1.0}],
+            "schedule": {"repeats": 3, "generator": "constant",
+                         "conditions": {"temperature": 20}},
+        })
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["simulate", scenario, "--emit-series", str(out)])
+        self._refused_without_file(result, out, "/mean_m")
+
+    def test_overflowing_classification_writes_no_series(self, runner, tmp_path):
+        # Two opposite cycles cancel in the readings, so only the
+        # per-source statistics overflow.
+        cycle = {"kind": "cycle", "depends_on": "distance", "wavelength_m": 7.0}
+        scenario = write_scenario(tmp_path, {
+            "true_value": 10.0,
+            "sources": [{**cycle, "name": "up", "amplitude_mm": 1.5e308},
+                        {**cycle, "name": "down", "amplitude_mm": -1.5e308}],
+            "schedule": {"repeats": 3, "generator": "listed",
+                         "conditions": {"distance": [1.0, 2.5, 4.0]}},
+        })
+        out = tmp_path / "out.csv"
+        result = runner.invoke(
+            main, ["simulate", scenario, "--classify", "--emit-series", str(out)]
+        )
+        self._refused_without_file(result, out, "/effects/up/mean_mm")
 
     def test_overflowing_mean(self, runner, huge_csv):
         result = runner.invoke(main, ["random-model", huge_csv])

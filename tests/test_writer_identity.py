@@ -1,0 +1,162 @@
+"""Column writers against row-at-a-time reference writers.
+
+``reference_series_csv`` and ``reference_differential_csv`` are the
+writers as they were when they read one record at a time:
+``MeasurementRow``s from ``series.rows``, ``DifferentialRow``s from
+iterating ``rows``, one unit format per cell.  The writers format from
+the stored columns and must give the same file, byte for byte.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from errorkit import dataset, simulate
+from errorkit.dataset import DifferentialRows, MeasurementSeries
+from errorkit.simulate import ErrorSource
+
+UNIT_FORMATS = {"degC": "%g", "MHz": "%.6f", "m": "%.4f", "mm": "%.4f", "ppm": "%g"}
+UNITS = (*UNIT_FORMATS, "furlong")
+
+
+def _format(value, unit):
+    return UNIT_FORMATS.get(unit, "%g") % value
+
+
+def reference_series_csv(series, path):
+    has_ref = any(r.reference is not None for r in series.rows)
+    parts = [f"condition={series.condition_unit}", f"observed={series.value_unit}"]
+    if has_ref:
+        parts.append(f"reference={series.value_unit}")
+    out = ["# units: " + " ".join(parts)]
+    out.append("condition,observed,reference" if has_ref else "condition,observed")
+    for r in series.rows:
+        cells = [
+            _format(r.condition, series.condition_unit),
+            _format(r.observed, series.value_unit),
+        ]
+        if has_ref:
+            cells.append(
+                "" if r.reference is None else _format(r.reference, series.value_unit)
+            )
+        out.append(",".join(cells))
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def reference_differential_csv(pairs, rows, path, *, units="m"):
+    if len(pairs) != len(rows):
+        raise ValueError("pairs and rows must have equal length")
+    out = [f"# units: {units}", "s_ab,s_ac,s2,s1"]
+    for (ab, ac), row in zip(pairs, rows):
+        out.append(
+            ",".join(
+                ["%g" % ab, "%g" % ac, _format(row.s2, units), _format(row.s1, units)]
+            )
+        )
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def _values(rng, n, exponent):
+    """n finite values around 10**exponent, some of them short decimals."""
+    v = rng.standard_normal(n) * 10.0**exponent
+    short = rng.random(n) < 0.3
+    v[short] = np.round(v[short], 4)
+    return v
+
+
+def _same_file(tmp_path, write, reference, *args, **kwargs):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(*args, got, **kwargs)
+    reference(*args, want, **kwargs)
+    assert got.read_bytes() == want.read_bytes()
+
+
+sizes = st.integers(1, 2000)
+seeds = st.integers(0, 2**32 - 1)
+exponents = st.integers(-8, 12)
+
+
+@settings(max_examples=60)
+@given(
+    n=sizes,
+    seed=seeds,
+    exponent=exponents,
+    reference=st.sampled_from(["full", "partly blank", "absent"]),
+    condition_unit=st.sampled_from(UNITS),
+    value_unit=st.sampled_from(UNITS),
+)
+def test_series_writer_matches_the_row_writer(
+    tmp_path_factory, n, seed, exponent, reference, condition_unit, value_unit
+):
+    rng = np.random.default_rng(seed)
+    observed = _values(rng, n, exponent)
+    ref = np.full(n, math.nan)
+    if reference != "absent":
+        nonzero = observed != 0.0
+        ref[nonzero] = observed[nonzero] * (1.0 + rng.uniform(-5e-3, 5e-3, n))[nonzero]
+    if reference == "partly blank":
+        ref[rng.random(n) < 0.5] = math.nan
+    series = MeasurementSeries.from_columns(
+        _values(rng, n, exponent), observed, ref,
+        condition_unit=condition_unit, value_unit=value_unit,
+    )
+    _same_file(tmp_path_factory.mktemp("series"), dataset.write_series_csv,
+               reference_series_csv, series)
+
+
+@settings(max_examples=60)
+@given(
+    n=sizes,
+    seed=seeds,
+    exponent=exponents,
+    units=st.sampled_from(UNITS),
+    as_records=st.booleans(),
+)
+def test_differential_writer_matches_the_row_writer(
+    tmp_path_factory, n, seed, exponent, units, as_records
+):
+    rng = np.random.default_rng(seed)
+    s2 = _values(rng, n, exponent)
+    s1 = s2 + np.abs(_values(rng, n, exponent)) + 10.0**exponent
+    s_ab = _values(rng, n, exponent)
+    pairs = list(zip(s_ab.tolist(), (s_ab + 1.0).tolist()))
+    rows = DifferentialRows(s1, s2)
+    if as_records:
+        rows = list(rows)
+    _same_file(tmp_path_factory.mktemp("diff"), dataset.write_differential_csv,
+               reference_differential_csv, pairs, rows, units=units)
+
+
+def test_simulated_campaign_is_written_as_the_row_writer_writes_it(tmp_path):
+    rng = np.random.default_rng(11)
+    s_ab = rng.uniform(0.0, 500.0, 10_000)
+    pairs = list(zip(s_ab.tolist(), (s_ab + rng.uniform(0.01, 50.0, 10_000)).tolist()))
+    run = simulate.simulate_differential(
+        ErrorSource.cycle(5.0, 10.0, 0.3, depends_on="distance"),
+        pairs,
+        [ErrorSource.additive_constant(2.0), ErrorSource.gaussian_noise(0.4)],
+        round_readings=True,
+        noise_seed=3,
+    )
+    assert isinstance(run.rows, DifferentialRows)
+    _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
+               pairs, run.rows)
+
+
+def test_contributions_are_the_same_python_floats():
+    run = simulate.simulate_repeated(
+        [ErrorSource.additive_constant(1.5), ErrorSource.gaussian_noise(0.2)],
+        simulate.ConditionSchedule.constant(50, temperature=20.0),
+        true_value=10.0,
+        noise_seed=4,
+    )
+    contributions = {**run.contributions, "ints": [0, -1, 3], "signed zero": [-0.0, 0.0]}
+    report = simulate.classify_effects(contributions, eps_abs=1e-3)
+    for effect, seq in zip(report.effects, contributions.values()):
+        want = tuple(float(v) for v in np.asarray(seq, dtype=float))
+        assert type(effect.contributions) is tuple
+        assert all(type(v) is float for v in effect.contributions)
+        assert [v.hex() for v in effect.contributions] == [v.hex() for v in want]
