@@ -18,13 +18,17 @@ decimals are not supported.
 
 Series, error samples and differential readings are stored as
 read-only float64 columns, one per field; a missing reference is NaN.
-The loaders parse each CSV column with Python's ``float()`` and check
-the whole column at once.  The first bad row, in file order, is
-reported as a :class:`MalformedRowError` naming its 1-based row and its
-column.  Row objects (:class:`MeasurementRow`, :class:`ErrorSample`,
-:class:`DifferentialRow`) are built from the columns only when a caller
-reads them.  Writing works on columns too: the writers format each line
-from the stored columns, with one format string per line.
+The loaders parse the CSV columns in one pass with numpy's C reader
+and check each whole column at once.  A file the C reader refuses, or
+whose optional reference column has a gap or a NaN, is read cell by
+cell with Python's ``float()``; that reader alone locates errors.  The
+first bad row, in file order, is reported as a
+:class:`MalformedRowError` naming its 1-based row and its column.  A
+leading UTF-8 byte-order mark is ignored.  Row objects
+(:class:`MeasurementRow`, :class:`ErrorSample`, :class:`DifferentialRow`)
+are built from the columns only when a caller reads them.  Writing
+works on columns too: the writers format each line from the stored
+columns, with one format string per line.
 """
 
 from __future__ import annotations
@@ -431,8 +435,12 @@ def _parse_units_line(line: str) -> dict[str, str]:
     return out
 
 
-def _read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
+def _read_csv(path) -> tuple[dict[str, str], list[str], list[str]]:
+    """The units, the header cells and the data lines of a CSV file.
+
+    Comment lines (``#`` first) and blank lines are dropped; a leading
+    byte-order mark is ignored."""
+    text = Path(path).read_bytes().decode("utf-8-sig")
     if not text.strip():
         raise EmptyInputError(f"{path}: file is empty")
     all_lines = text.splitlines()
@@ -444,12 +452,10 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     ]
     if not lines:
         raise EmptyInputError(f"{path}: no header row found")
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    header = next(reader)
-    rows = [row for row in reader if row]
-    if not rows:
+    if len(lines) == 1:
         raise EmptyInputError(f"{path}: header only, no data rows")
-    return units, [h.strip() for h in header], rows
+    header = next(csv.reader(lines[:1]))
+    return units, [h.strip() for h in header], lines[1:]
 
 
 def _column_index(path, header: list[str], required) -> dict[str, int]:
@@ -463,12 +469,14 @@ def _column_index(path, header: list[str], required) -> dict[str, int]:
 def _read_column(
     raw_rows: list[list[str]], pos: int, column: str, *, optional: bool = False
 ) -> tuple[np.ndarray, MalformedRowError | None]:
-    """Parse cell ``pos`` of every row with ``float()``.
+    """Parse cell ``pos`` of every row with ``float()``, the cell-by-cell
+    reader that locates faults.
 
     Returns the values of the rows before the first bad cell and that
     cell's error, or every value and None.  In an ``optional`` column a
     blank or missing cell reads as NaN ("no value"), so a cell that
-    parses to NaN is refused.
+    parses to NaN is refused.  Only this reader builds a
+    :class:`MalformedRowError` for a CSV cell.
     """
     try:
         values = np.array([float(r[pos]) for r in raw_rows])
@@ -498,10 +506,38 @@ def _read_column(
     return np.array(values), None
 
 
+def _read_columns(
+    lines: list[str], specs
+) -> list[tuple[np.ndarray, MalformedRowError | None]]:
+    """Parse the columns ``specs`` of the data ``lines``.
+
+    Each spec is ``(position, column name, optional)``.  Returns one
+    ``(values, error)`` pair per spec, as :func:`_read_column` does.
+    numpy's C reader parses the whole block in one pass; its result is
+    used only when it read every line and no optional column holds a
+    NaN.  Any other file (quotes, blank or missing cells, spellings
+    such as ``1_0`` that only ``float()`` accepts) is read cell by cell.
+    """
+    text = "\n".join(lines)
+    if '"' not in text:  # a quoted cell may hide a comma or span lines
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                               ndmin=2, usecols=[pos for pos, _, _ in specs])
+        except ValueError:
+            pass
+        else:
+            if not any(optional and np.isnan(values).any()
+                       for values, (_, _, optional) in zip(block.T, specs)):
+                return [(values, None) for values in block.T]
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    return [_read_column(rows, pos, column, optional=optional)
+            for pos, column, optional in specs]
+
+
 def _checked_prefix(build, columns):
     """Build from the parsed ``columns``, or raise the earliest error.
 
-    ``columns`` holds ``(values, error)`` pairs from :func:`_read_column`
+    ``columns`` holds ``(values, error)`` pairs from :func:`_read_columns`
     in the order a row's cells are read.  The rows before the first bad
     cell are still checked by ``build``, so a check failing on an
     earlier row wins, as it does when rows are read one at a time.
@@ -534,7 +570,7 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
         DatasetError: a required column is missing.
     """
     schema = schema or ColumnSchema()
-    units, header, raw_rows = _read_csv(path)
+    units, header, lines = _read_csv(path)
     index = _column_index(path, header, (schema.condition, schema.observed))
     cond_unit = schema.condition_unit or units.get("condition") or units.get("*", "")
     value_unit = schema.value_unit or units.get("observed") or units.get("*", "")
@@ -556,14 +592,11 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
         except MalformedRowError as exc:
             raise MalformedRowError(exc.row_index, names[exc.column], exc.detail) from None
 
-    columns = [
-        _read_column(raw_rows, index[schema.condition], schema.condition),
-        _read_column(raw_rows, index[schema.observed], schema.observed),
-    ]
+    specs = [(index[name], name, False)
+             for name in (schema.condition, schema.observed)]
     if schema.reference in index:
-        columns.append(_read_column(
-            raw_rows, index[schema.reference], schema.reference, optional=True))
-    return _checked_prefix(build, columns)
+        specs.append((index[schema.reference], schema.reference, True))
+    return _checked_prefix(build, _read_columns(lines, specs))
 
 
 def load_differential(path) -> DifferentialRows:
@@ -573,22 +606,20 @@ def load_differential(path) -> DifferentialRows:
         MalformedRowError: a leg failed to parse, is not finite, or
             ``s1 <= s2``; the first such row in the file, with its column.
     """
-    _, header, raw_rows = _read_csv(path)
+    _, header, lines = _read_csv(path)
     index = _column_index(path, header, ("s1", "s2"))
-    return _checked_prefix(DifferentialRows, [
-        _read_column(raw_rows, index["s1"], "s1"),
-        _read_column(raw_rows, index["s2"], "s2"),
-    ])
+    return _checked_prefix(DifferentialRows, _read_columns(
+        lines, [(index[name], name, False) for name in ("s1", "s2")]))
 
 
 def load_differential_pairs(path) -> list[tuple[float, float]]:
     """Return the nominal (s_ab, s_ac) leg pairs of a differential CSV."""
-    _, header, raw_rows = _read_csv(path)
+    _, header, lines = _read_csv(path)
     index = _column_index(path, header, ("s_ab", "s_ac"))
-    return _checked_prefix(lambda ab, ac: list(zip(ab.tolist(), ac.tolist())), [
-        _read_column(raw_rows, index["s_ab"], "s_ab"),
-        _read_column(raw_rows, index["s_ac"], "s_ac"),
-    ])
+    return _checked_prefix(
+        lambda ab, ac: list(zip(ab.tolist(), ac.tolist())),
+        _read_columns(lines, [(index[name], name, False) for name in ("s_ab", "s_ac")]),
+    )
 
 
 def write_series_csv(series: MeasurementSeries, path) -> None:

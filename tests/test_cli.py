@@ -61,6 +61,16 @@ class TestRandomModel:
         assert result.exit_code == 0
         assert "mean     5.000050 MHz" in result.output
 
+    def test_byte_order_mark_prints_the_same_text(self, runner, tmp_path):
+        src = dataset.bundled_path("table1.csv")
+        (tmp_path / "table1.csv").write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        plain = runner.invoke(main, ["random-model", "table1.csv"])
+        with_bom = runner.invoke(
+            main, ["random-model", "table1.csv", "--data-dir", str(tmp_path)]
+        )
+        assert with_bom.exit_code == plain.exit_code == 0
+        assert with_bom.output == plain.output
+
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0

@@ -1,13 +1,19 @@
 """Column loaders against a row-at-a-time reference.
 
 The reference functions below read a CSV one row at a time, in the
-order a row's cells and checks come: parse each cell left to right,
-then the row checks.  The loaders parse and check whole columns, and
-must report the same first error (row, column and message) and, on
-good files, the same values and fits bit for bit.
+order a row's cells and checks come: split the line with ``csv``, parse
+each cell left to right with ``float()``, then the row checks.  The
+loaders parse whole columns, with numpy's C reader when it takes the
+file, and must report the same first error (row, column and message)
+and, on good files, the same values and fits bit for bit.  The cell
+spellings include ones only ``float()`` reads (``1_0``, full-width
+digits, quoted cells) and ones neither reads (hex), so both readers
+are exercised.
 """
 
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +31,34 @@ from errorkit.dataset import (
 )
 from errorkit.linsolve import SingularSystemError
 
-# Cell spellings, each read as Python's float() reads it.
-FORMATS = (repr, "{:.4f}".format, "{:g}".format, lambda v: f" {v!r} ")
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+# Cell spellings, each read as Python's float() reads it: first those
+# numpy's C reader reads too, then those only float() reads.
+PLAIN_FORMATS = (
+    repr,
+    "{:.4f}".format,
+    "{:g}".format,
+    lambda v: f" {v!r} ",
+    lambda v: f"\t{v!r} \t",
+)
+FORMATS = PLAIN_FORMATS + (
+    lambda v: re.sub(r"(\d)(?=\d)", r"\1_", repr(v), count=1),
+    lambda v: f'"{v!r}"',
+    lambda v: repr(v).translate(FULL_WIDTH),
+)
+
+# Cells appended after a row's last column; the loaders never read them.
+EXTRA_CELLS = ("x", "7", "", '"q,r"', "0x10")
+
+
+def csv_cells(rows):
+    """Each written row as ``csv`` splits its line."""
+    return [next(csv.reader([",".join(r)])) for r in rows]
+
+
+def same_bits(column, values):
+    return column.tobytes() == np.array(values, dtype=np.float64).tobytes()
 
 
 def _parse(cells, pos, column):
@@ -92,9 +124,10 @@ def reference_differential_error(rows):
 
 
 SERIES_FAULTS = {
-    "condition": ["abc", "", "1.2.3", "nan", "inf", "-inf", "1e999"],
-    "observed": ["x", " ", "nan", "-inf", "1e999"],
-    "reference": ["ref", "nan", "inf", "far"],
+    "condition": ["abc", "", "1.2.3", "nan", "inf", "-inf", "1e999", "0x10",
+                  "Infinity", "-nan", "1__0"],
+    "observed": ["x", " ", "nan", "-inf", "1e999", "-Infinity", "0x1p3", "+nan"],
+    "reference": ["ref", "nan", "inf", "far", "-nan", "Infinity", "0x10"],
 }
 
 
@@ -103,20 +136,25 @@ def series_files(draw, faulty):
     n = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     has_ref = draw(st.booleans())
-    fmt = [draw(st.sampled_from(FORMATS)) for _ in range(3)]
+    gaps = draw(st.booleans())  # whether a reference cell may be left out
+    formats = draw(st.sampled_from([PLAIN_FORMATS, FORMATS]))
+    fmt = [draw(st.sampled_from(formats)) for _ in range(3)]
     rng = np.random.default_rng(seed)
     cond = rng.uniform(-50.0, 150.0, n).tolist()
     obs = rng.uniform(1.0, 1000.0, n)
     ref = (obs * (1.0 + rng.uniform(-0.005, 0.005, n))).tolist()
     obs = obs.tolist()
+    extra = draw(st.booleans())
     rows = []
     for i in range(n):
         cells = [fmt[0](cond[i]), fmt[1](obs[i])]
         if has_ref:
-            kind = rng.integers(0, 4)  # reference, blank, spaces, short row
+            kind = rng.integers(0, 4) if gaps else 0  # reference, blank, spaces, short
             cells.append([fmt[2](ref[i]), "", "  ", None][kind])
             if cells[-1] is None:
                 cells.pop()
+        if extra and len(cells) == 2 + has_ref and rng.integers(0, 4) == 0:
+            cells.append(EXTRA_CELLS[rng.integers(0, len(EXTRA_CELLS))])
         rows.append(cells)
     if faulty:
         for _ in range(draw(st.integers(1, 3))):
@@ -169,8 +207,13 @@ def test_good_series_match_rows_and_fits(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("series") / "s.csv"
     _write(path, header, rows)
     series = dataset.load_series(path)
-    assert series.rows == reference_series_rows(rows, has_ref)
+    want = reference_series_rows(csv_cells(rows), has_ref)
+    assert series.rows == want
     assert len(series) == len(rows)
+    assert same_bits(series.columns.condition, [r.condition for r in want])
+    assert same_bits(series.columns.observed, [r.observed for r in want])
+    assert same_bits(series.columns.reference,
+                     [math.nan if r.reference is None else r.reference for r in want])
 
     samples = dataset.to_error_samples(series, "mean-reference")
     assert isinstance(samples, ErrorSamples)
@@ -184,15 +227,16 @@ def test_good_series_match_rows_and_fits(tmp_path_factory, case):
                 _fit_outcome(regression.fit_cycle_direct, list(samples), 20.0))
 
 
-@settings(max_examples=80)
+@settings(max_examples=150)
 @given(series_files(faulty=True))
 def test_bad_series_report_the_first_bad_row(tmp_path_factory, case):
     has_ref, header, rows = case
     path = tmp_path_factory.mktemp("series") / "s.csv"
     _write(path, header, rows)
-    want = reference_series_error(rows, has_ref)
+    cells = csv_cells(rows)
+    want = reference_series_error(cells, has_ref)
     if want is None:
-        assert dataset.load_series(path).rows == reference_series_rows(rows, has_ref)
+        assert dataset.load_series(path).rows == reference_series_rows(cells, has_ref)
         return
     with pytest.raises(MalformedRowError) as excinfo:
         dataset.load_series(path)
@@ -200,7 +244,8 @@ def test_bad_series_report_the_first_bad_row(tmp_path_factory, case):
     assert (err.row_index, err.column, err.detail) == want
 
 
-LEG_FAULTS = ["abc", "", "nan", "inf", "-inf", "swap", "equal"]
+LEG_FAULTS = ["abc", "", "nan", "inf", "-inf", "swap", "equal", "0x10", "Infinity",
+              "-nan", "1__0"]
 
 
 @st.composite
@@ -213,13 +258,16 @@ def differential_files(draw, faulty):
     s1 = s_ab + 8.0 + rng.normal(0.0, 0.005, n)
     rows = [["%g" % a, "%g" % (a + 8.0), fmt(b), fmt(c)]
             for a, b, c in zip(s_ab.tolist(), s2.tolist(), s1.tolist())]
+    if draw(st.booleans()):
+        for i in np.flatnonzero(rng.integers(0, 4, n) == 0).tolist():
+            rows[i].append(EXTRA_CELLS[rng.integers(0, len(EXTRA_CELLS))])
     if faulty:
         for _ in range(draw(st.integers(1, 3))):
             i = draw(st.integers(0, n - 1))
             pos = draw(st.sampled_from([2, 3]))
             fault = draw(st.sampled_from(LEG_FAULTS))
-            if len(rows[i]) < 4:
-                continue  # already cut short
+            if len(rows[i]) != 4:
+                continue  # already cut short, or has an extra cell
             if draw(st.integers(0, 9)) == 0:
                 del rows[i][pos:]
             elif fault == "swap":
@@ -238,7 +286,10 @@ def test_good_differential_files_match_rows_and_fit(tmp_path_factory, rows):
     _write(path, "s_ab,s_ac,s2,s1", rows)
     loaded = dataset.load_differential(path)
     assert isinstance(loaded, DifferentialRows)
-    assert list(loaded) == [DifferentialRow(float(r[3]), float(r[2])) for r in rows]
+    cells = csv_cells(rows)
+    assert list(loaded) == [DifferentialRow(float(r[3]), float(r[2])) for r in cells]
+    assert same_bits(loaded.columns.s1, [float(r[3]) for r in cells])
+    assert same_bits(loaded.columns.s2, [float(r[2]) for r in cells])
     assert dataset.differences(loaded) == dataset.differences(list(loaded))
     if len(loaded) >= 3:
         assert _fit_outcome(regression.fit_cycle_differential, loaded, 20.0) == (
@@ -250,7 +301,7 @@ def test_good_differential_files_match_rows_and_fit(tmp_path_factory, rows):
 def test_bad_differential_files_report_the_first_bad_row(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("diff") / "d.csv"
     _write(path, "s_ab,s_ac,s2,s1", rows)
-    want = reference_differential_error(rows)
+    want = reference_differential_error(csv_cells(rows))
     if want is None:
         assert len(dataset.load_differential(path)) == len(rows)
         return
@@ -258,6 +309,35 @@ def test_bad_differential_files_report_the_first_bad_row(tmp_path_factory, rows)
         dataset.load_differential(path)
     err = excinfo.value
     assert (err.row_index, err.column, err.detail) == want
+
+
+# Characters of number spellings, and of near misses, with no comma or
+# line break: a token is one cell.
+TOKEN_CHARS = "0123456789.eE+-_ \t\xa0xXpPiInNfFaAtTyY\"'#;０１٣\x00"
+TOKENS = st.one_of(
+    st.text(st.sampled_from(TOKEN_CHARS), max_size=12),
+    st.floats().map(repr),
+    st.floats().map(float.hex),
+    st.floats(allow_nan=False).map("{:.25e}".format),
+    st.floats(allow_nan=False).map("{:.17g}".format),
+    st.sampled_from(["inf", "-inf", "Infinity", "-INFINITY", "nan", "-nan", "+NaN",
+                     "1_0", "0x10", '"1.5"', "１", " 1 ", "\t-2.5\t", "1e309",
+                     "4.9e-324", "2.4e-324", "1e-400", "-0", ".5", "5.", "."]),
+)
+
+
+@settings(max_examples=1500)
+@given(TOKENS)
+def test_c_reader_accepts_only_what_float_accepts(token):
+    """The loaders trust numpy's C reader only where it agrees with
+    ``float()``: every cell it parses, ``float()`` parses to the same bits."""
+    try:
+        block = np.loadtxt([token + ",0"], delimiter=",", comments=None,
+                           quotechar=None, ndmin=2, usecols=[0])
+    except ValueError:
+        return
+    assert block.shape == (1, 1)
+    assert block[0, 0].tobytes() == np.float64(float(token)).tobytes()
 
 
 class TestColumnarTypes:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from errorkit import dataset
@@ -192,6 +193,85 @@ class TestLoadSeries:
             "# a remark\n# units: m\n\ncondition,observed\n1,2\n\n# tail\n3,4\n"
         )
         assert len(dataset.load_series(p)) == 2
+
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, table1_series):
+        src = dataset.bundled_path("table1.csv")
+        p = tmp_path / "table1.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        series = dataset.load_series(p)
+        assert series == table1_series
+        assert (series.condition_unit, series.value_unit) == ("degC", "MHz")
+
+
+def _scale_rows(n=10_000):
+    """``n`` valid ``condition,observed,reference`` rows as cell lists."""
+    return [[f"{i * 0.01:.2f}", f"{5.0 + i * 1e-6:.6f}", f"{5.0 + i * 1e-6 + 1e-5:.6f}"]
+            for i in range(n)]
+
+
+def _write_rows(path, header, rows):
+    path.write_text("# units: m\n" + header + "\n"
+                    + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+class TestFastPathHandover:
+    """10^4-row files that the C reader refuses or must not take as read."""
+
+    def test_clean_file_is_not_read_cell_by_cell(self, tmp_path, monkeypatch):
+        p = _write_rows(tmp_path / "clean.csv", "condition,observed,reference",
+                        _scale_rows())
+        reference = dataset.load_series(p)
+        monkeypatch.setattr(dataset, "_read_column", None)
+        assert dataset.load_series(p) == reference
+
+    def test_bad_cell_in_the_last_row(self, tmp_path):
+        rows = _scale_rows()
+        rows[-1][1] = "5.0x"
+        p = _write_rows(tmp_path / "bad.csv", "condition,observed,reference", rows)
+        with pytest.raises(MalformedRowError) as excinfo:
+            dataset.load_series(p)
+        err = excinfo.value
+        assert (err.row_index, err.column, err.detail) == (
+            10_000, "observed", "not a number: '5.0x'")
+
+    def test_blank_reference_cell_near_the_end(self, tmp_path):
+        rows = _scale_rows()
+        rows[9998][2] = ""
+        p = _write_rows(tmp_path / "blank.csv", "condition,observed,reference", rows)
+        ref_column = dataset.load_series(p).columns.reference
+        assert math.isnan(ref_column[9998])
+        assert not np.isnan(np.delete(ref_column, 9998)).any()
+        assert ref_column.tolist()[:3] == [float(r[2]) for r in rows[:3]]
+
+    def test_nan_reference_cell_in_the_last_row(self, tmp_path):
+        rows = _scale_rows()
+        rows[-1][2] = "nan"
+        p = _write_rows(tmp_path / "nan.csv", "condition,observed,reference", rows)
+        with pytest.raises(MalformedRowError) as excinfo:
+            dataset.load_series(p)
+        err = excinfo.value
+        assert (err.row_index, err.column, err.detail) == (
+            10_000, "reference", "must be finite, got nan")
+
+    def test_two_slots_on_one_column(self, tmp_path):
+        rows = _scale_rows()
+        p = _write_rows(tmp_path / "same.csv", "condition,observed,reference", rows)
+        series = dataset.load_series(p, ColumnSchema(condition="observed"))
+        observed = [float(r[1]) for r in rows]
+        assert series.columns.condition.tolist() == observed
+        assert series.columns.observed.tolist() == observed
+        assert series.columns.reference.tolist() == [float(r[2]) for r in rows]
+
+    def test_quoted_comma_in_an_unused_column(self, tmp_path):
+        # Split at every comma, the quoted note would put 7 and 8 in the
+        # condition and observed slots.
+        rows = [["\"a,7,8,b\""] + r[:2] for r in _scale_rows()]
+        p = _write_rows(tmp_path / "note.csv", "note,condition,observed", rows)
+        series = dataset.load_series(p)
+        assert series.columns.condition.tolist() == [float(r[1]) for r in rows]
+        assert series.columns.observed.tolist() == [float(r[2]) for r in rows]
 
 
 class TestRoundTrip:
