@@ -8,133 +8,58 @@ simulation and classification (``simulate``), and covariance-law
 budget synthesis (``budget``). ``dataset`` handles the CSV and JSON
 formats and ships the bundled example tables; ``cli`` exposes the
 whole chain as batch commands.
+
+Importing the package loads none of these modules: each public name
+imports the module that owns it on first use (PEP 562).
 """
 
-from .budget import (
-    BudgetComponent,
-    BudgetError,
-    ErrorBudget,
-    UnitResolutionError,
-    load_budget,
-    monte_carlo_std,
-    total_std,
-)
-from .dataset import (
-    ColumnSchema,
-    DatasetError,
-    DifferentialRow,
-    EmptyInputError,
-    ErrorSample,
-    MalformedRowError,
-    MeasurementRow,
-    MeasurementSeries,
-    bundled_path,
-    differences,
-    load_differential,
-    load_differential_pairs,
-    load_series,
-    to_error_samples,
-    write_differential_csv,
-    write_series_csv,
-)
-from .distributions import ArcsineDistribution, cdf, pdf, sample, std
-from .linsolve import NormalEquations, SingularSystemError, solve
-from .regression import (
-    InsufficientDataError,
-    PolynomialErrorModel,
-    Prediction,
-    RandomModelEstimate,
-    SinusoidalErrorModel,
-    evaluate_polynomial,
-    evaluate_sinusoid,
-    fit_cycle_differential,
-    fit_cycle_direct,
-    fit_polynomial,
-    predict_frequency,
-    random_model,
-    to_report,
-)
-from .simulate import (
-    ConditionSchedule,
-    ConfigurationError,
-    DifferentialRun,
-    EffectReport,
-    ErrorSource,
-    RepeatedRun,
-    Scenario,
-    ScenarioError,
-    SourceEffect,
-    classify_effects,
-    load_scenario,
-    simulate_differential,
-    simulate_repeated,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # dataset
-    "ColumnSchema",
-    "DatasetError",
-    "DifferentialRow",
-    "EmptyInputError",
-    "ErrorSample",
-    "MalformedRowError",
-    "MeasurementRow",
-    "MeasurementSeries",
-    "bundled_path",
-    "differences",
-    "load_differential",
-    "load_differential_pairs",
-    "load_series",
-    "to_error_samples",
-    "write_differential_csv",
-    "write_series_csv",
-    # linear solver
-    "NormalEquations",
-    "SingularSystemError",
-    "solve",
-    # regression
-    "InsufficientDataError",
-    "PolynomialErrorModel",
-    "Prediction",
-    "RandomModelEstimate",
-    "SinusoidalErrorModel",
-    "evaluate_polynomial",
-    "evaluate_sinusoid",
-    "fit_cycle_differential",
-    "fit_cycle_direct",
-    "fit_polynomial",
-    "predict_frequency",
-    "random_model",
-    "to_report",
-    # distributions
-    "ArcsineDistribution",
-    "pdf",
-    "cdf",
-    "std",
-    "sample",
-    # budget
-    "BudgetComponent",
-    "BudgetError",
-    "ErrorBudget",
-    "UnitResolutionError",
-    "load_budget",
-    "monte_carlo_std",
-    "total_std",
-    # simulation
-    "ConditionSchedule",
-    "ConfigurationError",
-    "DifferentialRun",
-    "EffectReport",
-    "ErrorSource",
-    "RepeatedRun",
-    "Scenario",
-    "ScenarioError",
-    "SourceEffect",
-    "classify_effects",
-    "load_scenario",
-    "simulate_differential",
-    "simulate_repeated",
-]
+# Each submodule and the public names it owns, in ``__all__`` order.
+_EXPORTS = {
+    "dataset": (
+        "ColumnSchema", "DatasetError", "DifferentialRow", "EmptyInputError",
+        "ErrorSample", "MalformedRowError", "MeasurementRow",
+        "MeasurementSeries", "bundled_path", "differences", "load_differential",
+        "load_differential_pairs", "load_series", "to_error_samples",
+        "write_differential_csv", "write_series_csv",
+    ),
+    "linsolve": ("NormalEquations", "SingularSystemError", "solve"),
+    "regression": (
+        "InsufficientDataError", "PolynomialErrorModel", "Prediction",
+        "RandomModelEstimate", "SinusoidalErrorModel", "evaluate_polynomial",
+        "evaluate_sinusoid", "fit_cycle_differential", "fit_cycle_direct",
+        "fit_polynomial", "predict_frequency", "random_model", "to_report",
+    ),
+    "distributions": ("ArcsineDistribution", "pdf", "cdf", "std", "sample"),
+    "budget": (
+        "BudgetComponent", "BudgetError", "ErrorBudget", "UnitResolutionError",
+        "load_budget", "monte_carlo_std", "total_std",
+    ),
+    "simulate": (
+        "ConditionSchedule", "ConfigurationError", "DifferentialRun",
+        "EffectReport", "ErrorSource", "RepeatedRun", "Scenario",
+        "ScenarioError", "SourceEffect", "classify_effects", "load_scenario",
+        "simulate_differential", "simulate_repeated",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,9 @@ from pathlib import Path
 
 _MAX = sys.float_info.max
 
+# id(schema) -> (schema, compiled validator); holding the schema keeps its id.
+_validators: dict[int, tuple] = {}
+
 
 def _is_finite(value) -> bool:
     # Exact for ints of any size as well as floats; false for NaN.
@@ -38,8 +41,18 @@ def _nonfinite_pointer(node, pointer: str = "") -> str | None:
     return None
 
 
-def read_json(path, validator, error: type[Exception]):
-    """Parse the JSON file at ``path`` and check it against ``validator``.
+def _validator(schema: dict):
+    """``schema`` compiled on first use; jsonschema is imported then."""
+    entry = _validators.get(id(schema))
+    if entry is None:
+        from jsonschema import Draft202012Validator
+
+        entry = _validators[id(schema)] = (schema, Draft202012Validator(schema))
+    return entry[1]
+
+
+def read_json(path, schema: dict, error: type[Exception]):
+    """Parse the JSON file at ``path`` and check it against ``schema``.
 
     A number that is not a finite double raises ``error`` naming the
     file, the location and the token; values that parse are exactly
@@ -74,7 +87,7 @@ def read_json(path, validator, error: type[Exception]):
 
     from jsonschema.exceptions import best_match
 
-    violation = best_match(validator.iter_errors(raw))
+    violation = best_match(_validator(schema).iter_errors(raw))
     if violation is not None:
         raise violation
     return raw

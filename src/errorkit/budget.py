@@ -29,13 +29,13 @@ Budget files are JSON::
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsonfile import read_json
+from .distributions import ArcsineDistribution, sample
 
 __all__ = [
     "BudgetError",
@@ -81,7 +81,7 @@ BUDGET_SCHEMA = {
 }
 
 
-class BudgetError(Exception):
+class BudgetError(ValueError):
     """Invalid budget definition."""
 
 
@@ -222,9 +222,10 @@ def monte_carlo_std(
         if shape == "gaussian":
             draws = rng.normal(0.0, c.std, int(n))
         elif shape == "arcsine":
-            # amplitude with std A/sqrt(2) equal to the component std
+            # amplitude with std A/sqrt(2) equal to the component std;
+            # ArcsineDistribution refuses a zero amplitude
             amplitude = c.std * math.sqrt(2.0)
-            draws = amplitude * np.sin(rng.uniform(0.0, 2.0 * math.pi, int(n)))
+            draws = sample(ArcsineDistribution(amplitude), n, rng) if amplitude else 0.0
         else:  # uniform, half-width sqrt(3)*std for matching variance
             half = c.std * math.sqrt(3.0)
             draws = rng.uniform(-half, half, int(n))
@@ -232,17 +233,9 @@ def monte_carlo_std(
     return float(delta.std(ddof=1))
 
 
-@functools.cache
-def _budget_validator():
-    """BUDGET_SCHEMA compiled once; jsonschema is imported on first use."""
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(BUDGET_SCHEMA)
-
-
 def load_budget(path) -> ErrorBudget:
     """Load and validate a budget JSON file."""
-    raw = read_json(path, _budget_validator(), BudgetError)
+    raw = read_json(path, BUDGET_SCHEMA, BudgetError)
     components = tuple(
         BudgetComponent(
             name=c["name"],

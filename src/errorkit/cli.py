@@ -23,10 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import budget as budget_mod
-from . import dataset
-from . import regression
-from . import simulate as simulate_mod
+from . import __version__, dataset, regression
 from .linsolve import SingularSystemError
 
 EXIT_INPUT_ERROR = 2
@@ -96,16 +93,7 @@ def _exit_on_failure():
         pointer = "/" + "/".join(str(part) for part in exc.absolute_path)
         click.echo(f"error: at {pointer}: {exc.message}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
-    except (
-        dataset.DatasetError,
-        budget_mod.BudgetError,
-        simulate_mod.ScenarioError,
-        simulate_mod.ConfigurationError,
-        regression.InsufficientDataError,
-        json.JSONDecodeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every library input error is a ValueError
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
 
@@ -156,7 +144,7 @@ _json_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="errorkit")
+@click.version_option(version=__version__)
 def main():
     """Measurement error models: statistics, fits, simulation, budgets."""
 
@@ -178,8 +166,8 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
     with _exit_on_failure():
         path = _resolve_input(input_csv, data_dir)
         if column == "diff":
-            rows = dataset.load_differential(path)
-            values = dataset.differences(rows)
+            columns = dataset.load_differential(path).columns
+            values = columns.s1 - columns.s2
             unit = "m"
         else:
             series = dataset.load_series(path)
@@ -208,13 +196,6 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
                 else f"rel. std {relative:.1f} ppm",
             ],
         )
-
-
-def _rounded_ppm(samples):
-    return [
-        dataset.ErrorSample(condition=s.condition, error=float(round(s.error)))
-        for s in samples
-    ]
 
 
 def _write_plot_series(path, header_units, rows):
@@ -279,8 +260,9 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
         if model_name == "poly3":
             series = dataset.load_series(path)
             samples = dataset.to_error_samples(series, "mean-reference")
-            if not raw_errors:
-                samples = _rounded_ppm(samples)
+            if not raw_errors:  # whole ppm; + 0.0 writes -0.0 as 0
+                cond, err = samples.columns
+                samples = dataset.ErrorSamples(cond, np.round(err) + 0.0)
             model = regression.fit_polynomial(samples, degree=3)
             report_body = regression.to_report(model)
             names = "abcd"
@@ -370,6 +352,8 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
 def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                  eps_abs, data_dir, as_json):
     """Run a scenario file and summarize the generated readings."""
+    from . import simulate as simulate_mod
+
     with _exit_on_failure():
         path = _resolve_input(scenario_json, data_dir)
         scenario = simulate_mod.load_scenario(path)
@@ -480,6 +464,8 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
 @_json_option
 def cmd_propagate(budget_json, mc_draws, seed, data_dir, as_json):
     """Combine an error budget into a total standard deviation."""
+    from . import budget as budget_mod
+
     with _exit_on_failure():
         path = _resolve_input(budget_json, data_dir)
         budget = budget_mod.load_budget(path)

@@ -81,17 +81,17 @@ _UNIT_FORMATS = {
 }
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     """Base class for ingestion and conversion failures."""
 
 
-class MalformedRowError(DatasetError, ValueError):
+class MalformedRowError(DatasetError):
     """A row failed to parse or to pass its checks; carries the offending
     1-based row and the column.
 
-    It is also a ``ValueError``, the type the row types
-    (:class:`MeasurementRow`, :class:`DifferentialRow`) raise for the
-    same faults."""
+    Like every ``DatasetError`` it is a ``ValueError``, the type the row
+    types (:class:`MeasurementRow`, :class:`DifferentialRow`) raise for
+    the same faults."""
 
     def __init__(self, row_index: int, column: str, detail: str):
         self.row_index = row_index

@@ -48,7 +48,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-class InsufficientDataError(Exception):
+class InsufficientDataError(ValueError):
     """Too few samples for the requested estimate or fit."""
 
 

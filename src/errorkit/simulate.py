@@ -37,7 +37,6 @@ Design notes:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -91,11 +90,11 @@ DEFAULT_EPS_ABS_MM = 1e-6
 _GRID = float(2**30)
 
 
-class ConfigurationError(Exception):
+class ConfigurationError(ValueError):
     """A source references a condition the run does not provide."""
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """A scenario file is structurally valid JSON but semantically wrong."""
 
 
@@ -577,14 +576,6 @@ SCENARIO_SCHEMA = {
 _JSON_NUMBER = (int, float)
 
 
-@functools.cache
-def _scenario_validator():
-    """SCENARIO_SCHEMA compiled once; jsonschema is imported on first use."""
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A loaded, semantically validated scenario file."""
@@ -615,7 +606,7 @@ def load_scenario(path) -> Scenario:
     mode (``true_value`` plus ``schedule``) or a differential mode
     (``differential`` with nominal leg pairs).
     """
-    raw = read_json(path, _scenario_validator(), ScenarioError)
+    raw = read_json(path, SCENARIO_SCHEMA, ScenarioError)
 
     sources = tuple(
         ErrorSource(

@@ -216,6 +216,24 @@ class TestMonteCarlo:
         estimate = monte_carlo_std(budget, n=100_000, seed=123)
         assert estimate == pytest.approx(2.5, rel=0.02)
 
+    def test_arcsine_draws_are_pinned_bit_for_bit(self):
+        # The value of the inline A*sin(uniform(0, 2*pi)) draw that
+        # distributions.sample replaced; the example budget is all gaussian.
+        budget = ErrorBudget(
+            components=(BudgetComponent(name="cycle", std=1.5, shape="arcsine"),)
+        )
+        assert monte_carlo_std(budget, n=100_000, seed=7) == 1.5010627693140992
+
+    def test_zero_std_arcsine_component(self):
+        # ArcsineDistribution refuses amplitude 0; the component adds nothing.
+        zero = BudgetComponent(name="cycle", std=0.0, shape="arcsine")
+        alone = monte_carlo_std(ErrorBudget(components=(zero,)), n=10_000, seed=3)
+        assert alone == 0.0
+        mixed = ErrorBudget(components=(zero, BudgetComponent(name="g", std=1.0)))
+        estimate = monte_carlo_std(mixed, n=10_000, seed=3)
+        assert math.isfinite(estimate)
+        assert estimate == pytest.approx(1.0, rel=0.05)
+
     def test_matches_analytic_total(self):
         budget = example_budget()
         estimate = monte_carlo_std(budget, n=100_000, seed=123)

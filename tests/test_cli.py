@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import re
 
@@ -71,9 +72,16 @@ class TestRandomModel:
         assert with_bom.exit_code == plain.exit_code == 0
         assert with_bom.output == plain.output
 
-    def test_version(self, runner):
+    def test_version(self, runner, monkeypatch):
+        # The version is the package's own, not installed metadata: a plain
+        # checkout on PYTHONPATH has none.
+        def not_installed(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_installed)
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
+        assert result.output.rstrip().endswith("version 0.1.0")
 
 
 class TestInputErrors:
@@ -286,6 +294,21 @@ class TestFitPoly3:
         series = dataset.load_series(out)
         assert len(series) == 15
         assert series.condition_unit == "degC"
+
+    def test_an_error_rounding_to_zero_is_written_as_0(self, runner, tmp_path):
+        # Row 1 is 0.3 ppm below the mean: its whole-ppm error is 0, not -0.
+        p = tmp_path / "near_zero.csv"
+        p.write_text("# units: condition=degC observed=MHz\ncondition,observed\n"
+                     "0,9.999997\n10,10.000004\n20,9.99999\n30,10.00001\n"
+                     "40,9.999998\n50,10.000001\n")
+        out = tmp_path / "fitted.csv"
+        result = runner.invoke(
+            main, ["fit", str(p), "--model", "poly3", "--emit-series", str(out)]
+        )
+        assert result.exit_code == 0
+        observed = [line.split(",")[1] for line in out.read_text().splitlines()[2:]]
+        assert observed[0] == "0"
+        assert "-0" not in observed
 
 
 class TestFitCycle:

@@ -1,0 +1,120 @@
+"""The package root: one export table, lazy submodules, one error base.
+
+The import checks run in a fresh interpreter, so that what other tests
+have imported does not leak into what a bare import loads.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import errorkit
+from errorkit import dataset, linsolve
+
+# The public names by owning submodule, in the order the package root
+# has always listed them.
+OWNERS = {
+    "dataset": [
+        "ColumnSchema", "DatasetError", "DifferentialRow", "EmptyInputError",
+        "ErrorSample", "MalformedRowError", "MeasurementRow",
+        "MeasurementSeries", "bundled_path", "differences", "load_differential",
+        "load_differential_pairs", "load_series", "to_error_samples",
+        "write_differential_csv", "write_series_csv",
+    ],
+    "linsolve": ["NormalEquations", "SingularSystemError", "solve"],
+    "regression": [
+        "InsufficientDataError", "PolynomialErrorModel", "Prediction",
+        "RandomModelEstimate", "SinusoidalErrorModel", "evaluate_polynomial",
+        "evaluate_sinusoid", "fit_cycle_differential", "fit_cycle_direct",
+        "fit_polynomial", "predict_frequency", "random_model", "to_report",
+    ],
+    "distributions": ["ArcsineDistribution", "pdf", "cdf", "std", "sample"],
+    "budget": [
+        "BudgetComponent", "BudgetError", "ErrorBudget", "UnitResolutionError",
+        "load_budget", "monte_carlo_std", "total_std",
+    ],
+    "simulate": [
+        "ConditionSchedule", "ConfigurationError", "DifferentialRun",
+        "EffectReport", "ErrorSource", "RepeatedRun", "Scenario",
+        "ScenarioError", "SourceEffect", "classify_effects", "load_scenario",
+        "simulate_differential", "simulate_repeated",
+    ],
+}
+PUBLIC_NAMES = ["__version__", *(n for names in OWNERS.values() for n in names)]
+
+
+def run_python(code):
+    """Standard output of ``code`` run in a fresh interpreter that finds
+    this errorkit first."""
+    src = os.path.dirname(os.path.dirname(errorkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def loaded_after(statement):
+    """errorkit submodules and jsonschema modules loaded by ``statement``."""
+    return set(run_python(
+        f"{statement}\n"
+        "import sys\n"
+        "print(*(m for m in sys.modules\n"
+        "        if m.startswith('errorkit.') or m.split('.')[0] == 'jsonschema'))\n"
+    ).split())
+
+
+class TestImports:
+    def test_bare_import_loads_no_submodule(self):
+        assert loaded_after("import errorkit") == set()
+
+    def test_cli_imports_only_what_its_start_up_needs(self):
+        # simulate, budget, distributions and jsonschema wait for a command.
+        assert loaded_after("import errorkit.cli") == {
+            "errorkit.cli", "errorkit.dataset", "errorkit.regression",
+            "errorkit.linsolve"}
+
+    def test_submodule_attribute_after_a_bare_import(self):
+        assert run_python(
+            "import errorkit\n"
+            "print(errorkit.simulate.load_scenario is errorkit.load_scenario)\n"
+        ) == "True\n"
+
+
+class TestExportTable:
+    def test_all_is_the_public_names(self):
+        assert errorkit.__all__ == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("owner", OWNERS)
+    def test_each_name_is_its_owners_object(self, owner):
+        module = getattr(errorkit, owner)
+        for name in OWNERS[owner]:
+            assert getattr(errorkit, name) is getattr(module, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from errorkit import *", namespace)
+        assert set(PUBLIC_NAMES) <= namespace.keys()
+        assert namespace["load_series"] is dataset.load_series
+        assert namespace["__version__"] == "0.1.0"
+
+    def test_dir_lists_every_public_name(self):
+        assert set(PUBLIC_NAMES) <= set(dir(errorkit))
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            errorkit.nonexistent
+
+
+class TestErrorBases:
+    @pytest.mark.parametrize("name", [
+        "DatasetError", "EmptyInputError", "MalformedRowError",
+        "InsufficientDataError", "BudgetError", "UnitResolutionError",
+        "ScenarioError", "ConfigurationError",
+    ])
+    def test_input_errors_are_value_errors(self, name):
+        assert issubclass(getattr(errorkit, name), ValueError)
+
+    def test_a_singular_system_is_not_an_input_error(self):
+        assert not issubclass(linsolve.SingularSystemError, ValueError)
