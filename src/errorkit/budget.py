@@ -50,6 +50,11 @@ __all__ = [
 
 SHAPES = ("gaussian", "arcsine", "uniform")
 
+# monte_carlo_std draws and reduces CHUNK_DRAWS draws at a time, so its
+# memory no longer bounds n; MAX_DRAWS bounds the run time instead.
+CHUNK_DRAWS = 1 << 16
+MAX_DRAWS = 10**9
+
 BUDGET_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -188,6 +193,26 @@ def total_std(budget: ErrorBudget) -> float:
     return math.sqrt(acc)
 
 
+def _chunk_draws(c: BudgetComponent, shape: str, rng: np.random.Generator):
+    """``draw(m)``: the component's next m draws in its native unit, or
+    None for a component that adds nothing (a zero-std arcsine, since
+    ArcsineDistribution refuses a zero amplitude)."""
+    if shape == "gaussian":
+        return lambda m: rng.normal(0.0, c.std, m)
+    if shape == "arcsine":
+        # amplitude with std A/sqrt(2) equal to the component std
+        amplitude = c.std * math.sqrt(2.0)
+        if not amplitude:
+            return None
+        law = ArcsineDistribution(amplitude)
+        return lambda m: sample(law, m, rng)
+    if shape == "uniform":
+        # half-width sqrt(3)*std for matching variance
+        half = c.std * math.sqrt(3.0)
+        return lambda m: rng.uniform(-half, half, m)
+    raise BudgetError(f"component {c.name!r}: unknown shape {shape!r}")
+
+
 def monte_carlo_std(
     budget: ErrorBudget,
     n: int,
@@ -200,37 +225,53 @@ def monte_carlo_std(
     the result is bit-reproducible for a given (budget, n, seed) no
     matter how or in what order the components are evaluated.
 
+    The draws are made and reduced in chunks of ``CHUNK_DRAWS`` (2^16),
+    each component's generator continuing from one chunk to the next,
+    so memory stays constant in n. Each chunk's total is reduced to a
+    count, a mean and a sum of squared deviations (M2), and the chunks
+    are merged by the pairwise update of Chan, Golub and LeVeque
+    (1983). The draws are those of one whole-length call per component,
+    and the result agrees with their ``std(ddof=1)`` to within a few ulp.
+
     Args:
-        n: number of draws, at least 10**4.
+        n: number of draws, from 10**4 to ``MAX_DRAWS`` (10**9).
         seed: root seed for the per-component substreams.
         shapes: optional per-component shape overrides (by name);
             defaults to each component's declared shape.
 
     Raises:
-        BudgetError: n too small or an unknown shape name.
+        BudgetError: n out of range or an unknown shape name.
     """
     if n < 10**4:
         raise BudgetError(f"need n >= 10^4 draws for a stable estimate, got {n}")
+    if n > MAX_DRAWS:
+        raise BudgetError(
+            f"need n <= 10^9 draws, the limit of the Monte Carlo check, got {n}"
+        )
+    n = int(n)
     shapes = shapes or {}
     children = np.random.SeedSequence(seed).spawn(len(budget.components))
-    delta = np.zeros(int(n))
+    streams = []
     for c, child in zip(budget.components, children):
-        shape = shapes.get(c.name, c.shape)
-        if shape not in SHAPES:
-            raise BudgetError(f"component {c.name!r}: unknown shape {shape!r}")
         rng = np.random.Generator(np.random.PCG64(child))
-        if shape == "gaussian":
-            draws = rng.normal(0.0, c.std, int(n))
-        elif shape == "arcsine":
-            # amplitude with std A/sqrt(2) equal to the component std;
-            # ArcsineDistribution refuses a zero amplitude
-            amplitude = c.std * math.sqrt(2.0)
-            draws = sample(ArcsineDistribution(amplitude), n, rng) if amplitude else 0.0
-        else:  # uniform, half-width sqrt(3)*std for matching variance
-            half = c.std * math.sqrt(3.0)
-            draws = rng.uniform(-half, half, int(n))
-        delta += _coefficient_mm(c, budget.operating_point_m) * draws
-    return float(delta.std(ddof=1))
+        draw = _chunk_draws(c, shapes.get(c.name, c.shape), rng)
+        if draw is not None:
+            streams.append((_coefficient_mm(c, budget.operating_point_m), draw))
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n, CHUNK_DRAWS):
+        m = min(CHUNK_DRAWS, n - start)
+        delta = np.zeros(m)
+        for coefficient, draw in streams:
+            delta += coefficient * draw(m)
+        chunk_mean = float(delta.mean())
+        delta -= chunk_mean
+        chunk_m2 = float(np.square(delta, out=delta).sum())
+        total = count + m
+        shift = chunk_mean - mean
+        mean += shift * m / total
+        m2 += chunk_m2 + shift * shift * count * m / total
+        count = total
+    return math.sqrt(m2 / (n - 1))
 
 
 def load_budget(path) -> ErrorBudget:

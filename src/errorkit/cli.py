@@ -171,7 +171,7 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
             unit = "m"
         else:
             series = dataset.load_series(path)
-            values = series.observed
+            values = series.columns.observed
             unit = series.value_unit or ""
         estimate = regression.random_model(values)
         relative = estimate.relative_std_ppm
@@ -319,7 +319,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
 
 @main.command("simulate")
 @click.argument("scenario_json")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for noise-source substreams.")
 @click.option(
     "--emit-series",
@@ -459,7 +459,7 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
     default=None,
     help="Also estimate the total by sampling this many draws.",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_data_dir_option
 @_json_option
 def cmd_propagate(budget_json, mc_draws, seed, data_dir, as_json):

@@ -23,6 +23,7 @@ Each sinusoidal model carries an explicit ``amplitude_unit`` tag.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +137,13 @@ def _arrays(items, *fields):
 
 
 def random_model(values) -> RandomModelEstimate:
-    """Mean and standard deviation (n-1 denominator) of a value list."""
-    v = np.asarray(list(values), dtype=float)
+    """Mean and standard deviation (n-1 denominator) of a value list.
+
+    ``values`` is an array, a sequence or any other iterable of numbers.
+    """
+    if not isinstance(values, (np.ndarray, Sequence)):
+        values = list(values)
+    v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise InsufficientDataError(f"need at least 2 values, got {v.size}")
     mean = float(v.mean())

@@ -1,22 +1,29 @@
 import json
 import math
+import tracemalloc
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from errorkit.budget import (
     BUDGET_SCHEMA,
+    CHUNK_DRAWS,
+    SHAPES,
     BudgetComponent,
     BudgetError,
     ErrorBudget,
     UnitResolutionError,
+    _chunk_draws,
+    _coefficient_mm,
     load_budget,
     monte_carlo_std,
     total_std,
 )
 from errorkit.dataset import bundled_path
+from errorkit.distributions import ArcsineDistribution, sample
 
 
 def example_budget():
@@ -267,6 +274,115 @@ class TestMonteCarlo:
             for n in (10_000, 100_000, 1_000_000)
         ]
         assert errors[0] > errors[1] > errors[2]
+
+
+def whole_array_monte_carlo_std(budget, n, seed, shapes=None):
+    """The Monte Carlo check as it was before streaming: every draw of
+    every component held at once, reduced by one ``std(ddof=1)``."""
+    shapes = shapes or {}
+    children = np.random.SeedSequence(seed).spawn(len(budget.components))
+    delta = np.zeros(n)
+    for c, child in zip(budget.components, children):
+        shape = shapes.get(c.name, c.shape)
+        rng = np.random.Generator(np.random.PCG64(child))
+        if shape == "gaussian":
+            draws = rng.normal(0.0, c.std, n)
+        elif shape == "arcsine":
+            amplitude = c.std * math.sqrt(2.0)
+            draws = sample(ArcsineDistribution(amplitude), n, rng) if amplitude else 0.0
+        else:
+            half = c.std * math.sqrt(3.0)
+            draws = rng.uniform(-half, half, n)
+        delta += _coefficient_mm(c, budget.operating_point_m) * draws
+    return float(delta.std(ddof=1))
+
+
+# Normal-range stds only: the squares of subnormal draws keep too few
+# digits for any two summation orders to agree to a few ulp.
+component_stds = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def budgets(draw):
+    parts = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        std = draw(component_stds)
+        shape = draw(st.sampled_from(SHAPES))
+        if draw(st.booleans()):
+            parts.append(
+                BudgetComponent(
+                    name=f"c{i}", std=std, unit="ppm", sensitivity="proportional",
+                    shape=shape,
+                )
+            )
+        else:
+            sensitivity = draw(
+                st.one_of(st.just("constant"), st.floats(min_value=-10, max_value=10))
+            )
+            parts.append(
+                BudgetComponent(
+                    name=f"c{i}", std=std, sensitivity=sensitivity, shape=shape
+                )
+            )
+    operating_point = draw(st.floats(min_value=1.0, max_value=1e4))
+    return ErrorBudget(components=tuple(parts), operating_point_m=operating_point)
+
+
+class TestStreaming:
+    SIZES = [10**4, CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1, 3 * CHUNK_DRAWS + 7]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_chunked_draws_join_to_one_call(self, shape, n):
+        component = BudgetComponent(name="c", std=1.5)
+        whole = _chunk_draws(component, shape, np.random.default_rng(5))(n)
+        draw = _chunk_draws(component, shape, np.random.default_rng(5))
+        chunks = [
+            draw(min(CHUNK_DRAWS, n - start)) for start in range(0, n, CHUNK_DRAWS)
+        ]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        budget=budgets(),
+        n=st.integers(min_value=10**4, max_value=3 * CHUNK_DRAWS + 7),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_within_4_ulp_of_the_whole_array_reduction(self, budget, n, seed):
+        reference = whole_array_monte_carlo_std(budget, n, seed)
+        streamed = monte_carlo_std(budget, n, seed)
+        assert abs(streamed - reference) <= 4 * math.ulp(reference)
+
+    def test_pinned_cases_are_bit_equal_to_the_whole_array_reduction(self):
+        # (10^6, 20260819) is the README's propagate run, whose --json
+        # report prints the estimate to the last digit.
+        budget = example_budget()
+        overrides = {"cycle": "arcsine", "resolution": "uniform"}
+        for n, seed, shapes in [
+            (10**6, 20260819, None),
+            (10**4, 77, None),
+            (10**5, 123, None),
+            (10**5, 123, overrides),
+            (10**6, 42, None),
+        ]:
+            assert monte_carlo_std(budget, n, seed, shapes) == (
+                whole_array_monte_carlo_std(budget, n, seed, shapes)
+            )
+
+    def test_memory_is_constant_in_the_draw_count(self):
+        # The whole-array reduction peaks at 22.9 MB traced for 10^6 draws.
+        budget = example_budget()
+        tracemalloc.start()
+        try:
+            monte_carlo_std(budget, n=10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_rejects_draw_counts_above_the_ceiling(self):
+        with pytest.raises(BudgetError, match=r"10\^9.*1000000001"):
+            monte_carlo_std(example_budget(), n=10**9 + 1, seed=1)
 
 
 class TestLoadBudget:

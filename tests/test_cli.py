@@ -234,12 +234,15 @@ class TestNonfiniteResults:
         assert result.exit_code == 2
         assert "the mean of the observed values overflows to inf" in result.stderr
 
-    def test_monte_carlo_out_of_memory(self, runner):
+    def test_repeated_scenario_out_of_memory(self, runner, tmp_path):
         # numpy refuses a 7 PiB request before touching any memory.
-        result = runner.invoke(
-            main,
-            ["propagate", "budget_example.json", "--monte-carlo", str(10**15)],
-        )
+        scenario = write_scenario(tmp_path, {
+            "true_value": 10.0,
+            "sources": [{"name": "c", "kind": "additive-constant", "c_mm": 1.0}],
+            "schedule": {"repeats": 10**15, "generator": "constant",
+                         "conditions": {"temperature": 20}},
+        })
+        result = runner.invoke(main, ["simulate", scenario])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: out of memory: ")
@@ -495,6 +498,13 @@ class TestSimulate:
         assert a.output == b.output
         assert a.output != c.output
 
+    def test_negative_seed_names_the_option(self, runner):
+        result = runner.invoke(
+            main, ["simulate", "table3_scenario.json", "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "'--seed'" in result.stderr
+
     def test_emit_series_repeated(self, runner, tmp_path):
         scenario = write_scenario(
             tmp_path,
@@ -632,3 +642,20 @@ class TestPropagate:
         )
         assert result.exit_code == 2
         assert "10^4" in result.stderr
+
+    def test_huge_monte_carlo_rejected(self, runner):
+        draws = "10000000000000000000000"
+        result = runner.invoke(
+            main, ["propagate", "budget_example.json", "--monte-carlo", draws]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "10^9" in result.stderr
+        assert draws in result.stderr
+
+    def test_negative_seed_names_the_option(self, runner):
+        result = runner.invoke(
+            main, ["propagate", "budget_example.json", "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "'--seed'" in result.stderr

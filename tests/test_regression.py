@@ -81,6 +81,12 @@ class TestRandomModel:
         assert moved.mean == pytest.approx(base.mean + 3.7, rel=1e-12)
         assert moved.std == pytest.approx(base.std, rel=1e-9)
 
+    def test_array_tuple_and_generator_agree_bit_for_bit(self):
+        values = np.random.default_rng(11).normal(5.0, 1e-4, 10_000)
+        from_array = random_model(values)
+        assert random_model(tuple(values.tolist())) == from_array
+        assert random_model(v for v in values.tolist()) == from_array
+
 
 class TestFitPolynomial:
     def test_normal_equations_match_published_integers(self, integer_ppm_samples):
