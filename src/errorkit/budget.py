@@ -51,7 +51,7 @@ __all__ = [
 SHAPES = ("gaussian", "arcsine", "uniform")
 
 # monte_carlo_std draws and reduces CHUNK_DRAWS draws at a time, so its
-# memory no longer bounds n; MAX_DRAWS bounds the run time instead.
+# memory does not grow with n; MAX_DRAWS bounds its run time instead.
 CHUNK_DRAWS = 1 << 16
 MAX_DRAWS = 10**9
 

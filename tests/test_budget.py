@@ -203,6 +203,10 @@ class TestMonteCarlo:
         with pytest.raises(BudgetError, match="10\\^4"):
             monte_carlo_std(example_budget(), n=9_999, seed=1)
 
+    def test_rejects_draw_counts_above_the_ceiling(self):
+        with pytest.raises(BudgetError, match=r"10\^9.*1000000001"):
+            monte_carlo_std(example_budget(), n=10**9 + 1, seed=1)
+
     def test_reproducible_for_a_seed(self):
         budget = example_budget()
         a = monte_carlo_std(budget, n=10_000, seed=77)
@@ -379,10 +383,6 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-    def test_rejects_draw_counts_above_the_ceiling(self):
-        with pytest.raises(BudgetError, match=r"10\^9.*1000000001"):
-            monte_carlo_std(example_budget(), n=10**9 + 1, seed=1)
 
 
 class TestLoadBudget:
