@@ -233,6 +233,13 @@ def monte_carlo_std(
     (1983). The draws are those of one whole-length call per component,
     and the result agrees with their ``std(ddof=1)`` to within a few ulp.
 
+    The coefficients are scaled once by an even power of two, 2^-k,
+    that brings the largest contribution std (coefficient times std)
+    near 1, and the result is scaled back by 2^k after the square root.
+    The scaling is exact, so the result is the same, but the squared
+    totals cannot overflow where the closed form (:func:`total_std`)
+    does not.
+
     Args:
         n: number of draws, from 10**4 to ``MAX_DRAWS`` (10**9).
         seed: root seed for the per-component substreams.
@@ -251,12 +258,16 @@ def monte_carlo_std(
     n = int(n)
     shapes = shapes or {}
     children = np.random.SeedSequence(seed).spawn(len(budget.components))
-    streams = []
+    streams, largest = [], 0.0
     for c, child in zip(budget.components, children):
         rng = np.random.Generator(np.random.PCG64(child))
         draw = _chunk_draws(c, shapes.get(c.name, c.shape), rng)
         if draw is not None:
-            streams.append((_coefficient_mm(c, budget.operating_point_m), draw))
+            coefficient = _coefficient_mm(c, budget.operating_point_m)
+            streams.append((coefficient, draw))
+            largest = max(largest, abs(coefficient) * c.std)
+    k = math.frexp(largest)[1] // 2 * 2
+    streams = [(math.ldexp(coefficient, -k), draw) for coefficient, draw in streams]
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, CHUNK_DRAWS):
         m = min(CHUNK_DRAWS, n - start)
@@ -271,7 +282,7 @@ def monte_carlo_std(
         mean += shift * m / total
         m2 += chunk_m2 + shift * shift * count * m / total
         count = total
-    return math.sqrt(m2 / (n - 1))
+    return math.ldexp(math.sqrt(m2 / (n - 1)), k)
 
 
 def load_budget(path) -> ErrorBudget:

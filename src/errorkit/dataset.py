@@ -26,9 +26,11 @@ first bad row, in file order, is reported as a
 :class:`MalformedRowError` naming its 1-based row and its column.  A
 leading UTF-8 byte-order mark is ignored.  Row objects
 (:class:`MeasurementRow`, :class:`ErrorSample`, :class:`DifferentialRow`)
-are built from the columns only when a caller reads them.  Writing
-works on columns too: the writers format each line from the stored
-columns, with one format string per line.
+are built from the columns only when a caller reads them, and so are
+the nominal leg pairs of a differential campaign (:class:`LegPairs`,
+items :class:`LegPair`).  Writing works on columns too: each writer
+interleaves the stored columns and formats the whole body with one
+``%``, over one format string of one template per line.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
     "MeasurementSeries",
     "DifferentialRow",
     "DifferentialRows",
+    "LegPair",
+    "LegPairs",
     "ErrorSample",
     "ErrorSamples",
     "ColumnSchema",
@@ -142,6 +146,11 @@ class MeasurementRow:
 SeriesColumns = namedtuple("SeriesColumns", ["condition", "observed", "reference"])
 SampleColumns = namedtuple("SampleColumns", ["condition", "error"])
 LegColumns = namedtuple("LegColumns", ["s1", "s2"])
+PairColumns = namedtuple("PairColumns", ["s_ab", "s_ac"])
+
+# One nominal leg pair of a differential setup: short leg, long leg (m).
+# A tuple, so pairs compare equal to plain (s_ab, s_ac) tuples.
+LegPair = namedtuple("LegPair", ["s_ab", "s_ac"])
 
 
 def _frozen_column(values) -> np.ndarray:
@@ -319,7 +328,8 @@ class _Records(Sequence):
     ``columns`` is a named tuple with one column per field of the record
     type.  An item is built from the columns only when it is indexed,
     iterated over or unpacked, so a subclass checks in its constructor
-    whatever the record type would reject.
+    whatever the record type would reject.  It compares equal to any
+    sequence of equal items and hashes as the tuple of its items.
     """
 
     _record: type
@@ -345,6 +355,9 @@ class _Records(Sequence):
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self)!r})"
@@ -397,6 +410,17 @@ class DifferentialRows(_Records):
             else:
                 column, detail = "s1", f"require s1 > s2, got s1={a} s2={b}"
             raise MalformedRowError(bad + 1, column, detail)
+
+
+class LegPairs(_Records):
+    """Nominal (s_ab, s_ac) leg pairs as columns; items are :class:`LegPair`.
+
+    It holds the pairs as given: whether ``s_ac > s_ab`` is for the
+    loader or the simulator that reads them to check.
+    """
+
+    _record = LegPair
+    _columns = PairColumns
 
 
 @dataclass(frozen=True)
@@ -612,36 +636,49 @@ def load_differential(path) -> DifferentialRows:
         lines, [(index[name], name, False) for name in ("s1", "s2")]))
 
 
-def load_differential_pairs(path) -> list[tuple[float, float]]:
-    """Return the nominal (s_ab, s_ac) leg pairs of a differential CSV."""
+def load_differential_pairs(path) -> LegPairs:
+    """Return the nominal (s_ab, s_ac) leg pairs of a differential CSV.
+
+    Raises:
+        MalformedRowError: a nominal leg failed to parse; the first such
+            row in the file, with its column.
+    """
     _, header, lines = _read_csv(path)
     index = _column_index(path, header, ("s_ab", "s_ac"))
-    return _checked_prefix(
-        lambda ab, ac: list(zip(ab.tolist(), ac.tolist())),
-        _read_columns(lines, [(index[name], name, False) for name in ("s_ab", "s_ac")]),
-    )
+    return _checked_prefix(LegPairs, _read_columns(
+        lines, [(index[name], name, False) for name in ("s_ab", "s_ac")]))
+
+
+def _write_table(path, head: list[str], templates, values: np.ndarray) -> None:
+    """Write the ``head`` lines, then one body line per template.
+
+    The body is the templates joined by newlines, formatted with one
+    ``%`` over ``values``, the cells of every line in file order.
+    """
+    body = "\n".join(templates) % tuple(values.tolist())
+    Path(path).write_text("\n".join([*head, body] if body else head) + "\n",
+                          encoding="utf-8")
 
 
 def write_series_csv(series: MeasurementSeries, path) -> None:
     """Write a series in the canonical layout; inverse of load_series."""
-    has_ref = not np.isnan(series.columns.reference).all()
+    has = ~np.isnan(series.columns.reference)
+    has_ref = bool(has.any())
     parts = [f"condition={series.condition_unit}", f"observed={series.value_unit}"]
     if has_ref:
         parts.append(f"reference={series.value_unit}")
-    out = ["# units: " + " ".join(parts)]
-    out.append("condition,observed,reference" if has_ref else "condition,observed")
-    cond_fmt = _UNIT_FORMATS.get(series.condition_unit, "%g")
+    head = ["# units: " + " ".join(parts),
+            "condition,observed,reference" if has_ref else "condition,observed"]
     value_fmt = _UNIT_FORMATS.get(series.value_unit, "%g")
-    row_fmt = cond_fmt + "," + value_fmt
-    cond, obs, ref = (c.tolist() for c in series.columns)
-    if has_ref:
-        out.extend(
-            row_fmt % (c, o) + "," + ("" if math.isnan(r) else value_fmt % r)
-            for c, o, r in zip(cond, obs, ref)
-        )
-    else:
-        out.extend(row_fmt % pair for pair in zip(cond, obs))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    row_fmt = _UNIT_FORMATS.get(series.condition_unit, "%g") + "," + value_fmt
+    # A row without a reference has no slot for it: "cond,obs," when
+    # the file has the column, "cond,obs" when it has not.
+    templates = [row_fmt + ("," if has_ref else ""), row_fmt + "," + value_fmt]
+    # Condition and observed are finite, so the NaN cells are the
+    # missing references, which have no slot.
+    values = np.column_stack(series.columns).ravel()
+    values = values[~np.isnan(values)]
+    _write_table(path, head, map(templates.__getitem__, has.tolist()), values)
 
 
 def write_differential_csv(
@@ -649,19 +686,23 @@ def write_differential_csv(
 ) -> None:
     """Write a differential campaign (nominal pairs plus readings).
 
+    ``pairs`` is a :class:`LegPairs` or a list of (s_ab, s_ac) pairs;
     ``rows`` is a :class:`DifferentialRows` or a list of :class:`DifferentialRow`.
     """
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
+    if isinstance(pairs, LegPairs):
+        s_ab, s_ac = pairs.columns
+    else:
+        s_ab, s_ac = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
     if isinstance(rows, DifferentialRows):
-        s1, s2 = (c.tolist() for c in rows.columns)
+        s1, s2 = rows.columns
     else:
         s1, s2 = [r.s1 for r in rows], [r.s2 for r in rows]
     value_fmt = _UNIT_FORMATS.get(units, "%g")
-    row_fmt = "%g,%g," + value_fmt + "," + value_fmt
-    out = [f"# units: {units}", "s_ab,s_ac,s2,s1"]
-    out.extend(row_fmt % (ab, ac, b, a) for (ab, ac), b, a in zip(pairs, s2, s1))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_table(path, [f"# units: {units}", "s_ab,s_ac,s2,s1"],
+                 ["%g,%g," + value_fmt + "," + value_fmt] * len(rows),
+                 np.column_stack((s_ab, s_ac, s2, s1)).ravel())
 
 
 def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSamples:

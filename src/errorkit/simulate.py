@@ -40,13 +40,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._jsonfile import read_json
-from .dataset import DifferentialRows, MeasurementSeries
+from .dataset import DifferentialRows, LegPairs, MeasurementSeries
 
 __all__ = [
     "ConfigurationError",
@@ -375,7 +376,7 @@ def _round_tenth_mm(x: np.ndarray) -> np.ndarray:
 
 def simulate_differential(
     cycle: ErrorSource,
-    pairs: Sequence[tuple[float, float]],
+    pairs: LegPairs | Sequence[tuple[float, float]],
     extra_sources: Sequence[ErrorSource] = (),
     *,
     round_readings: bool = False,
@@ -383,6 +384,8 @@ def simulate_differential(
 ) -> DifferentialRun:
     """Generate two-leg differential readings from nominal leg pairs.
 
+    ``pairs`` is a :class:`~errorkit.dataset.LegPairs`, whose columns
+    are read as they are, or any sequence of (s_ab, s_ac) pairs.
     Each pair (s_ab, s_ac) with s_ac > s_ab yields readings
     s2 = s_ab + y(s_ab) and s1 = s_ac + y(s_ac), y being the cycle
     error evaluated at the nominal leg, plus any extra-source
@@ -406,7 +409,10 @@ def simulate_differential(
     names = [s.name for s in sources]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate source names {names}")
-    legs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
+    if isinstance(pairs, LegPairs):
+        legs = np.column_stack(pairs.columns)
+    else:
+        legs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
     bad = np.flatnonzero(~(legs[:, 1] > legs[:, 0]))
     if bad.size:
         s_ab, s_ac = pairs[bad[0]]
@@ -573,18 +579,58 @@ SCENARIO_SCHEMA = {
 }
 
 
-_JSON_NUMBER = (int, float)
+_JSON_NUMBER = frozenset({int, float})
+
+
+def _leg_pairs(pairs: list) -> LegPairs:
+    """The parsed ``differential.pairs`` array as checked leg columns.
+
+    Well-formed pairs are checked and converted as whole columns.  If
+    any check fails, the pairs are read one at a time to find the first
+    bad one, which raises ScenarioError naming its index.
+    """
+    # type() rather than isinstance: a bool is not a JSON number.
+    # read_json has already rejected numbers that are not finite.
+    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= _JSON_NUMBER):
+        legs = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(pairs))
+        s_ab, s_ac = legs[0::2], legs[1::2]
+        if (s_ac > s_ab).all():
+            return LegPairs(s_ab, s_ac)
+    for i, pair in enumerate(pairs):
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) in _JSON_NUMBER
+            and type(pair[1]) in _JSON_NUMBER
+        ):
+            raise ScenarioError(
+                f"at /differential/pairs/{i}: expected two numbers "
+                f"[s_ab, s_ac], got {json.dumps(pair)}"
+            )
+        if not float(pair[1]) > float(pair[0]):
+            raise ScenarioError(
+                f"at /differential/pairs/{i}: need s_ac > s_ab, "
+                f"got {json.dumps(pair)}"
+            )
+    raise AssertionError("unreachable: the loop accepts what the column checks refuse")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded, semantically validated scenario file."""
+    """A loaded, semantically validated scenario file.
+
+    ``differential_pairs`` holds a differential scenario's nominal leg
+    pairs as :class:`~errorkit.dataset.LegPairs` columns (None in
+    repeated mode); it compares and hashes as the tuple of its
+    ``(s_ab, s_ac)`` pairs.
+    """
 
     label: str
     sources: tuple[ErrorSource, ...]
     true_value: float | None = None
     schedule: ConditionSchedule | None = None
-    differential_pairs: tuple[tuple[float, float], ...] | None = None
+    differential_pairs: LegPairs | None = None
     round_readings: bool = False
     eps_abs_mm: float | None = None
 
@@ -634,27 +680,7 @@ def load_scenario(path) -> Scenario:
 
     if has_differential:
         diff = raw["differential"]
-        pairs = []
-        for i, pair in enumerate(diff["pairs"]):
-            # type() rather than isinstance: a bool is not a JSON number.
-            # read_json has already rejected numbers that are not finite.
-            if not (
-                type(pair) is list
-                and len(pair) == 2
-                and type(pair[0]) in _JSON_NUMBER
-                and type(pair[1]) in _JSON_NUMBER
-            ):
-                raise ScenarioError(
-                    f"at /differential/pairs/{i}: expected two numbers "
-                    f"[s_ab, s_ac], got {json.dumps(pair)}"
-                )
-            s_ab, s_ac = float(pair[0]), float(pair[1])
-            if not s_ac > s_ab:
-                raise ScenarioError(
-                    f"at /differential/pairs/{i}: need s_ac > s_ab, "
-                    f"got {json.dumps(pair)}"
-                )
-            pairs.append((s_ab, s_ac))
+        pairs = _leg_pairs(diff["pairs"])
         if sources[0].kind != "cycle":
             raise ScenarioError(
                 "a differential scenario lists the driving cycle source first"
@@ -662,7 +688,7 @@ def load_scenario(path) -> Scenario:
         return Scenario(
             label=label,
             sources=sources,
-            differential_pairs=tuple(pairs),
+            differential_pairs=pairs,
             round_readings=bool(diff.get("round_readings", False)),
             eps_abs_mm=eps,
         )

@@ -268,6 +268,31 @@ class TestMonteCarlo:
                 example_budget(), n=10_000, seed=1, shapes={"cycle": "bimodal"}
             )
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_huge_std_whose_closed_form_is_finite(self, shape):
+        # Squaring the raw draws of a 5e153 mm std overflows to inf.
+        budget = ErrorBudget(
+            components=(BudgetComponent(name="big", std=5e153, shape=shape),)
+        )
+        estimate = monte_carlo_std(budget, n=10_000, seed=1)
+        assert math.isfinite(estimate)
+        assert estimate == pytest.approx(total_std(budget), rel=0.01)
+
+    def test_scaling_is_exact(self):
+        # A budget scaled by a power of two gives the same estimate,
+        # scaled by the same power, bit for bit.
+        budget = example_budget()
+        scaled = ErrorBudget(
+            components=tuple(
+                BudgetComponent(name=c.name, std=math.ldexp(c.std, 600),
+                                unit=c.unit, sensitivity=c.sensitivity)
+                for c in budget.components
+            ),
+            operating_point_m=budget.operating_point_m,
+        )
+        estimate = monte_carlo_std(budget, n=10**5, seed=9)
+        assert monte_carlo_std(scaled, n=10**5, seed=9) == math.ldexp(estimate, 600)
+
     def test_estimate_converges_with_draw_count(self):
         # seed pinned: the error is only shrinking in expectation, and
         # this seed happens to give a strictly shrinking realization

@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import math
 import re
 
 import pytest
@@ -635,6 +636,25 @@ class TestPropagate:
         assert result.exit_code == 2
         assert "at /components/0/std" in result.stderr
         assert "nan" not in result.stdout.lower()
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_monte_carlo_of_a_huge_finite_budget(self, runner, tmp_path, extra):
+        p = tmp_path / "budget.json"
+        p.write_text(json.dumps(
+            {"components": [{"name": "big", "std": 5e153, "unit": "mm"}]}))
+        result = runner.invoke(
+            main, ["propagate", str(p), "--monte-carlo", "10000", *extra]
+        )
+        assert result.exit_code == 0, result.output
+        if extra:
+            results = json.loads(result.output)["results"]
+            total, estimate = results["total_std_mm"], results["monte_carlo_std_mm"]
+        else:
+            total = float(re.search(r"total std (\S+) mm", result.output)[1])
+            estimate = float(re.search(r"monte-carlo std (\S+) mm", result.output)[1])
+        assert total == 5e153
+        assert math.isfinite(estimate)
+        assert estimate == pytest.approx(total, rel=0.01)
 
     def test_small_monte_carlo_rejected(self, runner):
         result = runner.invoke(

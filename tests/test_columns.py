@@ -25,6 +25,8 @@ from errorkit.dataset import (
     DifferentialRow,
     DifferentialRows,
     ErrorSamples,
+    LegPair,
+    LegPairs,
     MalformedRowError,
     MeasurementRow,
     MeasurementSeries,
@@ -423,6 +425,26 @@ class TestColumnarTypes:
             DifferentialRows([18.0, 18.0], [10.0, 18.0])
         assert (excinfo.value.row_index, excinfo.value.column) == (2, "s1")
         assert "require s1 > s2" in str(excinfo.value)
+
+    def test_leg_pairs_are_a_sequence_of_tuples(self):
+        pairs = LegPairs([10, 10.5], [18.0, 18.25])
+        assert pairs == [(10.0, 18.0), (10.5, 18.25)]
+        assert pairs == ((10.0, 18.0), (10.5, 18.25))
+        assert pairs != [(10.0, 18.0)]
+        assert pairs[1] == LegPair(s_ab=10.5, s_ac=18.25)
+        assert pairs[-1:] == [(10.5, 18.25)]
+        assert [type(v) for pair in pairs for v in pair] == [float] * 4
+        assert pairs.columns.s_ab.tolist() == [10.0, 10.5]
+        assert not pairs.columns.s_ac.flags.writeable
+        with pytest.raises(ValueError, match="differ in length"):
+            LegPairs([10.0], [18.0, 19.0])
+
+    def test_records_hash_as_the_tuple_of_their_items(self, table3_rows):
+        pairs = LegPairs([-0.0, 10.5], [18.0, 18.25])
+        as_tuples = ((0.0, 18.0), (10.5, 18.25))
+        assert pairs == as_tuples and hash(pairs) == hash(as_tuples)
+        assert len({pairs, LegPairs([0.0, 10.5], [18.0, 18.25]), as_tuples}) == 1
+        assert hash(table3_rows) == hash(tuple(table3_rows))
 
     def test_fits_accept_columns_and_items_alike(self, table3_rows):
         items = list(table3_rows)

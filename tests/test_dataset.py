@@ -316,6 +316,19 @@ class TestDifferentialLoading:
         pairs = dataset.load_differential_pairs(dataset.bundled_path("table3.csv"))
         assert tuple(pairs) == ref.TABLE3_PAIRS
 
+    def test_nominal_pairs_are_leg_pair_columns(self):
+        pairs = dataset.load_differential_pairs(dataset.bundled_path("table3.csv"))
+        assert isinstance(pairs, dataset.LegPairs)
+        assert pairs == list(ref.TABLE3_PAIRS)
+        assert pairs.columns.s_ab.tolist() == [ab for ab, _ in ref.TABLE3_PAIRS]
+        assert pairs.columns.s_ac.tolist() == [ac for _, ac in ref.TABLE3_PAIRS]
+
+    def test_bad_nominal_leg_names_row_and_column(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_text("s_ab,s_ac,s2,s1\n10,18,10.1,18.1\n10,x,10.1,18.1\n")
+        with pytest.raises(MalformedRowError, match=r"row 2, column 's_ac'"):
+            dataset.load_differential_pairs(p)
+
     def test_differences(self, table3_rows):
         diffs = dataset.differences(table3_rows)
         assert diffs == [r.s1 - r.s2 for r in table3_rows]

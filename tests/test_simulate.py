@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,7 +21,7 @@ from errorkit.simulate import (
     simulate_differential,
     simulate_repeated,
 )
-from errorkit.dataset import bundled_path, load_differential
+from errorkit.dataset import LegPairs, bundled_path, load_differential
 
 import reference_values as ref
 
@@ -308,6 +309,25 @@ class TestSimulateDifferential:
     def test_unordered_pair_rejected(self):
         with pytest.raises(ConfigurationError, match="s_ac must exceed s_ab"):
             simulate_differential(campaign_cycle(), [(18.0, 10.0)])
+
+    def test_unordered_leg_pair_columns_rejected(self):
+        pairs = LegPairs([10.0, 18.0], [18.0, 10.0])
+        with pytest.raises(ConfigurationError, match=r"pair 1: .*\(18.0, 10.0\)"):
+            simulate_differential(campaign_cycle(), pairs)
+
+    def test_leg_pair_columns_simulate_as_tuples_do(self):
+        s_ab, s_ac = (list(legs) for legs in zip(*ref.TABLE3_PAIRS))
+        extra = [ErrorSource.additive_constant(2.0), ErrorSource.gaussian_noise(0.4)]
+        by_columns = simulate_differential(
+            campaign_cycle(), LegPairs(s_ab, s_ac), extra, round_readings=True
+        )
+        by_tuples = simulate_differential(
+            campaign_cycle(), ref.TABLE3_PAIRS, extra, round_readings=True
+        )
+        for got, want in zip(by_columns.rows.columns, by_tuples.rows.columns):
+            assert got.tobytes() == want.tobytes()
+        for name, dc in by_tuples.diff_contributions.items():
+            assert by_columns.diff_contributions[name].tobytes() == dc.tobytes()
 
     def test_driver_must_be_a_cycle(self):
         with pytest.raises(ConfigurationError, match="must be a cycle"):
@@ -611,6 +631,16 @@ class TestLoadScenario:
         assert pairs == ((10.0, 18.0), (10.5, 18.25))
         assert all(type(v) is float for pair in pairs for v in pair)
 
+    def test_scenario_hashes_as_with_tuple_pairs(self):
+        scenario = load_scenario(bundled_path("table3_scenario.json"))
+        assert isinstance(scenario.differential_pairs, LegPairs)
+        as_tuples = dataclasses.replace(
+            scenario,
+            differential_pairs=tuple(tuple(p) for p in scenario.differential_pairs),
+        )
+        assert scenario == as_tuples
+        assert hash(scenario) == hash(as_tuples)
+
     def test_differential_needs_a_cycle_first(self, tmp_path):
         p = tmp_path / "scenario.json"
         p.write_text(
@@ -655,3 +685,127 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioError, match="expected 3"):
             load_scenario(p)
+
+
+# --- the leg-pair check against the per-pair loop -----------------------------
+
+
+def reference_leg_pairs(pairs):
+    """The leg-pair check of load_scenario as a loop over the pairs: a
+    tuple of float pairs, or the ScenarioError of the first bad pair."""
+    out = []
+    for i, pair in enumerate(pairs):
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) in (int, float)
+            and type(pair[1]) in (int, float)
+        ):
+            raise ScenarioError(
+                f"at /differential/pairs/{i}: expected two numbers "
+                f"[s_ab, s_ac], got {json.dumps(pair)}"
+            )
+        s_ab, s_ac = float(pair[0]), float(pair[1])
+        if not s_ac > s_ab:
+            raise ScenarioError(
+                f"at /differential/pairs/{i}: need s_ac > s_ab, "
+                f"got {json.dumps(pair)}"
+            )
+        out.append((s_ab, s_ac))
+    return tuple(out)
+
+
+def assert_loads_as_the_loop_does(path, pairs):
+    path.write_text(json.dumps({
+        "sources": [{"name": "c", "kind": "cycle", "amplitude_mm": 1.0}],
+        "differential": {"pairs": pairs},
+    }))
+    try:
+        want = reference_leg_pairs(pairs)
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError) as got:
+            load_scenario(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_scenario(path).differential_pairs
+    assert isinstance(got, LegPairs)
+    assert [(a.hex(), b.hex()) for a, b in got] == [
+        (a.hex(), b.hex()) for a, b in want
+    ]
+
+
+legs = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60),
+    st.integers(2**53, 2**70),
+    st.sampled_from([0, 0.0, -0.0, 2**53, 2**53 + 1]),
+)
+ordered_pairs = st.lists(legs, min_size=2, max_size=2).map(lambda p: sorted(p, key=float))
+non_numbers = st.one_of(st.booleans(), st.none(), st.text(max_size=2))
+
+
+def _with_leg(pair, i, value):
+    pair[i] = value
+    return pair
+
+
+bad_items = st.one_of(
+    non_numbers,
+    st.lists(legs, max_size=3),
+    st.tuples(st.lists(legs, max_size=2), legs).map(list),
+    # One leg of an ordered pair replaced: a bool between ordered legs
+    # passes the order check, so only the type check refuses it.
+    st.builds(_with_leg, ordered_pairs, st.integers(0, 1), non_numbers),
+    st.lists(st.booleans(), min_size=2, max_size=2),
+    ordered_pairs.map(lambda p: p[::-1]),
+    legs.map(lambda v: [v, v]),
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """Ordered pairs, some of them replaced by a bad item at the first,
+    the last or any other index."""
+    pairs = draw(st.lists(ordered_pairs, min_size=1, max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from(["first", "last", "any"]))
+        i = {"first": 0, "last": len(pairs) - 1}.get(where)
+        if i is None:
+            i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = draw(bad_items)
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=pair_lists())
+def test_pair_check_agrees_with_the_loop(tmp_path_factory, pairs):
+    assert_loads_as_the_loop_does(tmp_path_factory.mktemp("pairs") / "s.json", pairs)
+
+
+GOOD = [10.0, 18.0]
+PAIR_CASES = {
+    "bool element": [GOOD, [10.0, True]],
+    "ordered bool element": [GOOD, [0, True]],
+    "ordered bools": [[False, True], GOOD],
+    "bool pair": [GOOD, False],
+    "str element": [GOOD, ["10", 18.0]],
+    "null element": [GOOD, [10.0, None]],
+    "null pair": [None, GOOD],
+    "nested list": [GOOD, [[10.0], 18.0]],
+    "one element": [GOOD, [10.0]],
+    "three elements": [GOOD, [10.0, 18.0, 26.0]],
+    "empty pair": [[], GOOD],
+    "ints above 2^53": [[2**53 + 1, 2**53 + 2], [2**60, 2**60 + 1000]],
+    "ints rounding to equal legs": [GOOD, [2**53, 2**53 + 1]],
+    "negative zero": [[-0.0, 1.0], [-1.0, -0.0], [-5, 0]],
+    "equal legs": [GOOD, [10.0, 10.0]],
+    "zero and negative zero": [GOOD, [0, -0.0]],
+    "bad first pair": [[18.0, 10.0]] + [GOOD] * 9,
+    "bad last pair": [GOOD] * 9 + [[10.0, "18"]],
+    "two bad pairs": [GOOD, [10.0, 9.0], [True, 1]],
+}
+
+
+@pytest.mark.parametrize("pairs", PAIR_CASES.values(), ids=PAIR_CASES)
+def test_pair_case_agrees_with_the_loop(tmp_path, pairs):
+    assert_loads_as_the_loop_does(tmp_path / "s.json", pairs)

@@ -4,7 +4,8 @@
 writers as they were when they read one record at a time:
 ``MeasurementRow``s from ``series.rows``, ``DifferentialRow``s from
 iterating ``rows``, one unit format per cell.  The writers format from
-the stored columns and must give the same file, byte for byte.
+the stored columns and must give the same file, byte for byte, for
+every size from an empty body up.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from errorkit import dataset, simulate
-from errorkit.dataset import DifferentialRows, MeasurementSeries
+from errorkit.dataset import DifferentialRows, LegPairs, MeasurementSeries
 from errorkit.simulate import ErrorSource
 
 UNIT_FORMATS = {"degC": "%g", "MHz": "%.6f", "m": "%.4f", "mm": "%.4f", "ppm": "%g"}
@@ -74,7 +75,7 @@ def _same_file(tmp_path, write, reference, *args, **kwargs):
     assert got.read_bytes() == want.read_bytes()
 
 
-sizes = st.integers(1, 2000)
+sizes = st.integers(0, 2000)
 seeds = st.integers(0, 2**32 - 1)
 exponents = st.integers(-8, 12)
 
@@ -114,15 +115,19 @@ def test_series_writer_matches_the_row_writer(
     exponent=exponents,
     units=st.sampled_from(UNITS),
     as_records=st.booleans(),
+    pairs_as_columns=st.booleans(),
 )
 def test_differential_writer_matches_the_row_writer(
-    tmp_path_factory, n, seed, exponent, units, as_records
+    tmp_path_factory, n, seed, exponent, units, as_records, pairs_as_columns
 ):
     rng = np.random.default_rng(seed)
     s2 = _values(rng, n, exponent)
     s1 = s2 + np.abs(_values(rng, n, exponent)) + 10.0**exponent
     s_ab = _values(rng, n, exponent)
-    pairs = list(zip(s_ab.tolist(), (s_ab + 1.0).tolist()))
+    if pairs_as_columns:
+        pairs = LegPairs(s_ab, s_ab + 1.0)
+    else:
+        pairs = list(zip(s_ab.tolist(), (s_ab + 1.0).tolist()))
     rows = DifferentialRows(s1, s2)
     if as_records:
         rows = list(rows)
@@ -130,20 +135,43 @@ def test_differential_writer_matches_the_row_writer(
                reference_differential_csv, pairs, rows, units=units)
 
 
-def test_simulated_campaign_is_written_as_the_row_writer_writes_it(tmp_path):
-    rng = np.random.default_rng(11)
-    s_ab = rng.uniform(0.0, 500.0, 10_000)
-    pairs = list(zip(s_ab.tolist(), (s_ab + rng.uniform(0.01, 50.0, 10_000)).tolist()))
-    run = simulate.simulate_differential(
+def _simulated_campaign(pairs):
+    return simulate.simulate_differential(
         ErrorSource.cycle(5.0, 10.0, 0.3, depends_on="distance"),
         pairs,
         [ErrorSource.additive_constant(2.0), ErrorSource.gaussian_noise(0.4)],
         round_readings=True,
         noise_seed=3,
     )
+
+
+def test_simulated_campaign_is_written_as_the_row_writer_writes_it(tmp_path):
+    rng = np.random.default_rng(11)
+    s_ab = rng.uniform(0.0, 500.0, 10_000)
+    pairs = list(zip(s_ab.tolist(), (s_ab + rng.uniform(0.01, 50.0, 10_000)).tolist()))
+    run = _simulated_campaign(pairs)
     assert isinstance(run.rows, DifferentialRows)
     _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
                pairs, run.rows)
+
+
+def test_simulated_campaign_from_leg_pair_columns(tmp_path):
+    rng = np.random.default_rng(12)
+    s_ab = rng.uniform(0.0, 500.0, 10_000)
+    pairs = LegPairs(s_ab, s_ab + rng.uniform(0.01, 50.0, 10_000))
+    _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
+               pairs, _simulated_campaign(pairs).rows)
+
+
+def test_empty_series_and_campaign_are_the_header_lines(tmp_path):
+    out = tmp_path / "out.csv"
+    series = MeasurementSeries.from_columns(
+        [], [], condition_unit="degC", value_unit="MHz")
+    dataset.write_series_csv(series, out)
+    assert out.read_text() == "# units: condition=degC observed=MHz\ncondition,observed\n"
+    for pairs, rows in [(LegPairs([], []), DifferentialRows([], [])), ([], [])]:
+        dataset.write_differential_csv(pairs, rows, out, units="mm")
+        assert out.read_text() == "# units: mm\ns_ab,s_ac,s2,s1\n"
 
 
 def test_contributions_are_the_same_python_floats():
