@@ -30,7 +30,7 @@ are built from the columns only when a caller reads them, and so are
 the nominal leg pairs of a differential campaign (:class:`LegPairs`,
 items :class:`LegPair`).  Writing works on columns too: each writer
 interleaves the stored columns and formats the whole body with one
-``%``, over one format string of one template per line.
+``%``, its format string made of one line template per row.
 """
 
 from __future__ import annotations
