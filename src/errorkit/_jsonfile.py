@@ -4,7 +4,9 @@ Python's ``json`` accepts ``NaN``, ``Infinity`` and ``-Infinity``, and
 turns a literal such as ``1e309`` into infinity; JSON Schema's
 ``number`` lets all of them through. A non-finite value would then
 travel into the results, so every number must fit a finite double
-before the file reaches its schema.
+before the file reaches its schema. The same walk,
+:func:`first_nonfinite`, checks the command line's results before they
+are printed or written.
 """
 
 from __future__ import annotations
@@ -24,18 +26,19 @@ def _is_finite(value) -> bool:
     return -_MAX <= value <= _MAX
 
 
-def _nonfinite_pointer(node, pointer: str = "") -> str | None:
-    """JSON pointer of the first non-finite number in document order."""
+def first_nonfinite(node, pointer: str = "") -> tuple[str, object] | None:
+    """(JSON pointer, value) of the first int or float in document order,
+    through dicts, lists and tuples, that is NaN or outside the double range."""
     if isinstance(node, dict):
         items = node.items()
-    elif isinstance(node, list):
+    elif isinstance(node, (list, tuple)):
         items = enumerate(node)
+    elif isinstance(node, (int, float)) and not _is_finite(node):
+        return pointer or "/", node
     else:
-        if isinstance(node, (int, float)) and not _is_finite(node):
-            return pointer or "/"
         return None
     for key, child in items:
-        found = _nonfinite_pointer(child, f"{pointer}/{key}")
+        found = first_nonfinite(child, f"{pointer}/{key}")
         if found is not None:
             return found
     return None
@@ -80,10 +83,10 @@ def read_json(path, schema: dict, error: type[Exception]):
         parse_int=finite(int),
     )
     # A duplicate key can shadow a rejected token, so look in what parsed.
-    where = _nonfinite_pointer(raw) if bad else None
-    if where is not None:
+    found = first_nonfinite(raw) if bad else None
+    if found is not None:
         token = bad[0] if len(bad[0]) <= 24 else bad[0][:21] + "..."
-        raise error(f"{path.name}: at {where}: {token} is not a finite number")
+        raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
 
     from jsonschema.exceptions import best_match
 

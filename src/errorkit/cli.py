@@ -11,41 +11,22 @@ configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__, dataset, regression
+from ._jsonfile import first_nonfinite
 from .linsolve import SingularSystemError
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
-
-
-@dataclass
-class RunReport:
-    """What a command did: echo, input digest, results, warnings."""
-
-    command: str
-    input_digest: str
-    results: dict
-    warnings: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "results": self.results,
-            "warnings": list(self.warnings),
-        }
 
 
 def _digest(path: Path) -> str:
@@ -98,36 +79,31 @@ def _exit_on_failure():
         sys.exit(EXIT_INPUT_ERROR)
 
 
-def _nonfinite(value, pointer=""):
-    """(JSON pointer, value) of each float in ``value`` that is not finite."""
-    if isinstance(value, float) and not math.isfinite(value):
-        yield pointer, value
-    elif isinstance(value, (dict, list, tuple)):
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, item in items:
-            yield from _nonfinite(item, f"{pointer}/{key}")
-
-
 def _refuse_nonfinite(results: dict):
     """Exit 3 naming the first non-finite result; run before writing files."""
-    for pointer, value in _nonfinite(results):
+    found = first_nonfinite(results)
+    if found is not None:
         click.echo(
-            f"error: result {pointer} is {value}: the computation left "
+            f"error: result {found[0]} is {found[1]}: the computation left "
             "the range of double precision",
             err=True,
         )
         sys.exit(EXIT_NUMERICAL_ERROR)
 
 
-def _emit(report: RunReport, as_json: bool, lines: list[str]):
-    """Print the report, or exit 3 if some result is not finite."""
-    _refuse_nonfinite(report.results)
+def _emit(command: str, path: Path, results: dict, as_json: bool,
+          lines: list[str], warnings=()):
+    """Print the lines and warnings, or the ``--json`` report; exit 3
+    instead if some result is not finite."""
+    _refuse_nonfinite(results)
     if as_json:
-        click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        report = {"command": command, "input_digest": _digest(path),
+                  "results": results, "warnings": list(warnings)}
+        click.echo(json.dumps(report, indent=2, sort_keys=True))
         return
     for line in lines:
         click.echo(line)
-    for warning in report.warnings:
+    for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
 
 
@@ -182,39 +158,25 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
             "relative_std_ppm": relative,
             "unit": unit,
         }
-        report = RunReport("random-model", _digest(path), results)
-        if relative is None:
-            report.warnings.append("relative std is undefined: the mean is 0")
-        _emit(
-            report,
-            as_json,
-            [
-                f"n        {estimate.n}",
-                f"mean     {estimate.mean:.6f} {unit}".rstrip(),
-                f"std      {estimate.std:.6g} {unit}".rstrip(),
-                "rel. std undefined (mean is 0)" if relative is None
-                else f"rel. std {relative:.1f} ppm",
-            ],
-        )
-
-
-def _write_plot_series(path, header_units, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# units: {header_units}\n")
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        writer.writerows(rows[1:])
+        _emit("random-model", path, results, as_json, [
+            f"n        {estimate.n}",
+            f"mean     {estimate.mean:.6f} {unit}".rstrip(),
+            f"std      {estimate.std:.6g} {unit}".rstrip(),
+            "rel. std undefined (mean is 0)" if relative is None
+            else f"rel. std {relative:.1f} ppm",
+        ], ["relative std is undefined: the mean is 0"] if relative is None else ())
 
 
 def _write_fit_points(path, series, samples, model, condition_format, error_unit):
     """Write each sample with the model's fitted value and the residual."""
-    rows = [("condition", "observed", "fitted", "residual")]
-    for s in samples:
-        fitted = model(s.condition)
-        rows.append((condition_format % s.condition, "%g" % s.error,
-                     "%.6f" % fitted, "%.6f" % (s.error - fitted)))
-    _write_plot_series(
-        path, f"condition={series.condition_unit} observed={error_unit}", rows
+    condition, error = samples.columns
+    fitted = [model(c) for c in condition.tolist()]
+    dataset.write_table(
+        path,
+        f"condition={series.condition_unit} observed={error_unit}",
+        "condition,observed,fitted,residual",
+        [condition_format + ",%g,%.6f,%.6f"] * len(fitted),
+        np.column_stack((condition, error, fitted, error - fitted)),
     )
 
 
@@ -300,12 +262,12 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"dof {model.dof}")
             if emit_series:
                 _refuse_nonfinite(report_body)
-                rows = [("condition", "fitted")]
-                for s in np.arange(0.0, wavelength, wavelength / 200.0):
-                    rows.append(
-                        ("%.2f" % s, "%.6f" % regression.evaluate_sinusoid(model, s))
-                    )
-                _write_plot_series(emit_series, "condition=m fitted=m", rows)
+                grid = np.arange(0.0, wavelength, wavelength / 200.0).tolist()
+                dataset.write_table(
+                    emit_series, "condition=m fitted=m", "condition,fitted",
+                    ["%.2f,%.6f"] * len(grid),
+                    [(s, regression.evaluate_sinusoid(model, s)) for s in grid],
+                )
         if emit_matrix:
             lines.append("normal matrix:")
             for row in report_body["normal_matrix"]:
@@ -313,8 +275,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(
                 "rhs: " + "  ".join("%.10g" % v for v in report_body["rhs"])
             )
-        report = RunReport("fit", _digest(path), report_body)
-        _emit(report, as_json, lines)
+        _emit("fit", path, report_body, as_json, lines)
 
 
 @main.command("simulate")
@@ -446,8 +407,7 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                 )
             else:
                 dataset.write_series_csv(run.series, emit_series)
-        report = RunReport("simulate", _digest(path), results)
-        _emit(report, as_json, lines)
+        _emit("simulate", path, results, as_json, lines)
 
 
 @main.command("propagate")
@@ -498,8 +458,7 @@ def cmd_propagate(budget_json, mc_draws, seed, data_dir, as_json):
                 results["relative_discrepancy"] = discrepancy
                 line += f" (relative discrepancy {discrepancy:.3%})"
             lines.append(line)
-        report = RunReport("propagate", _digest(path), results, warnings)
-        _emit(report, as_json, lines)
+        _emit("propagate", path, results, as_json, lines, warnings)
 
 
 if __name__ == "__main__":

@@ -28,9 +28,11 @@ leading UTF-8 byte-order mark is ignored.  Row objects
 (:class:`MeasurementRow`, :class:`ErrorSample`, :class:`DifferentialRow`)
 are built from the columns only when a caller reads them, and so are
 the nominal leg pairs of a differential campaign (:class:`LegPairs`,
-items :class:`LegPair`).  Writing works on columns too: each writer
-interleaves the stored columns and formats the whole body with one
-``%``, its format string made of one line template per row.
+items :class:`LegPair`).  Every CSV errorkit writes, the command
+line's ``--emit-series`` files included, goes through
+:func:`write_table`: a ``# units:`` line, the header, and a body
+formatted with one ``%`` over the interleaved columns, its format
+string made of one line template per row.
 """
 
 from __future__ import annotations
@@ -649,13 +651,16 @@ def load_differential_pairs(path) -> LegPairs:
         lines, [(index[name], name, False) for name in ("s_ab", "s_ac")]))
 
 
-def _write_table(path, head: list[str], templates, values: np.ndarray) -> None:
-    """Write the ``head`` lines, then one body line per template.
+def write_table(path, units: str, header: str, templates, values) -> None:
+    """Write a CSV in errorkit's layout: the ``# units:`` line, the
+    header, then one body line per template.
 
     The body is the templates joined by newlines, formatted with one
-    ``%`` over ``values``, the cells of every line in file order.
+    ``%`` over ``np.ravel(values)``, the cells of every line in file
+    order.
     """
-    body = "\n".join(templates) % tuple(values.tolist())
+    body = "\n".join(templates) % tuple(np.ravel(values).tolist())
+    head = [f"# units: {units}", header]
     Path(path).write_text("\n".join([*head, body] if body else head) + "\n",
                           encoding="utf-8")
 
@@ -664,11 +669,11 @@ def write_series_csv(series: MeasurementSeries, path) -> None:
     """Write a series in the canonical layout; inverse of load_series."""
     has = ~np.isnan(series.columns.reference)
     has_ref = bool(has.any())
-    parts = [f"condition={series.condition_unit}", f"observed={series.value_unit}"]
+    units = f"condition={series.condition_unit} observed={series.value_unit}"
+    header = "condition,observed"
     if has_ref:
-        parts.append(f"reference={series.value_unit}")
-    head = ["# units: " + " ".join(parts),
-            "condition,observed,reference" if has_ref else "condition,observed"]
+        units += f" reference={series.value_unit}"
+        header += ",reference"
     value_fmt = _UNIT_FORMATS.get(series.value_unit, "%g")
     row_fmt = _UNIT_FORMATS.get(series.condition_unit, "%g") + "," + value_fmt
     # A row without a reference has no slot for it: "cond,obs," when
@@ -678,7 +683,7 @@ def write_series_csv(series: MeasurementSeries, path) -> None:
     # missing references, which have no slot.
     values = np.column_stack(series.columns).ravel()
     values = values[~np.isnan(values)]
-    _write_table(path, head, map(templates.__getitem__, has.tolist()), values)
+    write_table(path, units, header, map(templates.__getitem__, has.tolist()), values)
 
 
 def write_differential_csv(
@@ -700,9 +705,9 @@ def write_differential_csv(
     else:
         s1, s2 = [r.s1 for r in rows], [r.s2 for r in rows]
     value_fmt = _UNIT_FORMATS.get(units, "%g")
-    _write_table(path, [f"# units: {units}", "s_ab,s_ac,s2,s1"],
-                 ["%g,%g," + value_fmt + "," + value_fmt] * len(rows),
-                 np.column_stack((s_ab, s_ac, s2, s1)).ravel())
+    write_table(path, units, "s_ab,s_ac,s2,s1",
+                ["%g,%g," + value_fmt + "," + value_fmt] * len(rows),
+                np.column_stack((s_ab, s_ac, s2, s1)))
 
 
 def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSamples:

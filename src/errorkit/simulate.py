@@ -476,10 +476,10 @@ def classify_effects(
     ``eps_abs`` defaults to 1e-6 mm, which suits noiseless
     simulations; with gaussian noise in play the caller must choose a
     threshold, since classifying a noisy mixture is inherently
-    threshold-relative.
+    threshold-relative. ``eps_abs`` must be positive and finite.
     """
-    if not eps_abs > 0:
-        raise ValueError(f"eps_abs must be positive, got {eps_abs}")
+    if not 0 < eps_abs < math.inf:
+        raise ValueError(f"eps_abs must be positive and finite, got {eps_abs}")
     effects = []
     for name, seq in contributions.items():
         values = np.asarray(seq, dtype=float)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -458,6 +459,24 @@ class TestSimulate:
         assert accepted.exit_code == 0
         assert "noise: random" in accepted.output
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_nonfinite_threshold_is_an_input_error(self, runner, eps):
+        result = runner.invoke(
+            main, ["simulate", "table3_scenario.json", "--classify", "--eps-abs", eps]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: eps_abs must be positive and finite, got {eps}\n"
+        )
+
+    def test_largest_finite_threshold(self, runner):
+        result = runner.invoke(main, [
+            "simulate", "table3_scenario.json", "--classify", "--eps-abs", "1e308"])
+        assert result.exit_code == 0
+        assert "cycle: non-effect" in result.output
+
     def test_scenario_file_can_carry_the_threshold(self, runner, tmp_path):
         scenario = write_scenario(
             tmp_path,
@@ -679,3 +698,32 @@ class TestPropagate:
         )
         assert result.exit_code == 2
         assert "'--seed'" in result.stderr
+
+
+class TestInputDigest:
+    """``input_digest`` is the SHA-256 of the file the command resolved."""
+
+    @pytest.mark.parametrize("args", [
+        ["random-model", "table1.csv"],
+        ["fit", "table2.csv", "--model", "cycle"],
+        # --regen-table3 also reads table3.csv; the scenario is the input.
+        ["simulate", "table3_scenario.json", "--regen-table3"],
+        ["propagate", "budget_example.json"],
+    ], ids=lambda args: args[0])
+    def test_digest_of_the_resolved_input(self, runner, args):
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        want = hashlib.sha256(dataset.bundled_path(args[1]).read_bytes()).hexdigest()
+        assert report["command"] == args[0]
+        assert report["input_digest"] == want
+
+    def test_digest_of_a_data_dir_input(self, runner, tmp_path):
+        src = dataset.bundled_path("table1.csv")
+        (tmp_path / "sweep.csv").write_bytes(src.read_bytes() + b"99,5.00005\n")
+        result = runner.invoke(
+            main, ["random-model", "sweep.csv", "--data-dir", str(tmp_path), "--json"]
+        )
+        report = json.loads(result.output)
+        want = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert report["input_digest"] == want

@@ -70,10 +70,11 @@ class TestImports:
         assert loaded_after("import errorkit") == set()
 
     def test_cli_imports_only_what_its_start_up_needs(self):
-        # simulate, budget, distributions and jsonschema wait for a command.
+        # simulate, budget, distributions and jsonschema wait for a command;
+        # _jsonfile imports only json, sys and pathlib.
         assert loaded_after("import errorkit.cli") == {
             "errorkit.cli", "errorkit.dataset", "errorkit.regression",
-            "errorkit.linsolve"}
+            "errorkit.linsolve", "errorkit._jsonfile"}
 
     def test_submodule_attribute_after_a_bare_import(self):
         assert run_python(

@@ -451,6 +451,16 @@ class TestClassifyEffects:
         with pytest.raises(ValueError, match="eps_abs"):
             classify_effects({"x": [1.0]}, eps_abs=eps)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_nonfinite_threshold_rejected(self, eps):
+        message = f"eps_abs must be positive and finite, got {eps}"
+        with pytest.raises(ValueError, match=message):
+            classify_effects({"x": [1.0]}, eps_abs=eps)
+
+    def test_largest_finite_threshold_accepted(self):
+        report = classify_effects({"x": [1.0, -2.0]}, eps_abs=1e308)
+        assert report.by_name()["x"].classification == "non-effect"
+
     def test_custom_threshold_reclassifies(self):
         contributions = {"noise": [0.4, -0.4, 0.3]}
         assert classify_effects(contributions).by_name()["noise"].classification == (

@@ -6,17 +6,26 @@ writers as they were when they read one record at a time:
 iterating ``rows``, one unit format per cell.  The writers format from
 the stored columns and must give the same file, byte for byte, for
 every size from an empty body up.
+
+``reference_plot_series`` and the two writers over it are the
+``fit --emit-series`` writers as they were when the command line wrote
+its CSV with the ``csv`` module, one sample at a time; their ``\r\n``
+row endings are mapped to the ``\n`` every other errorkit file uses.
 """
 
+import csv
+import json
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errorkit import dataset, simulate
-from errorkit.dataset import DifferentialRows, LegPairs, MeasurementSeries
+from errorkit import cli, dataset, regression, simulate
+from errorkit.dataset import DifferentialRows, ErrorSamples, LegPairs, MeasurementSeries
 from errorkit.simulate import ErrorSource
 
 UNIT_FORMATS = {"degC": "%g", "MHz": "%.6f", "m": "%.4f", "mm": "%.4f", "ppm": "%g"}
@@ -58,6 +67,54 @@ def reference_differential_csv(pairs, rows, path, *, units="m"):
             )
         )
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def reference_plot_series(path, header_units, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# units: {header_units}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(rows[1:])
+
+
+def reference_fit_points(path, series, samples, model, condition_format, error_unit):
+    rows = [("condition", "observed", "fitted", "residual")]
+    for s in samples:
+        fitted = model(s.condition)
+        rows.append((condition_format % s.condition, "%g" % s.error,
+                     "%.6f" % fitted, "%.6f" % (s.error - fitted)))
+    reference_plot_series(
+        path, f"condition={series.condition_unit} observed={error_unit}", rows
+    )
+
+
+def reference_sinusoid_points(path, model, wavelength):
+    rows = [("condition", "fitted")]
+    for s in np.arange(0.0, wavelength, wavelength / 200.0):
+        rows.append(("%.2f" % s, "%.6f" % regression.evaluate_sinusoid(model, s)))
+    reference_plot_series(path, "condition=m fitted=m", rows)
+
+
+def reference_fit_series(path, table, model_name, raw_errors=False, wavelength=20.0):
+    """What ``fit <table> --model <model_name> --emit-series`` wrote."""
+    source = dataset.bundled_path(table)
+    if model_name == "cycle-diff":
+        model = regression.fit_cycle_differential(
+            dataset.load_differential(source), wavelength)
+        reference_sinusoid_points(path, model, wavelength)
+        return
+    series = dataset.load_series(source)
+    if model_name == "poly3":
+        samples = dataset.to_error_samples(series, "mean-reference")
+        if not raw_errors:
+            cond, err = samples.columns
+            samples = ErrorSamples(cond, np.round(err) + 0.0)
+        model = regression.fit_polynomial(samples, degree=3)
+        reference_fit_points(path, series, samples, model, "%g", "ppm")
+    else:
+        samples = dataset.to_error_samples(series, "explicit-reference")
+        model = regression.fit_cycle_direct(samples, wavelength)
+        reference_fit_points(path, series, samples, model, "%.4f", "mm")
 
 
 def _values(rng, n, exponent):
@@ -188,3 +245,86 @@ def test_contributions_are_the_same_python_floats():
         assert type(effect.contributions) is tuple
         assert all(type(v) is float for v in effect.contributions)
         assert [v.hex() for v in effect.contributions] == [v.hex() for v in want]
+
+
+FITS = {
+    "poly3": ("table1.csv", "poly3", {}),
+    "poly3 raw errors": ("table1.csv", "poly3", {"raw_errors": True}),
+    "cycle": ("table2.csv", "cycle", {}),
+    "cycle at 7.3 m": ("table2.csv", "cycle", {"wavelength": 7.3}),
+    "cycle-diff": ("table3.csv", "cycle-diff", {}),
+    "cycle-diff at 7.3 m": ("table3.csv", "cycle-diff", {"wavelength": 7.3}),
+    "cycle-diff at 123.4 m": ("table3.csv", "cycle-diff", {"wavelength": 123.4}),
+}
+
+
+def _fit_args(table, model_name, options):
+    args = ["fit", table, "--model", model_name]
+    if options.get("raw_errors"):
+        args.append("--raw-errors")
+    if "wavelength" in options:
+        args += ["--wavelength", str(options["wavelength"])]
+    return args
+
+
+@pytest.mark.parametrize("table, model_name, options", FITS.values(), ids=FITS)
+def test_fit_series_is_the_csv_module_file(tmp_path, table, model_name, options):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    result = CliRunner().invoke(
+        cli.main, [*_fit_args(table, model_name, options), "--emit-series", str(got)])
+    assert result.exit_code == 0, result.output
+    reference_fit_series(want, table, model_name, **options)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(20, 400),
+    seed=seeds,
+    exponent=st.integers(-6, 9),
+    model_name=st.sampled_from(["poly3", "cycle"]),
+    condition_format=st.sampled_from(["%g", "%.4f"]),
+    condition_unit=st.sampled_from(UNITS),
+)
+def test_fit_points_match_the_csv_module_writer(
+    tmp_path_factory, n, seed, exponent, model_name, condition_format, condition_unit
+):
+    rng = np.random.default_rng(seed)
+    condition = rng.uniform(-30.0, 60.0, n)
+    short = rng.random(n) < 0.3
+    condition[short] = np.round(condition[short], 2)
+    samples = ErrorSamples(condition, _values(rng, n, exponent))
+    if model_name == "poly3":
+        model = regression.fit_polynomial(samples, degree=3)
+    else:
+        model = regression.fit_cycle_direct(samples, rng.uniform(1.0, 50.0))
+    series = MeasurementSeries.from_columns(
+        condition, np.ones(n), condition_unit=condition_unit, value_unit="m")
+    got, want = (tmp_path_factory.mktemp("fit") / name for name in ("got", "want"))
+    cli._write_fit_points(got, series, samples, model, condition_format, "ppm")
+    reference_fit_points(want, series, samples, model, condition_format, "ppm")
+    assert got.read_bytes() == want.read_bytes()
+
+
+REPEATED_SCENARIO = {
+    "true_value": 10.0,
+    "sources": [{"name": "c", "kind": "additive-constant", "c_mm": 1.5}],
+    "schedule": {"repeats": 5, "generator": "constant",
+                 "conditions": {"temperature": 20}},
+}
+
+
+@pytest.mark.parametrize("args", [
+    *(_fit_args(*fit) for fit in FITS.values()),
+    ["simulate", "table3_scenario.json"],
+    ["simulate", "repeated.json"],
+], ids=[*FITS, "simulate differential", "simulate repeated"])
+def test_no_emitted_file_has_a_carriage_return(tmp_path, args):
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("repeated.json").write_text(json.dumps(REPEATED_SCENARIO))
+        result = runner.invoke(cli.main, [*args, "--emit-series", "out.csv"])
+        assert result.exit_code == 0, result.output
+        data = Path("out.csv").read_bytes()
+    assert b"\r" not in data
+    assert data.startswith(b"# units: ") and data.endswith(b"\n")
