@@ -7,6 +7,12 @@ travel into the results, so every number must fit a finite double
 before the file reaches its schema. The same walk,
 :func:`first_nonfinite`, checks the command line's results before they
 are printed or written.
+
+The schema check is a small walker over the keywords the bundled
+schemas use, with JSON Schema Draft 2020-12 meaning, so a valid file
+never imports ``jsonschema``. A file the walker rejects goes to
+``jsonschema``, which words the rejection; the walker only decides
+that there is one.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from pathlib import Path
 
 _MAX = sys.float_info.max
 
-# id(schema) -> (schema, compiled validator); holding the schema keeps its id.
+# id(schema) -> (schema, compiled validator) and id(schema) -> schema once
+# its keywords are checked; holding the schema keeps its id.
 _validators: dict[int, tuple] = {}
+_known: dict[int, dict] = {}
 
 
 def _is_finite(value) -> bool:
@@ -44,6 +52,65 @@ def first_nonfinite(node, pointer: str = "") -> tuple[str, object] | None:
     return None
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _number,
+    # Draft 2020-12: 1.0 is an integer; a bool is neither kind of number.
+    "integer": lambda v: _number(v) and (type(v) is not float or v.is_integer()),
+}
+
+# keyword -> test(argument, value, schema). A test passes a value it does
+# not apply to, as JSON Schema does: "minimum" passes a string.
+_KEYWORDS = {
+    "$schema": lambda arg, v, s: True,
+    "type": lambda arg, v, s: _TYPES[arg](v),
+    # String members only, which is all the schemas list; any other value
+    # is left to jsonschema.
+    "enum": lambda arg, v, s: isinstance(v, str) and v in arg,
+    "anyOf": lambda arg, v, s: any(_accepts(sub, v) for sub in arg),
+    "required": lambda arg, v, s: not isinstance(v, dict) or all(k in v for k in arg),
+    "properties": lambda arg, v, s: not isinstance(v, dict) or all(
+        _accepts(arg[k], x) for k, x in v.items() if k in arg),
+    "additionalProperties": lambda arg, v, s: not isinstance(v, dict) or all(
+        _accepts(arg, x) for k, x in v.items() if k not in s.get("properties", ())),
+    "items": lambda arg, v, s: not isinstance(v, list) or all(_accepts(arg, x) for x in v),
+    "minItems": lambda arg, v, s: not isinstance(v, list) or len(v) >= arg,
+    "maxItems": lambda arg, v, s: not isinstance(v, list) or len(v) <= arg,
+    "minLength": lambda arg, v, s: not isinstance(v, str) or len(v) >= arg,
+    "minimum": lambda arg, v, s: not _number(v) or v >= arg,
+    "exclusiveMinimum": lambda arg, v, s: not _number(v) or v > arg,
+}
+
+
+def _accepts(schema, value) -> bool:
+    """Whether ``value`` is valid against ``schema``; a bool is a schema."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[key](arg, value, schema) for key, arg in schema.items())
+
+
+def _check_keywords(schema) -> None:
+    """Raise NotImplementedError if ``schema``, or a schema inside it, has
+    a keyword :func:`_accepts` does not know."""
+    if isinstance(schema, bool):
+        return
+    unknown = sorted(schema.keys() - _KEYWORDS.keys())
+    if unknown:
+        raise NotImplementedError(
+            f"schema keyword {unknown[0]!r} is not known to the built-in checker"
+        )
+    for sub in (*schema.get("properties", {}).values(), *schema.get("anyOf", ()),
+                *(schema[key] for key in ("items", "additionalProperties") if key in schema)):
+        _check_keywords(sub)
+
+
 def _validator(schema: dict):
     """``schema`` compiled on first use; jsonschema is imported then."""
     entry = _validators.get(id(schema))
@@ -59,9 +126,10 @@ def read_json(path, schema: dict, error: type[Exception]):
 
     A number that is not a finite double raises ``error`` naming the
     file, the location and the token; values that parse are exactly
-    what ``json.loads`` gives. A schema violation raises
-    ``jsonschema.ValidationError``, chosen by ``best_match`` as
-    ``jsonschema.validate`` does.
+    what ``json.loads`` gives. A file the built-in checker accepts is
+    returned without importing ``jsonschema``. Otherwise ``jsonschema``
+    words the rejection: ``jsonschema.ValidationError``, chosen by
+    ``best_match`` as ``jsonschema.validate`` does.
     """
     path = Path(path)
     bad: list[str] = []
@@ -88,6 +156,11 @@ def read_json(path, schema: dict, error: type[Exception]):
         token = bad[0] if len(bad[0]) <= 24 else bad[0][:21] + "..."
         raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
 
+    if id(schema) not in _known:
+        _check_keywords(schema)
+        _known[id(schema)] = schema
+    if _accepts(schema, raw):
+        return raw
     from jsonschema.exceptions import best_match
 
     violation = best_match(_validator(schema).iter_errors(raw))

@@ -230,7 +230,23 @@ def predict_frequency(model: PolynomialErrorModel, f0: float, t: float) -> Predi
 
 
 def _cycle_basis(s: np.ndarray, wavelength: float):
-    theta = TWO_PI * s / wavelength
+    """sin and cos of the phase ``2*pi*s/wavelength`` at each reading.
+
+    Raises ValueError for a wavelength that is not positive and finite,
+    or that puts a phase beyond the double range.
+    """
+    if not wavelength > 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength!r}")
+    if not math.isfinite(wavelength):
+        raise ValueError(f"wavelength must be finite, got {wavelength!r}")
+    with np.errstate(over="ignore"):
+        theta = TWO_PI * s / wavelength
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(
+            f"wavelength {wavelength!r} puts the phase 2*pi*s/wavelength beyond "
+            f"the double range at s = {float(s[bad[0]])!r}"
+        )
     return np.sin(theta), np.cos(theta)
 
 
@@ -251,14 +267,14 @@ def fit_cycle_direct(
 
     Raises:
         InsufficientDataError: fewer than 3 samples.
+        ValueError: a wavelength that is not positive and finite, or
+            one that puts ``2*pi*S/wl`` beyond the double range.
         SingularSystemError: all conditions congruent modulo the
             wavelength, so the basis is degenerate.
     """
     s, y = _arrays(samples, "condition", "error")
     if len(s) < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {len(s)}")
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     sin_t, cos_t = _cycle_basis(s, wavelength)
 
     columns = [sin_t, cos_t]
@@ -296,6 +312,8 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
 
     Raises:
         InsufficientDataError: fewer than 3 rows.
+        ValueError: a wavelength that is not positive and finite, or
+            one that puts ``2*pi*S/wl`` beyond the double range.
         SingularSystemError: the distance layout is degenerate; the
             legs must sample diverse cycle phases for the sin/cos
             differences to span the basis.
@@ -304,8 +322,6 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
     n = len(s1)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 rows, got {n}")
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     si = s1 - s2
 
     sin1, cos1 = _cycle_basis(s1, wavelength)

@@ -216,9 +216,16 @@ class ConditionSchedule:
             for name, (lo, hi) in self.ranges.items():
                 if not hi >= lo:
                     raise ValueError(f"range for {name!r} is empty: ({lo}, {hi})")
-        elif self.generator == "listed":
+        else:
+            # A number per constant condition, a list per listed one.
+            listed = self.generator == "listed"
             for name, values in self.conditions.items():
-                if len(values) != self.repeats:
+                if np.ndim(values) != listed:
+                    raise ValueError(
+                        f"{self.generator} schedule for {name!r} needs "
+                        f"{'a list' if listed else 'a number'}, got {values!r}"
+                    )
+                if listed and len(values) != self.repeats:
                     raise ValueError(
                         f"listed schedule for {name!r} has {len(values)} values, "
                         f"expected {self.repeats}"
@@ -696,9 +703,11 @@ def load_scenario(path) -> Scenario:
     if "true_value" not in raw:
         raise ScenarioError("a schedule scenario requires 'true_value'")
     sched = raw["schedule"]
+    seed = sched.get("seed")
     try:
         schedule = ConditionSchedule(
-            repeats=sched["repeats"],
+            # JSON Schema's integer admits integral floats such as 1.0.
+            repeats=int(sched["repeats"]),
             generator=sched["generator"],
             conditions={
                 k: v for k, v in sched.get("conditions", {}).items()
@@ -707,7 +716,7 @@ def load_scenario(path) -> Scenario:
                 k: (float(v[0]), float(v[1]))
                 for k, v in sched.get("ranges", {}).items()
             },
-            seed=sched.get("seed"),
+            seed=None if seed is None else int(seed),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

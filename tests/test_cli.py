@@ -358,6 +358,40 @@ class TestFitCycle:
         assert result.exit_code == 3
         assert "degenerate distance layout" in result.stderr
 
+    @pytest.mark.parametrize("model, table, s", [
+        ("cycle", "table2.csv", "6.0232"), ("cycle-diff", "table3.csv", "18.0008")])
+    @pytest.mark.parametrize("wavelength, message", [
+        ("inf", "wavelength must be finite, got inf"),
+        ("5e-324", "wavelength 5e-324 puts the phase 2*pi*s/wavelength beyond "
+                   "the double range at s = {s}"),
+        ("1e-320", "wavelength 1e-320 puts the phase 2*pi*s/wavelength beyond "
+                   "the double range at s = {s}"),
+    ])
+    def test_unusable_wavelength_is_an_input_error(
+            self, runner, model, table, s, wavelength, message):
+        result = runner.invoke(
+            main, ["fit", table, "--model", model, "--wavelength", wavelength])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message.format(s=s)}\n"
+
+    @pytest.mark.parametrize("model, table, detail", [
+        ("cycle", "table2.csv", ""),
+        ("cycle-diff", "table3.csv",
+         " (degenerate distance layout; legs must sample diverse phases)"),
+    ])
+    def test_huge_wavelength_is_a_numerical_failure(self, runner, model, table, detail):
+        # A finite wavelength far beyond the readings leaves every phase
+        # near 0: a degenerate design, like collinear.csv above, so exit 3.
+        result = runner.invoke(
+            main, ["fit", table, "--model", model, "--wavelength", "1e308"])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "error: singular system: no usable pivot at elimination step "
+            f"{1 if detail else 0}{detail}\n"
+        )
+
     def test_too_few_rows_is_an_input_error(self, runner, tmp_path):
         p = tmp_path / "short.csv"
         p.write_text("# units: m\ns2,s1\n10,18\n12,20\n")
@@ -470,6 +504,23 @@ class TestSimulate:
         assert result.stderr == (
             f"error: eps_abs must be positive and finite, got {eps}\n"
         )
+
+    @pytest.mark.parametrize("schedule, stderr", [
+        ({"repeats": 2.0, "generator": "constant", "conditions": {"distance": 1.0}}, ""),
+        ({"repeats": 2, "generator": "listed", "conditions": {"distance": 1.0}},
+         "error: listed schedule for 'distance' needs a list, got 1.0\n"),
+        ({"repeats": 2, "generator": "constant", "conditions": {"distance": [1.0, 2.0]}},
+         "error: constant schedule for 'distance' needs a number, got [1.0, 2.0]\n"),
+    ])
+    def test_schedule_shapes_the_schema_admits(self, runner, tmp_path, schedule, stderr):
+        scenario = write_scenario(tmp_path, {
+            "true_value": 10.0,
+            "sources": [{"name": "c", "kind": "cycle", "amplitude_mm": 1.0}],
+            "schedule": schedule,
+        })
+        result = runner.invoke(main, ["simulate", scenario])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (result.exit_code, result.stderr) == (2 if stderr else 0, stderr)
 
     def test_largest_finite_threshold(self, runner):
         result = runner.invoke(main, [

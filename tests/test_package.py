@@ -4,6 +4,7 @@ The import checks run in a fresh interpreter, so that what other tests
 have imported does not leak into what a bare import loads.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -45,14 +46,34 @@ OWNERS = {
 PUBLIC_NAMES = ["__version__", *(n for names in OWNERS.values() for n in names)]
 
 
-def run_python(code):
-    """Standard output of ``code`` run in a fresh interpreter that finds
-    this errorkit first."""
+def run_python(code, *args):
+    """Standard output of ``code`` run with ``args`` in a fresh interpreter
+    that finds this errorkit first."""
+    return _run(code, *args).stdout
+
+
+def _run(code, *args):
     src = os.path.dirname(os.path.dirname(errorkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True, env=env)
+
+
+def run_cli(*argv):
+    """(exit code, stderr, jsonschema imported?) of ``errorkit argv`` run
+    in a fresh interpreter."""
+    done = _run(
+        "import sys\n"
+        "from errorkit.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code, 'jsonschema' in sys.modules)\n",
+        *argv,
+    )
+    code, imported = done.stdout.split()[-2:]
+    return int(code), done.stderr, imported == "True"
 
 
 def loaded_after(statement):
@@ -75,6 +96,25 @@ class TestImports:
         assert loaded_after("import errorkit.cli") == {
             "errorkit.cli", "errorkit.dataset", "errorkit.regression",
             "errorkit.linsolve", "errorkit._jsonfile"}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "table3_scenario.json", "--regen-table3", "--classify"],
+        ["propagate", "budget_example.json"],
+    ])
+    def test_a_valid_file_does_not_import_jsonschema(self, argv):
+        assert run_cli(*argv) == (0, "", False)
+
+    def test_a_rejected_file_imports_jsonschema_to_word_it(self, tmp_path):
+        scenario = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+        scenario["sources"][0]["wobble_mm"] = 0.1
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("simulate", str(path)) == (
+            2,
+            "error: at /sources/0: Additional properties are not allowed "
+            "('wobble_mm' was unexpected)\n",
+            True,
+        )
 
     def test_submodule_attribute_after_a_bare_import(self):
         assert run_python(

@@ -300,6 +300,23 @@ class TestFitCycleDirect:
         with pytest.raises(ValueError, match="wavelength"):
             fit_cycle_direct(samples, wavelength=wavelength)
 
+    @pytest.mark.parametrize("wavelength", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_wavelength_names_the_value(self, wavelength):
+        samples = [ErrorSample(condition=float(s), error=0.0) for s in range(5)]
+        with pytest.raises(ValueError, match=f"wavelength must be .*{wavelength}"):
+            fit_cycle_direct(samples, wavelength=wavelength)
+
+    @pytest.mark.parametrize("wavelength", [5e-324, 1e-320])
+    def test_phase_beyond_the_double_range(self, wavelength):
+        samples = [ErrorSample(condition=float(s), error=0.0) for s in range(5)]
+        with pytest.raises(ValueError) as raised:
+            fit_cycle_direct(samples, wavelength=wavelength)
+        # s = 0 gives phase 0; the first reading that overflows is s = 1.
+        assert str(raised.value) == (
+            f"wavelength {wavelength!r} puts the phase 2*pi*s/wavelength "
+            "beyond the double range at s = 1.0"
+        )
+
     def test_congruent_conditions_are_degenerate(self):
         samples = [
             ErrorSample(condition=s, error=1.0) for s in (0.0, 20.0, 40.0, 60.0)
@@ -397,6 +414,16 @@ class TestFitCycleDifferential:
     def test_bad_wavelength(self, table3_rows):
         with pytest.raises(ValueError, match="wavelength"):
             fit_cycle_differential(table3_rows, wavelength=0.0)
+
+    @pytest.mark.parametrize("wavelength", [math.inf, 5e-324, 1e-320])
+    def test_unusable_wavelength_is_an_input_error(self, table3_rows, wavelength):
+        with pytest.raises(ValueError, match=f"wavelength {wavelength}|got {wavelength}"):
+            fit_cycle_differential(table3_rows, wavelength=wavelength)
+
+    def test_huge_wavelength_is_a_degenerate_layout(self, table3_rows):
+        # At 1e308 m every phase is ~0: the design is degenerate, not invalid.
+        with pytest.raises(SingularSystemError, match="degenerate distance layout"):
+            fit_cycle_differential(table3_rows, wavelength=1e308)
 
     def test_report_shape(self, table3_rows):
         report = to_report(fit_cycle_differential(table3_rows, wavelength=20.0))

@@ -136,6 +136,15 @@ class TestConditionSchedule:
                 repeats=3, generator="listed", conditions={"distance": [1.0, 2.0]}
             )
 
+    @pytest.mark.parametrize("generator, value, needs", [
+        ("listed", 1.0, "a list"), ("constant", [1.0, 2.0], "a number")])
+    def test_condition_shape_follows_the_generator(self, generator, value, needs):
+        with pytest.raises(ValueError) as raised:
+            ConditionSchedule(repeats=2, generator=generator,
+                              conditions={"distance": value})
+        assert str(raised.value) == (
+            f"{generator} schedule for 'distance' needs {needs}, got {value!r}")
+
     def test_listed_classmethod_rejects_ragged_input(self):
         with pytest.raises(ValueError, match="same length"):
             ConditionSchedule.listed(distance=[1.0], temperature=[1.0, 2.0])
@@ -694,6 +703,32 @@ class TestLoadScenario:
             )
         )
         with pytest.raises(ScenarioError, match="expected 3"):
+            load_scenario(p)
+
+    def test_integral_floats_count_as_integers(self, tmp_path):
+        # JSON Schema's integer admits 1.0, so repeats and seed may be floats.
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps({
+            "true_value": 10.0,
+            "sources": [{"name": "c", "kind": "cycle", "amplitude_mm": 1.0}],
+            "schedule": {"repeats": 3.0, "generator": "uniform-random",
+                         "ranges": {"distance": [0.0, 20.0]}, "seed": 7.0},
+        }))
+        schedule = load_scenario(p).schedule
+        assert (type(schedule.repeats), type(schedule.seed)) == (int, int)
+        assert schedule == ConditionSchedule.uniform_random(3, 7, distance=(0.0, 20.0))
+        run = simulate_repeated(load_scenario(p).sources, schedule, 10.0)
+        assert len(run.series) == 3
+
+    def test_a_scalar_for_a_listed_schedule_is_a_scenario_error(self, tmp_path):
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps({
+            "true_value": 10.0,
+            "sources": [{"name": "c", "kind": "cycle", "amplitude_mm": 1.0}],
+            "schedule": {"repeats": 2, "generator": "listed",
+                         "conditions": {"distance": 1}},
+        }))
+        with pytest.raises(ScenarioError, match="needs a list, got 1"):
             load_scenario(p)
 
 
