@@ -46,10 +46,10 @@ OWNERS = {
 PUBLIC_NAMES = ["__version__", *(n for names in OWNERS.values() for n in names)]
 
 
-def run_python(code, *args):
-    """Standard output of ``code`` run with ``args`` in a fresh interpreter
-    that finds this errorkit first."""
-    return _run(code, *args).stdout
+def run_python(code):
+    """Standard output of ``code`` run in a fresh interpreter that finds
+    this errorkit first."""
+    return _run(code).stdout
 
 
 def _run(code, *args):
