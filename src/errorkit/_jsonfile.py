@@ -8,6 +8,11 @@ before the file reaches its schema. The same walk,
 :func:`first_nonfinite`, checks the command line's results before they
 are printed or written.
 
+A token leaves the double range only as ``NaN`` or ``Infinity``, by an
+exponent (which follows a digit) or with 309 or more integer digits. In
+a text with no digit before ``e``/``E`` and no 309 digits in a row, only
+those constants reach a hook; elsewhere every number token does.
+
 The schema check is a small walker over the keywords the bundled
 schemas use, with JSON Schema Draft 2020-12 meaning, so a valid file
 never imports ``jsonschema``. A file the walker rejects goes to
@@ -22,6 +27,8 @@ import sys
 from pathlib import Path
 
 _MAX = sys.float_info.max
+# Every digit to "0" and "E" to "e": the shapes read_json scans for.
+_SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
 
 # id(schema) -> (schema, compiled validator) and id(schema) -> schema once
 # its keywords are checked; holding the schema keeps its id.
@@ -126,12 +133,15 @@ def read_json(path, schema: dict, error: type[Exception]):
 
     A number that is not a finite double raises ``error`` naming the
     file, the location and the token; values that parse are exactly
-    what ``json.loads`` gives. A file the built-in checker accepts is
-    returned without importing ``jsonschema``. Otherwise ``jsonschema``
-    words the rejection: ``jsonschema.ValidationError``, chosen by
-    ``best_match`` as ``jsonschema.validate`` does.
+    what ``json.loads`` gives. One byte scan proves a text's numbers
+    finite, or sends it to a hook on every token. A file the built-in
+    checker accepts is returned without importing ``jsonschema``.
+    Otherwise ``jsonschema`` words the rejection:
+    ``jsonschema.ValidationError``, chosen by ``best_match`` as
+    ``jsonschema.validate`` does.
     """
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
     bad: list[str] = []
 
     def finite(parse):
@@ -144,12 +154,13 @@ def read_json(path, schema: dict, error: type[Exception]):
 
         return checked
 
-    raw = json.loads(
-        path.read_text(encoding="utf-8"),
-        parse_constant=finite(float),
-        parse_float=finite(float),
-        parse_int=finite(int),
-    )
+    # Unhooked numbers are parsed in C, which is safe where none can overflow.
+    shape, hooks = text.encode().translate(_SHAPE), {}
+    if b"0e" in shape or b"0" * 309 in shape:
+        # Over 309 digits is beyond a double; float() has no digit limit.
+        hooks = {"parse_float": finite(float), "parse_int": finite(
+            lambda t: int(t) if len(t.lstrip("-")) <= 309 else float(t))}
+    raw = json.loads(text, parse_constant=finite(float), **hooks)
     # A duplicate key can shadow a rejected token, so look in what parsed.
     found = first_nonfinite(raw) if bad else None
     if found is not None:

@@ -630,6 +630,18 @@ class TestSimulate:
         assert "at /differential/pairs/1" in result.stderr
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_int_digit_limit_is_located(self, runner, tmp_path, sign):
+        # int() refuses a 5000-digit string; the token is still located.
+        p = tmp_path / "scenario.json"
+        p.write_text(differential_scenario_text(["[10.0, 18.0]", f"[10, {sign}{'9' * 5000}]"]))
+        result = runner.invoke(main, ["simulate", str(p)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (f"error: scenario.json: at /differential/pairs/1/1: "
+                                 f"{(sign + '9' * 21)[:21]}... is not a finite number\n")
+        assert result.stdout == ""
+
     def test_json_report(self, runner):
         result = runner.invoke(
             main, ["simulate", "table3_scenario.json", "--json"]
@@ -698,6 +710,19 @@ class TestPropagate:
         result = runner.invoke(main, ["propagate", str(p)])
         assert result.exit_code == 2
         assert "'scale'" in result.stderr
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_operating_point_is_located(self, runner, tmp_path, digits):
+        # 5000 digits is past int()'s limit; the message is the same.
+        p = tmp_path / "budget.json"
+        p.write_text('{"operating_point_m": %s, "components": '
+                     '[{"name": "x", "std": 1.0, "unit": "ppm"}]}' % ("9" * digits))
+        result = runner.invoke(main, ["propagate", str(p)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == ("error: budget.json: at /operating_point_m: "
+                                 "999999999999999999999... is not a finite number\n")
+        assert result.stdout == ""
 
     def test_nonfinite_std_is_an_input_error(self, runner, tmp_path):
         p = tmp_path / "budget.json"

@@ -255,6 +255,42 @@ class TestFastPathHandover:
         assert (err.row_index, err.column, err.detail) == (
             10_000, "reference", "must be finite, got nan")
 
+    def test_files_without_gaps_make_one_loadtxt_call(self, tmp_path, monkeypatch):
+        p = _write_rows(tmp_path / "clean.csv", "condition,observed,reference",
+                        _scale_rows())
+        table3 = dataset.bundled_path("table3.csv")
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        for load, path in [(dataset.load_series, p), (dataset.load_differential, table3),
+                           (dataset.load_differential_pairs, table3)]:
+            calls.clear()
+            load(path)
+            assert len(calls) == 1, load
+
+    @pytest.mark.parametrize("row", [1, 9_999], ids=["row 2", "last row"])
+    def test_blank_reference_cell(self, tmp_path, row):
+        rows = _scale_rows()
+        rows[row][2] = ""
+        p = _write_rows(tmp_path / "blank.csv", "condition,observed,reference", rows)
+        columns = dataset.load_series(p).columns
+        expected = [float(r[2]) if r[2] else math.nan for r in rows]
+        assert np.array_equal(columns.reference, expected, equal_nan=True)
+        assert columns.condition.tolist() == [float(r[0]) for r in rows]
+        assert columns.observed.tolist() == [float(r[1]) for r in rows]
+
+    @pytest.mark.parametrize("row, cell, column", [
+        (1, 1, "observed"), (9_999, 1, "observed"), (1, 0, "condition"),
+        (9_999, 0, "condition"),
+    ])
+    def test_blank_required_cell(self, tmp_path, row, cell, column):
+        rows = _scale_rows()
+        rows[row][cell] = ""
+        p = _write_rows(tmp_path / "blank.csv", "condition,observed,reference", rows)
+        with pytest.raises(MalformedRowError) as excinfo:
+            dataset.load_series(p)
+        err = excinfo.value
+        assert (err.row_index, err.column, err.detail) == (row + 1, column, "not a number: ''")
+
     def test_two_slots_on_one_column(self, tmp_path):
         rows = _scale_rows()
         p = _write_rows(tmp_path / "same.csv", "condition,observed,reference", rows)

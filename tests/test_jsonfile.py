@@ -1,9 +1,12 @@
 """The non-finite walker shared by the JSON readers and the CLI's result
 check, and the built-in schema checker against jsonschema."""
 
+import contextlib
 import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -313,3 +316,181 @@ class TestSchemaChecker:
             read_json(path, BUDGET_SCHEMA, ValueError)
         assert raised.value.message == "-1 is less than the minimum of 0"
         assert list(raised.value.absolute_path) == ["components", 0, "std"]
+
+
+# --- the byte scan in front of the number hooks -----------------------------
+
+_MAX = 1.7976931348623157e308
+ANY = {}  # a schema every document meets, so only the parse is compared
+
+
+def _hooked(path, error):
+    """``read_json``'s parse without the byte scan: a hook on every number
+    token, each parsed by ``float()`` or ``int()``."""
+    bad = []
+
+    def finite(parse):
+        def checked(token):
+            value = parse(token)
+            if not -_MAX <= value <= _MAX:
+                bad.append(token)
+            return value
+
+        return checked
+
+    raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=finite(float),
+                     parse_float=finite(float), parse_int=finite(int))
+    found = first_nonfinite(raw) if bad else None
+    if found is not None:
+        token = bad[0] if len(bad[0]) <= 24 else bad[0][:21] + "..."
+        raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
+    return raw
+
+
+def _outcome(read, path):
+    """``("value", repr)`` of what ``read(path)`` returns, or the type and
+    message of what it raises; repr tells ``1`` from ``1.0``."""
+    try:
+        return "value", repr(read(path))
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared whole
+        return type(exc), str(exc)
+
+
+def _same_as_hooked(path):
+    fast = _outcome(lambda p: read_json(p, ANY, ValueError), path)
+    assert fast == _outcome(lambda p: _hooked(p, ValueError), path), path.read_text()[:400]
+    return fast
+
+
+# Number tokens beside the CLI fuzz test's: on, just past and far past
+# the double range, written every way JSON allows.
+NUMBER_TOKENS = (
+    *map(json.dumps, JSON_NUMBERS), "1E400", "-1e309", "1e308", "1E+308", "1.5e-400",
+    "0e0", "-0.0", "2.5", "9" * 308, "9" * 309, "-" + "9" * 310, "1" + "0" * 308,
+    "17976931348623157" + "0" * 292, "17976931348623159" + "0" * 292, "12." + "3" * 320,
+    "NaN", "Infinity", "-Infinity",
+)
+# Strings that hold what the scan looks for without being numbers.
+LABELS = ("v0e1", "1E9", "x" + "7" * 320, "NaN", "plain")
+
+
+@st.composite
+def tokened_text(draw):
+    """(fixture name, text): a bundled JSON fixture with one to three
+    numbers replaced by raw tokens and maybe a string by a look-alike."""
+    name = draw(st.sampled_from(sorted(SCHEMAS)))
+    doc = json.loads(dataset.bundled_path(name).read_text(encoding="utf-8"))
+    numbers = list(_numeric_paths(doc))
+    tokens = {}
+    for i in range(draw(st.integers(1, 3))):
+        tokens[f"@{i}@"] = draw(st.sampled_from(NUMBER_TOKENS))
+        _set(doc, draw(st.sampled_from(numbers)), f"@{i}@")
+    strings = [p for p in _paths(doc) if isinstance(_get(doc, p), str) and "@" not in _get(doc, p)]
+    if strings and draw(st.booleans()):
+        _set(doc, draw(st.sampled_from(strings)), draw(st.sampled_from(LABELS)))
+    text = json.dumps(doc)
+    for marker, token in tokens.items():
+        text = text.replace(json.dumps(marker), token)
+    return name, text
+
+
+class TestByteScan:
+    """``read_json`` gives what a hook on every number token gives: the same
+    value, or the same exception type and message."""
+
+    @settings(max_examples=300)
+    @given(tokened_text())
+    def test_hypothesis_texts(self, case):
+        name, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            path.write_text(text, encoding="utf-8")
+            _same_as_hooked(path)
+
+    def test_hypothesis_texts_reach_both_paths_and_outcomes(self, tmp_path, monkeypatch):
+        loads, hooks, seen = json.loads, [], set()
+        monkeypatch.setattr(json, "loads", lambda s, **kw: hooks.append(set(kw)) or loads(s, **kw))
+
+        @settings(max_examples=100)
+        @given(tokened_text())
+        def collect(case):
+            path = tmp_path / case[0]
+            path.write_text(case[1], encoding="utf-8")
+            hooks.clear()
+            kind = _same_as_hooked(path)[0]
+            seen.add((kind, "parse_float" in hooks[0]))  # hooks[0]: read_json's parse
+
+        collect()
+        assert seen == {(kind, hooked) for kind in ("value", ValueError) for hooked in (False, True)}
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": [0, 1E400]}', "at /a/1: 1E400 is not a finite number"),
+        ('{"a": [0, -1e309]}', "at /a/1: -1e309 is not a finite number"),
+        ('{"a": [0, 1e308]}', None),
+        ('{"a": [0, 1.5e-400]}', None),
+        ('{"a": [0, %s]}' % ("9" * 308), None),
+        ('{"a": [0, %s]}' % ("1" + "0" * 308), None),
+        ('{"a": [0, %s]}' % ("17976931348623157" + "0" * 292), None),
+        ('{"a": [0, %s]}' % ("17976931348623159" + "0" * 292),
+         "at /a/1: 179769313486231590000... is not a finite number"),
+        ('{"a": [0, %s]}' % ("9" * 309), "at /a/1: 999999999999999999999... is not a finite number"),
+        ('{"a": [0, %s]}' % ("-" + "9" * 310),
+         "at /a/1: -99999999999999999999... is not a finite number"),
+        ('{"a": [0, %s.5]}' % ("9" * 310), "at /a/1: 999999999999999999999... is not a finite number"),
+        ('{"a": [0, NaN]}', "at /a/1: NaN is not a finite number"),
+        ('{"a": [0, -Infinity]}', "at /a/1: -Infinity is not a finite number"),
+        ('{"name": "v0e1", "a": [1, 2.5]}', None),
+        ('{"name": "%s", "a": [1, 2.5]}' % ("x" + "0" * 320), None),
+        ('{"name": "1e999", "a": 1e400}', "at /a: 1e400 is not a finite number"),
+        ('{"a": 1e400, "a": 1}', None),
+        ('{"a": NaN, "a": 2.0}', None),
+        ('{"a": %s, "a": 3}' % ("9" * 400), None),
+        ('{"a": 1, "a": 1e400}', "at /a: 1e400 is not a finite number"),
+        ('{"a": 1e400, "b": NaN}', "at /a: 1e400 is not a finite number"),
+    ])
+    def test_table(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        kind, detail = _same_as_hooked(path)
+        if message is None:
+            assert kind == "value"
+        else:
+            assert (kind, detail) == (ValueError, f"doc.json: {message}")
+
+    def test_a_malformed_text_raises_as_json_does(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2,]}')
+        kind, detail = _same_as_hooked(path)
+        assert kind is json.JSONDecodeError
+
+    @pytest.mark.parametrize("text, hooked", [
+        (dataset.bundled_path("table3_scenario.json").read_text(encoding="utf-8"), False),
+        (dataset.bundled_path("budget_example.json").read_text(encoding="utf-8"), False),
+        ('{"a": [1, 2.5, -3, NaN], "v0": "e"}', False),
+        ('{"a": 1e5}', True),
+        ('{"a": 2.5E-3}', True),
+        ('{"name": "v0e1"}', True),
+        ('{"a": %s}' % ("1" * 309), True),
+        ('{"a": %s}' % ("1" * 308), False),
+    ], ids=["table3_scenario", "budget_example", "constants", "exponent", "upper-case",
+            "label", "309 digits", "308 digits"])
+    def test_only_texts_that_could_overflow_hook_every_token(
+            self, tmp_path, monkeypatch, text, hooked):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        loads, hooks = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda s, **kw: hooks.append(set(kw)) or loads(s, **kw))
+        with contextlib.suppress(ValueError):
+            read_json(path, ANY, ValueError)
+        expected = {"parse_constant", "parse_float", "parse_int"} if hooked else {"parse_constant"}
+        assert hooks == [expected]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_an_integer_past_int_digit_limit_is_located(self, tmp_path, sign):
+        # int() refuses more than 4300 digits; the token is still located.
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [0, %s%s]}' % (sign, "9" * 5000))
+        with pytest.raises(ValueError) as raised:
+            read_json(path, ANY, ValueError)
+        assert str(raised.value) == (
+            f"doc.json: at /a/1: {(sign + '9' * 21)[:21]}... is not a finite number")
