@@ -5,8 +5,7 @@ import contextlib
 import copy
 import json
 import math
-import tempfile
-from pathlib import Path
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -320,7 +319,7 @@ class TestSchemaChecker:
 
 # --- the byte scan in front of the number hooks -----------------------------
 
-_MAX = 1.7976931348623157e308
+_MAX = sys.float_info.max
 ANY = {}  # a schema every document meets, so only the parse is compared
 
 
@@ -385,7 +384,8 @@ def tokened_text(draw):
     for i in range(draw(st.integers(1, 3))):
         tokens[f"@{i}@"] = draw(st.sampled_from(NUMBER_TOKENS))
         _set(doc, draw(st.sampled_from(numbers)), f"@{i}@")
-    strings = [p for p in _paths(doc) if isinstance(_get(doc, p), str) and "@" not in _get(doc, p)]
+    strings = [p for p in _paths(doc)
+               if isinstance(_get(doc, p), str) and not _get(doc, p).startswith("@")]
     if strings and draw(st.booleans()):
         _set(doc, draw(st.sampled_from(strings)), draw(st.sampled_from(LABELS)))
     text = json.dumps(doc)
@@ -398,20 +398,11 @@ class TestByteScan:
     """``read_json`` gives what a hook on every number token gives: the same
     value, or the same exception type and message."""
 
-    @settings(max_examples=300)
-    @given(tokened_text())
-    def test_hypothesis_texts(self, case):
-        name, text = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / name
-            path.write_text(text, encoding="utf-8")
-            _same_as_hooked(path)
-
-    def test_hypothesis_texts_reach_both_paths_and_outcomes(self, tmp_path, monkeypatch):
+    def test_hypothesis_texts(self, tmp_path, monkeypatch):
         loads, hooks, seen = json.loads, [], set()
         monkeypatch.setattr(json, "loads", lambda s, **kw: hooks.append(set(kw)) or loads(s, **kw))
 
-        @settings(max_examples=100)
+        @settings(max_examples=300)
         @given(tokened_text())
         def collect(case):
             path = tmp_path / case[0]
@@ -460,8 +451,7 @@ class TestByteScan:
     def test_a_malformed_text_raises_as_json_does(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text('{"a": [1, 2,]}')
-        kind, detail = _same_as_hooked(path)
-        assert kind is json.JSONDecodeError
+        assert _same_as_hooked(path)[0] is json.JSONDecodeError
 
     @pytest.mark.parametrize("text, hooked", [
         (dataset.bundled_path("table3_scenario.json").read_text(encoding="utf-8"), False),
