@@ -142,14 +142,14 @@ def read_json(path, schema: dict, error: type[Exception]):
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    bad: list[str] = []
+    bad: list[tuple[str, object]] = []
 
     def finite(parse):
         # One call per number token: the bounds are default arguments.
         def checked(token: str, lo=-_MAX, hi=_MAX, keep=bad.append):
             value = parse(token)
             if not lo <= value <= hi:
-                keep(token)
+                keep((token, value))
             return value
 
         return checked
@@ -161,10 +161,12 @@ def read_json(path, schema: dict, error: type[Exception]):
         hooks = {"parse_float": finite(float), "parse_int": finite(
             lambda t: int(t) if len(t.lstrip("-")) <= 309 else float(t))}
     raw = json.loads(text, parse_constant=finite(float), **hooks)
-    # A duplicate key can shadow a rejected token, so look in what parsed.
+    # A duplicate key can shadow a rejected token, so look in what parsed
+    # and word the token that parsed to the value found there.
     found = first_nonfinite(raw) if bad else None
     if found is not None:
-        token = bad[0] if len(bad[0]) <= 24 else bad[0][:21] + "..."
+        token = next(token for token, value in bad if value is found[1])
+        token = token if len(token) <= 24 else token[:21] + "..."
         raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
 
     if id(schema) not in _known:

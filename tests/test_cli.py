@@ -724,6 +724,18 @@ class TestPropagate:
                                  "999999999999999999999... is not a finite number\n")
         assert result.stdout == ""
 
+    def test_shadowed_nonfinite_key_is_not_the_token_reported(self, runner, tmp_path):
+        # The first 1e999 is overwritten by the duplicate key; the value
+        # left in the document is the std's -1E999.
+        p = tmp_path / "budget.json"
+        p.write_text('{"operating_point_m": 1e999, "operating_point_m": 1000.0, "components": '
+                     '[{"name": "x", "std": -1E999, "unit": "mm"}]}')
+        result = runner.invoke(main, ["propagate", str(p)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: budget.json: at /components/0/std: "
+                                 "-1E999 is not a finite number\n")
+        assert result.stdout == ""
+
     def test_nonfinite_std_is_an_input_error(self, runner, tmp_path):
         p = tmp_path / "budget.json"
         p.write_text('{"components": [{"name": "x", "std": NaN, "unit": "mm"}]}')

@@ -332,7 +332,7 @@ def _hooked(path, error):
         def checked(token):
             value = parse(token)
             if not -_MAX <= value <= _MAX:
-                bad.append(token)
+                bad.append((token, value))
             return value
 
         return checked
@@ -341,7 +341,8 @@ def _hooked(path, error):
                      parse_float=finite(float), parse_int=finite(int))
     found = first_nonfinite(raw) if bad else None
     if found is not None:
-        token = bad[0] if len(bad[0]) <= 24 else bad[0][:21] + "..."
+        token = next(token for token, value in bad if value is found[1])
+        token = token if len(token) <= 24 else token[:21] + "..."
         raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
     return raw
 
@@ -438,6 +439,10 @@ class TestByteScan:
         ('{"a": %s, "a": 3}' % ("9" * 400), None),
         ('{"a": 1, "a": 1e400}', "at /a: 1e400 is not a finite number"),
         ('{"a": 1e400, "b": NaN}', "at /a: 1e400 is not a finite number"),
+        # The shadowed first token is not the one reported.
+        ('{"a": 1e999, "a": 1.0, "b": [-1E999]}', "at /b/0: -1E999 is not a finite number"),
+        ('{"a": NaN, "a": 1, "b": Infinity}', "at /b: Infinity is not a finite number"),
+        ('{"a": 1e999, "a": 1e400}', "at /a: 1e400 is not a finite number"),
     ])
     def test_table(self, tmp_path, text, message):
         path = tmp_path / "doc.json"
