@@ -164,9 +164,9 @@ def solve(eq: NormalEquations) -> np.ndarray:
     correctly rounded solution on the bundled fits, and on generated
     systems, raw-monomial normal matrices among them, whose diagonally
     equilibrated cond_1 is at most 1e9. The first misses seen were near
-    3e10, by a few ulps, where the long-double refinement this replaced
-    was off by 1e6 ulps or more. Exactness needs each row of the matrix,
-    and the solution, to span less than about 2**1000 in magnitude.
+    cond_1 = 4e10, by up to 160 ulps, where the long-double refinement
+    this replaced was off by 1e6 ulps or more. Exactness needs each row
+    of the matrix, and the solution, to span less than about 2**1000.
 
     Raises:
         SingularSystemError: the matrix is rank deficient at working
@@ -179,7 +179,7 @@ def solve(eq: NormalEquations) -> np.ndarray:
     for _ in range(_REFINEMENT_SWEEPS):
         try:
             residual = _residual(rows, b, x)
-        except OverflowError:  # x overflowed, or is off by more than that
+        except OverflowError:  # x overflowed, or misses b by more than 1e308
             return np.full(len(x), math.nan)
         x = [v + c for v, c in zip(x, _solve_factored(lu, perm, residual))]
     return np.array(x)

@@ -180,9 +180,9 @@ def ulps_off(x, a, b) -> Fraction:
 
 
 def reference_solve(a, b):
-    """The solver this package used before: numpy elimination with the
-    same pivoting, refined twice on ``np.longdouble`` residuals. Where
-    ``long double`` is plain double, its refinement gains nothing."""
+    """Reference solver: numpy elimination with the same pivoting,
+    refined twice on ``np.longdouble`` residuals. Where ``long double``
+    is plain double, its refinement gains nothing."""
     n = a.shape[0]
     lu, perm = a.copy(), np.arange(n)
     scale = np.abs(lu).max(axis=1)
