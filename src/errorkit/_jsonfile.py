@@ -6,7 +6,8 @@ turns a literal such as ``1e309`` into infinity; JSON Schema's
 travel into the results, so every number must fit a finite double
 before the file reaches its schema. The same walk,
 :func:`first_nonfinite`, checks the command line's results before they
-are printed or written.
+are printed or written. A file that is not UTF-8 text is refused with
+:func:`not_utf8`'s message, which the CSV reader shares.
 
 A token leaves the double range only as ``NaN`` or ``Infinity``, by an
 exponent (which follows a digit) or with 309 or more integer digits. In
@@ -57,6 +58,14 @@ def first_nonfinite(node, pointer: str = "") -> tuple[str, object] | None:
         if found is not None:
             return found
     return None
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for an input file that is not UTF-8 text: its path,
+    the line of the first bad byte (counting ``\\n`` breaks, as ``json``
+    does) and that byte."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return f"{path}: not UTF-8 text at line {line} (byte 0x{exc.object[exc.start]:02x})"
 
 
 def _number(value) -> bool:
@@ -131,7 +140,8 @@ def _validator(schema: dict):
 def read_json(path, schema: dict, error: type[Exception]):
     """Parse the JSON file at ``path`` and check it against ``schema``.
 
-    A number that is not a finite double raises ``error`` naming the
+    A file that is not UTF-8 text raises ``error`` with the message of
+    :func:`not_utf8`. A number that is not a finite double raises ``error`` naming the
     file, the location and the token; values that parse are exactly
     what ``json.loads`` gives. One byte scan proves a text's numbers
     finite, or sends it to a hook on every token. A file the built-in
@@ -141,7 +151,10 @@ def read_json(path, schema: dict, error: type[Exception]):
     ``jsonschema.validate`` does.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(not_utf8(path, exc)) from None
     bad: list[tuple[str, object]] = []
 
     def finite(parse):

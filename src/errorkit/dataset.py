@@ -19,12 +19,15 @@ decimals are not supported.
 Series, error samples and differential readings are stored as
 read-only float64 columns, one per field; a missing reference is NaN.
 The loaders parse the CSV columns in one pass with numpy's C reader
-and check each whole column at once.  A file the C reader refuses, or
-whose optional reference column has a gap or a NaN, is read cell by
-cell with Python's ``float()``; that reader alone locates errors.  The
+and check each whole column at once; empty, whitespace-only and
+comment lines are skipped.  When the C reader refuses a file, it parses
+the required columns alone once more.  A column it cannot take, and an
+optional reference column with a gap or a NaN, is read cell by cell
+with Python's ``float()``; that reader alone locates errors.  The
 first bad row, in file order, is reported as a
 :class:`MalformedRowError` naming its 1-based row and its column.  A
-leading UTF-8 byte-order mark is ignored.  Row objects
+leading UTF-8 byte-order mark is ignored; any other byte that is not
+UTF-8 is reported with its line.  Row objects
 (:class:`MeasurementRow`, :class:`ErrorSample`, :class:`DifferentialRow`)
 are built from the columns only when a caller reads them, and so are
 the nominal leg pairs of a differential campaign (:class:`LegPairs`,
@@ -47,6 +50,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from ._jsonfile import not_utf8
 
 __all__ = [
     "DatasetError",
@@ -461,27 +466,52 @@ def _parse_units_line(line: str) -> dict[str, str]:
     return out
 
 
-def _read_csv(path) -> tuple[dict[str, str], list[str], list[str]]:
-    """The units, the header cells and the data lines of a CSV file.
+def _is_content(line: str) -> bool:
+    """Whether ``line`` is a header or data line: neither empty,
+    whitespace only, nor a comment (``#`` first)."""
+    return line != "" and line[0] != "#" and not line.isspace()
 
-    Comment lines (``#`` first) and blank lines are dropped; a leading
-    byte-order mark is ignored."""
-    text = Path(path).read_bytes().decode("utf-8-sig")
+
+def _content(lines: list[str]) -> list[str]:
+    """The header and data lines among ``lines``."""
+    return list(filter(_is_content, lines))
+
+
+def _read_csv(path) -> tuple[dict[str, str], list[str], tuple[list[str], bool]]:
+    """The units, the header cells and the data block of a CSV file.
+
+    Empty, whitespace-only and comment lines (``#`` first) are skipped,
+    and a leading byte-order mark is ignored.  The header is the first
+    line not skipped, and the last ``# units:`` line gives the units.
+    The data block is the lines after the header, and whether one of
+    them holds a quote.  Unless one of them holds a ``#``, the lines are
+    not filtered here: numpy's C reader skips empty lines and refuses
+    whitespace-only ones, and :func:`_read_columns` drops both before it
+    reads cell by cell.  So a clean file gets no per-line Python pass.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(not_utf8(path, exc)) from None
     if not text.strip():
         raise EmptyInputError(f"{path}: file is empty")
-    all_lines = text.splitlines()
-    units_lines = [line for line in all_lines if line.startswith("# units:")]
-    units = _parse_units_line(units_lines[-1]) if units_lines else {}
-    lines = [
-        line for line in all_lines
-        if line and line[0] != "#" and not line.isspace()
-    ]
-    if not lines:
+    lines = text.splitlines()
+    content = (i for i, line in enumerate(lines) if _is_content(line))
+    header_at, data_at = next(content, None), next(content, None)
+    if header_at is None:
         raise EmptyInputError(f"{path}: no header row found")
-    if len(lines) == 1:
+    if data_at is None:
         raise EmptyInputError(f"{path}: header only, no data rows")
-    header = next(csv.reader(lines[:1]))
-    return units, [h.strip() for h in header], lines[1:]
+    head, data = lines[:data_at], lines[data_at:]
+    # splitlines removes only line breaks, so the counts differ exactly
+    # when a data line holds a "#": a comment, or a units line.
+    if text.count("#") > sum(line.count("#") for line in head):
+        head, data = lines, _content(data)
+    units_lines = [line for line in head if line.startswith("# units:")]
+    units = _parse_units_line(units_lines[-1]) if units_lines else {}
+    header = next(csv.reader([lines[header_at]]))
+    quoted = '"' in text and '"' in "\n".join(data)
+    return units, [h.strip() for h in header], (data, quoted)
 
 
 def _column_index(path, header: list[str], required) -> dict[str, int]:
@@ -532,32 +562,51 @@ def _read_column(
     return np.array(values), None
 
 
+def _loadtxt(lines: list[str], positions: list[int]) -> np.ndarray | None:
+    """The columns ``positions`` of ``lines`` as parsed by numpy's C
+    reader, one row each, or None if it refuses a line."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                          ndmin=2, usecols=positions).T
+    except ValueError:
+        return None
+
+
 def _read_columns(
-    lines: list[str], specs
+    block: tuple[list[str], bool], specs
 ) -> list[tuple[np.ndarray, MalformedRowError | None]]:
-    """Parse the columns ``specs`` of the data ``lines``.
+    """Parse the columns ``specs`` of a data block from :func:`_read_csv`.
 
     Each spec is ``(position, column name, optional)``.  Returns one
     ``(values, error)`` pair per spec, as :func:`_read_column` does.
-    numpy's C reader parses the whole block in one pass; its result is
-    used only when it read every line and no optional column holds a
-    NaN.  Any other file (quotes, blank or missing cells, spellings
-    such as ``1_0`` that only ``float()`` accepts) is read cell by cell.
+    Unless a data line holds a quote (which may hide a comma or span
+    lines), numpy's C reader parses the whole block in one pass.  If it
+    refuses a line, it parses the required columns alone once more.  A
+    column it parsed is used as it is, but an optional column with a NaN
+    (a gap, or a NaN cell) is read again.  Every column left (quotes,
+    whitespace-only lines, blank or bad cells, spellings such as ``1_0``
+    that only ``float()`` accepts) is read cell by cell, after the
+    lines that are not data are dropped.
     """
-    text = "\n".join(lines)
-    if '"' not in text:  # a quoted cell may hide a comma or span lines
-        try:
-            block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                               ndmin=2, usecols=[pos for pos, _, _ in specs])
-        except ValueError:
-            pass
-        else:
-            if not any(optional and np.isnan(values).any()
-                       for values, (_, _, optional) in zip(block.T, specs)):
-                return [(values, None) for values in block.T]
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    return [_read_column(rows, pos, column, optional=optional)
-            for pos, column, optional in specs]
+    lines, quoted = block
+    parsed = {}  # spec index -> values from the C reader
+    if not quoted:
+        columns = _loadtxt(lines, [pos for pos, _, _ in specs])
+        if columns is not None:
+            parsed = {i: values for i, (values, (_, _, optional))
+                      in enumerate(zip(columns, specs))
+                      if not (optional and np.isnan(values).any())}
+        elif any(optional for _, _, optional in specs):
+            required = [i for i, (_, _, optional) in enumerate(specs) if not optional]
+            columns = _loadtxt(lines, [specs[i][0] for i in required])
+            if columns is not None:
+                parsed = dict(zip(required, columns))
+    if len(parsed) == len(specs):
+        return [(parsed[i], None) for i in range(len(specs))]
+    rows = [row for row in csv.reader(io.StringIO("\n".join(_content(lines)))) if row]
+    return [(parsed[i], None) if i in parsed
+            else _read_column(rows, pos, column, optional=optional)
+            for i, (pos, column, optional) in enumerate(specs)]
 
 
 def _checked_prefix(build, columns):
@@ -596,7 +645,7 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
         DatasetError: a required column is missing.
     """
     schema = schema or ColumnSchema()
-    units, header, lines = _read_csv(path)
+    units, header, block = _read_csv(path)
     index = _column_index(path, header, (schema.condition, schema.observed))
     cond_unit = schema.condition_unit or units.get("condition") or units.get("*", "")
     value_unit = schema.value_unit or units.get("observed") or units.get("*", "")
@@ -622,7 +671,7 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
              for name in (schema.condition, schema.observed)]
     if schema.reference in index:
         specs.append((index[schema.reference], schema.reference, True))
-    return _checked_prefix(build, _read_columns(lines, specs))
+    return _checked_prefix(build, _read_columns(block, specs))
 
 
 def load_differential(path) -> DifferentialRows:
@@ -632,10 +681,10 @@ def load_differential(path) -> DifferentialRows:
         MalformedRowError: a leg failed to parse, is not finite, or
             ``s1 <= s2``; the first such row in the file, with its column.
     """
-    _, header, lines = _read_csv(path)
+    _, header, block = _read_csv(path)
     index = _column_index(path, header, ("s1", "s2"))
     return _checked_prefix(DifferentialRows, _read_columns(
-        lines, [(index[name], name, False) for name in ("s1", "s2")]))
+        block, [(index[name], name, False) for name in ("s1", "s2")]))
 
 
 def load_differential_pairs(path) -> LegPairs:
@@ -645,10 +694,10 @@ def load_differential_pairs(path) -> LegPairs:
         MalformedRowError: a nominal leg failed to parse; the first such
             row in the file, with its column.
     """
-    _, header, lines = _read_csv(path)
+    _, header, block = _read_csv(path)
     index = _column_index(path, header, ("s_ab", "s_ac"))
     return _checked_prefix(LegPairs, _read_columns(
-        lines, [(index[name], name, False) for name in ("s_ab", "s_ac")]))
+        block, [(index[name], name, False) for name in ("s_ab", "s_ac")]))
 
 
 def write_table(path, units: str, header: str, templates, values) -> None:

@@ -153,6 +153,24 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "row 3, column 'reference': must be finite, got nan" in result.stderr
 
+    @pytest.mark.parametrize("command, data, line, byte", [
+        # A byte-order mark shifts no line.
+        ("random-model", b"\xef\xbb\xbf# units: m\ncondition,observed\n1,2\n3,4\xff\n", 4, "ff"),
+        ("random-model", b"# units: m\r\ncondition,observed\r\n1,2\xfe\r\n", 3, "fe"),
+        ("simulate", b'{"label": "caf\xe9"}', 1, "e9"),
+        # Past the first 64 KiB of the file: 5000 pairs on line 1.
+        ("simulate", differential_scenario_text(["[10.0, 18.0]"] * 5000).encode()
+         + b"\n" * 3000 + b"\xc3", 3001, "c3"),
+    ], ids=["csv", "csv crlf", "json", "json deep"])
+    def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, command,
+                                                data, line, byte):
+        p = tmp_path / ("input.json" if command == "simulate" else "input.csv")
+        p.write_bytes(data)
+        result = runner.invoke(main, [command, str(p)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {p}: not UTF-8 text at line {line} (byte 0x{byte})\n"
+
 
 class TestNonfiniteResults:
     """Results that overflow exit 3 and name the result; no nan or inf is

@@ -1,7 +1,13 @@
+import csv
+import io
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errorkit import dataset
 from errorkit.dataset import (
@@ -204,6 +210,63 @@ class TestLoadSeries:
         assert (series.condition_unit, series.value_unit) == ("degC", "MHz")
 
 
+# The CSV reader as it was before clean files skipped the per-line
+# Python pass, kept as the reference: every line is filtered in Python,
+# the units come from the last "# units:" line anywhere in the file, and
+# the data lines are joined again to look for a quote.
+def _reference_read_csv(path):
+    text = Path(path).read_bytes().decode("utf-8-sig")
+    if not text.strip():
+        raise EmptyInputError(f"{path}: file is empty")
+    all_lines = text.splitlines()
+    units_lines = [line for line in all_lines if line.startswith("# units:")]
+    units = dataset._parse_units_line(units_lines[-1]) if units_lines else {}
+    lines = [line for line in all_lines if line and line[0] != "#" and not line.isspace()]
+    if not lines:
+        raise EmptyInputError(f"{path}: no header row found")
+    if len(lines) == 1:
+        raise EmptyInputError(f"{path}: header only, no data rows")
+    header = next(csv.reader(lines[:1]))
+    return units, [h.strip() for h in header], lines[1:]
+
+
+def _reference_read_columns(lines, specs):
+    text = "\n".join(lines)
+    if '"' not in text:
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                               ndmin=2, usecols=[pos for pos, _, _ in specs])
+        except ValueError:
+            pass
+        else:
+            if not any(optional and np.isnan(values).any()
+                       for values, (_, _, optional) in zip(block.T, specs)):
+                return [(values, None) for values in block.T]
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    return [dataset._read_column(rows, pos, column, optional=optional)
+            for pos, column, optional in specs]
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: units, label and every column bit
+    for bit (any NaN equal to any other), or the error's type and message."""
+    try:
+        result = load(path)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):  # _read_csv
+        return result[:2]
+    labels = ((result.condition_unit, result.value_unit, result.label)
+              if isinstance(result, MeasurementSeries) else ())
+    return labels, [np.where(np.isnan(c), np.nan, c).tobytes() for c in result.columns]
+
+
+def _reference_outcome(load, path):
+    with mock.patch.multiple(dataset, _read_csv=_reference_read_csv,
+                             _read_columns=_reference_read_columns):
+        return _outcome(load, path)
+
+
 def _scale_rows(n=10_000):
     """``n`` valid ``condition,observed,reference`` rows as cell lists."""
     return [[f"{i * 0.01:.2f}", f"{5.0 + i * 1e-6:.6f}", f"{5.0 + i * 1e-6 + 1e-5:.6f}"]
@@ -267,16 +330,24 @@ class TestFastPathHandover:
             load(path)
             assert len(calls) == 1, load
 
-    @pytest.mark.parametrize("row", [1, 9_999], ids=["row 2", "last row"])
-    def test_blank_reference_cell(self, tmp_path, row):
+    @pytest.mark.parametrize("row", [1, 9_998, 9_999], ids=["row 2", "row 9999", "last row"])
+    def test_blank_reference_cell(self, tmp_path, monkeypatch, row):
         rows = _scale_rows()
         rows[row][2] = ""
         p = _write_rows(tmp_path / "blank.csv", "condition,observed,reference", rows)
+        want = _reference_outcome(dataset.load_series, p)
+        # The required columns come from the C reader; only the gappy
+        # optional one is read cell by cell.
+        seen, read_column = [], dataset._read_column
+        monkeypatch.setattr(dataset, "_read_column", lambda rows, pos, column, **kw: (
+            seen.append(column) or read_column(rows, pos, column, **kw)))
         columns = dataset.load_series(p).columns
+        assert seen == ["reference"]
         expected = [float(r[2]) if r[2] else math.nan for r in rows]
         assert np.array_equal(columns.reference, expected, equal_nan=True)
         assert columns.condition.tolist() == [float(r[0]) for r in rows]
         assert columns.observed.tolist() == [float(r[1]) for r in rows]
+        assert _outcome(dataset.load_series, p) == want
 
     @pytest.mark.parametrize("row, cell, column", [
         (1, 1, "observed"), (9_999, 1, "observed"), (1, 0, "condition"),
@@ -299,6 +370,47 @@ class TestFastPathHandover:
         assert series.columns.condition.tolist() == observed
         assert series.columns.observed.tolist() == observed
         assert series.columns.reference.tolist() == [float(r[2]) for r in rows]
+
+    def test_comments_and_empty_lines_stay_on_the_c_reader(self, tmp_path, monkeypatch):
+        rows = _scale_rows()
+        plain = dataset.load_series(
+            _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows))
+        lines = [",".join(r) for r in rows]
+        for at in (9_000, 5_000, 5_000, 1):
+            lines.insert(at, "")
+        p = tmp_path / "gaps" / "s.csv"
+        p.parent.mkdir()
+        p.write_text("# a remark\n# units: m\n\ncondition,observed,reference\n\n"
+                     + "\n".join(lines) + "\n\n", encoding="utf-8")
+        calls, loadtxt, reader = [], np.loadtxt, csv.reader
+
+        def header_reader(lines):
+            assert isinstance(lines, list) and len(lines) == 1, "not the header line"
+            return reader(lines)
+
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        monkeypatch.setattr(csv, "reader", header_reader)
+        monkeypatch.setattr(dataset, "_content", None)
+        monkeypatch.setattr(dataset, "_read_column", None)
+        assert dataset.load_series(p) == plain
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("line", [" \t", "\t", "# a remark"])
+    def test_a_line_that_is_not_data_is_filtered(self, tmp_path, monkeypatch, line):
+        rows = _scale_rows()
+        plain = dataset.load_series(
+            _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows))
+        lines = [",".join(r) for r in rows]
+        lines.insert(5_000, line)
+        p = tmp_path / "odd" / "s.csv"
+        p.parent.mkdir()
+        p.write_text("# units: m\ncondition,observed,reference\n" + "\n".join(lines) + "\n",
+                     encoding="utf-8")
+        filtered, content = [], dataset._content
+        monkeypatch.setattr(dataset, "_content", lambda lines: (
+            filtered.append(len(lines)) or content(lines)))
+        assert dataset.load_series(p) == plain
+        assert filtered
 
     def test_quoted_comma_in_an_unused_column(self, tmp_path):
         # Split at every comma, the quoted note would put 7 and 8 in the
@@ -458,3 +570,54 @@ class TestToErrorSamples:
         series = MeasurementSeries(rows=rows, condition_unit="m", value_unit="m")
         (sample,) = dataset.to_error_samples(series, "explicit-reference")
         assert sample.error == pytest.approx(0.5)
+
+
+# Line breaks str.splitlines knows, lines that are not data, and cells:
+# GOOD[j] passes every loader's checks in column j of every header.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+NOT_DATA = ["", " ", "\t", " \t ", "\x0c", "#", "# a remark", "#1,2,3,4",
+            "# units: mm", "# units: condition=s observed=V"]
+HEADERS = ["condition,observed", "condition,observed,reference", "s_ab,s_ac,s2,s1",
+           'note,"condition",observed', " condition , observed ,reference",
+           "condition,observed#"]
+GOOD = ["1", "5", "5.001", "7", "8"]
+ODD = ["", " ", "nan", "inf", "x", "1_0", "1#2", '"6"', '"7,8"', "4.9", "-0"]
+LOADERS = [dataset._read_csv, dataset.load_series, dataset.load_differential,
+           dataset.load_differential_pairs]
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a CSV file: blank, whitespace-only and comment lines
+    before, among and after the data, mixed line breaks, an optional
+    byte-order mark, and now and then a bad, blank, quoted or short cell."""
+    header = draw(st.sampled_from(HEADERS))
+    lines = draw(st.lists(st.sampled_from(NOT_DATA), max_size=3))
+    if draw(st.integers(0, 9)):
+        lines.append(header)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(NOT_DATA)))
+            continue
+        n = header.count(",") + draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+        cells = []
+        for good in GOOD[:n]:
+            spellings = [good, f" {good} ", f"\t{good}", good + "0"]
+            cells.append(draw(st.sampled_from(ODD if draw(st.integers(0, 11)) == 0
+                                              else spellings)))
+        lines.append(",".join(cells))
+    lines += draw(st.lists(st.sampled_from(NOT_DATA), max_size=2))
+    breaks = [draw(st.sampled_from(BREAKS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""
+    text = "".join(map(str.__add__, lines, breaks))
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+@settings(max_examples=400)
+@given(csv_files())
+def test_loaders_match_the_line_filtering_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(data)
+    assert ([_outcome(load, path) for load in LOADERS]
+            == [_reference_outcome(load, path) for load in LOADERS])
