@@ -483,9 +483,9 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], tuple[list[str], bool]]:
     Empty, whitespace-only and comment lines (``#`` first) are skipped,
     and a leading byte-order mark is ignored.  The header is the first
     line not skipped, and the last ``# units:`` line gives the units.
-    The data block is the lines after the header, and whether one of
-    them holds a quote.  Unless one of them holds a ``#``, the lines are
-    not filtered here: numpy's C reader skips empty lines and refuses
+    The data block is the lines from the first data line on, and
+    whether one of them holds a quote.  Unless one holds a ``#``, they
+    are not filtered here: numpy's C reader skips empty lines and refuses
     whitespace-only ones, and :func:`_read_columns` drops both before it
     reads cell by cell.  So a clean file gets no per-line Python pass.
     """
