@@ -15,10 +15,9 @@ a text with no digit before ``e``/``E`` and no 309 digits in a row, only
 those constants reach a hook; elsewhere every number token does.
 
 The schema check is a small walker over the keywords the bundled
-schemas use, with JSON Schema Draft 2020-12 meaning, so a valid file
-never imports ``jsonschema``. A file the walker rejects goes to
-``jsonschema``, which words the rejection; the walker only decides
-that there is one.
+schemas use, with JSON Schema Draft 2020-12 meaning. It names the first
+violation in walk order, worded as the Python JSON Schema validator
+(4.26) words that keyword.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ from pathlib import Path
 _MAX = sys.float_info.max
 # Every digit to "0" and "E" to "e": the shapes read_json scans for.
 _SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
-
-# id(schema) -> (schema, compiled validator) and id(schema) -> schema once
-# its keywords are checked; holding the schema keeps its id.
-_validators: dict[int, tuple] = {}
-_known: dict[int, dict] = {}
 
 
 def _is_finite(value) -> bool:
@@ -82,77 +76,100 @@ _TYPES = {
     "integer": lambda v: _number(v) and (type(v) is not float or v.is_integer()),
 }
 
-# keyword -> test(argument, value, schema). A test passes a value it does
-# not apply to, as JSON Schema does: "minimum" passes a string.
+
+def _first(children) -> list | None:
+    """The first violation among ``(key, schema, value)`` children, in
+    their order, with its key appended."""
+    for key, schema, value in children:
+        found = _violation(schema, value)
+        if found is not None:
+            found.append(key)
+            return found
+    return None
+
+
+def _additional_properties(arg, value, schema) -> list | None:
+    if not isinstance(value, dict):
+        return None
+    known = schema.get("properties", ())
+    if arg is not False:
+        return _first((key, arg, child) for key, child in value.items() if key not in known)
+    extra = [key for key in value if key not in known]
+    if not extra:
+        return None
+    return ["Additional properties are not allowed (%s %s unexpected)" % (
+        ", ".join(map(repr, sorted(extra))), "was" if len(extra) == 1 else "were")]
+
+
+def _too_short(arg, value) -> list:
+    # minItems and minLength are worded alike.
+    return [f"{value!r} should be non-empty" if arg == 1 else f"{value!r} is too short"]
+
+
+# keyword -> check(argument, value, schema): None, or the violation as
+# _violation gives it. A check passes a value it does not apply to, as
+# JSON Schema does: "minimum" passes a string.
 _KEYWORDS = {
-    "$schema": lambda arg, v, s: True,
-    "type": lambda arg, v, s: _TYPES[arg](v),
-    # String members only, which is all the schemas list; any other value
-    # is left to jsonschema.
-    "enum": lambda arg, v, s: isinstance(v, str) and v in arg,
-    "anyOf": lambda arg, v, s: any(_accepts(sub, v) for sub in arg),
-    "required": lambda arg, v, s: not isinstance(v, dict) or all(k in v for k in arg),
-    "properties": lambda arg, v, s: not isinstance(v, dict) or all(
-        _accepts(arg[k], x) for k, x in v.items() if k in arg),
-    "additionalProperties": lambda arg, v, s: not isinstance(v, dict) or all(
-        _accepts(arg, x) for k, x in v.items() if k not in s.get("properties", ())),
-    "items": lambda arg, v, s: not isinstance(v, list) or all(_accepts(arg, x) for x in v),
-    "minItems": lambda arg, v, s: not isinstance(v, list) or len(v) >= arg,
-    "maxItems": lambda arg, v, s: not isinstance(v, list) or len(v) <= arg,
-    "minLength": lambda arg, v, s: not isinstance(v, str) or len(v) >= arg,
-    "minimum": lambda arg, v, s: not _number(v) or v >= arg,
-    "exclusiveMinimum": lambda arg, v, s: not _number(v) or v > arg,
+    "$schema": lambda arg, v, s: None,
+    "type": lambda arg, v, s: None if _TYPES[arg](v) else [f"{v!r} is not of type {arg!r}"],
+    # String members only, which is all the schemas list.
+    "enum": lambda arg, v, s: (
+        None if isinstance(v, str) and v in arg else [f"{v!r} is not one of {arg!r}"]),
+    "anyOf": lambda arg, v, s: (
+        None if any(_violation(sub, v) is None for sub in arg)
+        else [f"{v!r} is not valid under any of the given schemas"]),
+    "required": lambda arg, v, s: None if not isinstance(v, dict) else next(
+        ([f"{k!r} is a required property"] for k in arg if k not in v), None),
+    "properties": lambda arg, v, s: None if not isinstance(v, dict) else _first(
+        (k, arg[k], x) for k, x in v.items() if k in arg),
+    "additionalProperties": _additional_properties,
+    "items": lambda arg, v, s: None if not isinstance(v, list) else _first(
+        (i, arg, x) for i, x in enumerate(v)),
+    "minItems": lambda arg, v, s: (
+        None if not isinstance(v, list) or len(v) >= arg else _too_short(arg, v)),
+    "maxItems": lambda arg, v, s: (
+        None if not isinstance(v, list) or len(v) <= arg else [f"{v!r} is too long"]),
+    "minLength": lambda arg, v, s: (
+        None if not isinstance(v, str) or len(v) >= arg else _too_short(arg, v)),
+    "minimum": lambda arg, v, s: (
+        None if not _number(v) or v >= arg
+        else [f"{v!r} is less than the minimum of {arg!r}"]),
+    "exclusiveMinimum": lambda arg, v, s: (
+        None if not _number(v) or v > arg
+        else [f"{v!r} is less than or equal to the minimum of {arg!r}"]),
 }
 
 
-def _accepts(schema, value) -> bool:
-    """Whether ``value`` is valid against ``schema``; a bool is a schema."""
-    if isinstance(schema, bool):
-        return schema
-    return all(_KEYWORDS[key](arg, value, schema) for key, arg in schema.items())
+def _violation(schema: dict, value) -> list | None:
+    """The first violation of ``schema`` by ``value``, or None.
 
-
-def _check_keywords(schema) -> None:
-    """Raise NotImplementedError if ``schema``, or a schema inside it, has
-    a keyword :func:`_accepts` does not know."""
-    if isinstance(schema, bool):
-        return
-    unknown = sorted(schema.keys() - _KEYWORDS.keys())
-    if unknown:
-        raise NotImplementedError(
-            f"schema keyword {unknown[0]!r} is not known to the built-in checker"
-        )
-    for sub in (*schema.get("properties", {}).values(), *schema.get("anyOf", ()),
-                *(schema[key] for key in ("items", "additionalProperties") if key in schema)):
-        _check_keywords(sub)
-
-
-def _validator(schema: dict):
-    """``schema`` compiled on first use; jsonschema is imported then."""
-    entry = _validators.get(id(schema))
-    if entry is None:
-        from jsonschema import Draft202012Validator
-
-        entry = _validators[id(schema)] = (schema, Draft202012Validator(schema))
-    return entry[1]
+    A violation is a list: its message, then the keys of its location
+    from the innermost out. Keywords are checked in the schema's order
+    and children in the document's order, depth first.
+    """
+    for key, arg in schema.items():
+        found = _KEYWORDS[key](arg, value, schema)
+        if found is not None:
+            return found
+    return None
 
 
 def read_json(path, schema: dict, error: type[Exception]):
     """Parse the JSON file at ``path`` and check it against ``schema``.
 
-    A file that is not UTF-8 text raises ``error`` with the message of
-    :func:`not_utf8`. A number that is not a finite double raises ``error`` naming the
+    A leading UTF-8 byte-order mark is skipped. A file that is not UTF-8
+    text raises ``error`` with the message of :func:`not_utf8`; one that
+    is not JSON raises ``error`` naming the file, the line and the
+    column. A number that is not a finite double raises ``error`` naming the
     file, the location and the token; values that parse are exactly
     what ``json.loads`` gives. One byte scan proves a text's numbers
-    finite, or sends it to a hook on every token. A file the built-in
-    checker accepts is returned without importing ``jsonschema``.
-    Otherwise ``jsonschema`` words the rejection:
-    ``jsonschema.ValidationError``, chosen by ``best_match`` as
-    ``jsonschema.validate`` does.
+    finite, or sends it to a hook on every token. A document that
+    violates ``schema`` raises ``error("at <pointer>: <message>")`` for
+    the first violation in walk order.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(not_utf8(path, exc)) from None
     bad: list[tuple[str, object]] = []
@@ -173,7 +190,10 @@ def read_json(path, schema: dict, error: type[Exception]):
         # Over 309 digits is beyond a double; float() has no digit limit.
         hooks = {"parse_float": finite(float), "parse_int": finite(
             lambda t: int(t) if len(t.lstrip("-")) <= 309 else float(t))}
-    raw = json.loads(text, parse_constant=finite(float), **hooks)
+    try:
+        raw = json.loads(text, parse_constant=finite(float), **hooks)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path.name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     # A duplicate key can shadow a rejected token, so look in what parsed
     # and word the token that parsed to the value found there.
     found = first_nonfinite(raw) if bad else None
@@ -182,14 +202,8 @@ def read_json(path, schema: dict, error: type[Exception]):
         token = token if len(token) <= 24 else token[:21] + "..."
         raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
 
-    if id(schema) not in _known:
-        _check_keywords(schema)
-        _known[id(schema)] = schema
-    if _accepts(schema, raw):
-        return raw
-    from jsonschema.exceptions import best_match
-
-    violation = best_match(_validator(schema).iter_errors(raw))
+    violation = _violation(schema, raw)
     if violation is not None:
-        raise violation
+        message, *keys = violation
+        raise error(f"at /{'/'.join(map(str, reversed(keys)))}: {message}")
     return raw

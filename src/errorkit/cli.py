@@ -48,13 +48,6 @@ def _resolve_input(name: str, data_dir: str | None) -> Path:
     sys.exit(EXIT_INPUT_ERROR)
 
 
-def _schema_violation():
-    """jsonschema's ValidationError once a loader has imported jsonschema,
-    else no exception type: commands that never validate skip the import."""
-    jsonschema = sys.modules.get("jsonschema")
-    return jsonschema.ValidationError if jsonschema is not None else ()
-
-
 @contextmanager
 def _exit_on_failure():
     """Map library exceptions onto the stable exit-code contract.
@@ -70,10 +63,6 @@ def _exit_on_failure():
     except MemoryError as exc:
         click.echo(f"error: out of memory: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
-    except _schema_violation() as exc:
-        pointer = "/" + "/".join(str(part) for part in exc.absolute_path)
-        click.echo(f"error: at {pointer}: {exc.message}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
     except (ValueError, OSError) as exc:  # every library input error is a ValueError
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)

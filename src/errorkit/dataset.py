@@ -534,13 +534,6 @@ def _read_column(
     parses to NaN is refused.  Only this reader builds a
     :class:`MalformedRowError` for a CSV cell.
     """
-    try:
-        values = np.array([float(r[pos]) for r in raw_rows])
-        if not (optional and np.isnan(values).any()):
-            return values, None
-    except (ValueError, IndexError):
-        pass
-    # A cell is bad, or an optional column has a gap or a NaN: read cell by cell.
     values = []
     for i, raw in enumerate(raw_rows, start=1):
         cell = raw[pos] if pos < len(raw) else ""

@@ -457,8 +457,9 @@ class TestLoadBudget:
     def test_missing_std_rejected_by_schema(self, tmp_path):
         p = tmp_path / "budget.json"
         p.write_text(json.dumps({"components": [{"name": "x", "unit": "mm"}]}))
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(BudgetError) as raised:
             load_budget(p)
+        assert str(raised.value) == "at /components/0: 'std' is a required property"
 
     def test_unknown_key_rejected_by_schema(self, tmp_path):
         p = tmp_path / "budget.json"
@@ -467,8 +468,12 @@ class TestLoadBudget:
                 {"components": [{"name": "x", "std": 1.0, "unit": "mm", "sd": 2}]}
             )
         )
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(BudgetError) as raised:
             load_budget(p)
+        assert str(raised.value) == (
+            "at /components/0: Additional properties are not allowed "
+            "('sd' was unexpected)"
+        )
 
     def test_bad_sensitivity_rejected_by_schema(self, tmp_path):
         p = tmp_path / "budget.json"
@@ -486,8 +491,12 @@ class TestLoadBudget:
                 }
             )
         )
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(BudgetError) as raised:
             load_budget(p)
+        assert str(raised.value) == (
+            "at /components/0/sensitivity: 'quadratic' is not valid under any "
+            "of the given schemas"
+        )
 
     def test_custom_numeric_sensitivity_accepted(self, tmp_path):
         p = tmp_path / "budget.json"

@@ -158,18 +158,42 @@ class TestInputErrors:
         ("random-model", b"\xef\xbb\xbf# units: m\ncondition,observed\n1,2\n3,4\xff\n", 4, "ff"),
         ("random-model", b"# units: m\r\ncondition,observed\r\n1,2\xfe\r\n", 3, "fe"),
         ("simulate", b'{"label": "caf\xe9"}', 1, "e9"),
+        ("propagate", b'\xef\xbb\xbf{"components": []}\n"\xe9"', 2, "e9"),
         # Past the first 64 KiB of the file: 5000 pairs on line 1.
         ("simulate", differential_scenario_text(["[10.0, 18.0]"] * 5000).encode()
          + b"\n" * 3000 + b"\xc3", 3001, "c3"),
-    ], ids=["csv", "csv crlf", "json", "json deep"])
+    ], ids=["csv", "csv crlf", "json", "json bom", "json deep"])
     def test_non_utf8_input_names_file_and_line(self, runner, tmp_path, command,
                                                 data, line, byte):
-        p = tmp_path / ("input.json" if command == "simulate" else "input.csv")
+        p = tmp_path / ("input.csv" if command == "random-model" else "input.json")
         p.write_bytes(data)
         result = runner.invoke(main, [command, str(p)])
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.stderr == f"error: {p}: not UTF-8 text at line {line} (byte 0x{byte})\n"
+
+
+    @pytest.mark.parametrize("command", ["simulate", "propagate"])
+    def test_json_syntax_error_names_file_line_and_column(self, runner, tmp_path, command):
+        p = tmp_path / "input.json"
+        p.write_text('{"label": "x",\n  }')
+        result = runner.invoke(main, [command, str(p)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            "error: input.json: line 2 column 3: Expecting property name enclosed in "
+            "double quotes\n")
+
+    @pytest.mark.parametrize("command, fixture", [
+        ("simulate", "table3_scenario.json"), ("propagate", "budget_example.json"),
+    ])
+    def test_json_byte_order_mark_is_skipped(self, runner, tmp_path, command, fixture):
+        p = tmp_path / fixture
+        p.write_bytes(b"\xef\xbb\xbf" + dataset.bundled_path(fixture).read_bytes())
+        plain = runner.invoke(main, [command, fixture])
+        result = runner.invoke(main, [command, str(p)])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == plain.stdout
 
 
 class TestNonfiniteResults:

@@ -684,8 +684,11 @@ class TestLoadScenario:
                 }
             )
         )
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ScenarioError) as raised:
             load_scenario(p)
+        assert str(raised.value) == (
+            "at /sources/0/kind: 'not-a-kind' is not one of ['additive-constant', "
+            "'multiplicative', 'cycle', 'temperature-polynomial', 'gaussian-noise']")
 
     def test_bad_schedule_surfaces_as_scenario_error(self, tmp_path):
         p = tmp_path / "scenario.json"
