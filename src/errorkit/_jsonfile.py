@@ -7,7 +7,8 @@ travel into the results, so every number must fit a finite double
 before the file reaches its schema. The same walk,
 :func:`first_nonfinite`, checks the command line's results before they
 are printed or written. A file that is not UTF-8 text is refused with
-:func:`not_utf8`'s message, which the CSV reader shares.
+:func:`not_utf8`'s message, which the CSV reader shares, and
+:func:`bundled_path` finds the bundled input files.
 
 A token leaves the double range only as ``NaN`` or ``Infinity``, by an
 exponent (which follows a digit) or with 309 or more integer digits. In
@@ -17,18 +18,35 @@ those constants reach a hook; elsewhere every number token does.
 The schema check is a small walker over the keywords the bundled
 schemas use, with JSON Schema Draft 2020-12 meaning. It names the first
 violation in walk order, worded as the Python JSON Schema validator
-(4.26) words that keyword.
+(4.26) words that keyword, except that a value or token longer than 24
+characters is cut to its first 21 and ``...``: an error is one short line.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 
 _MAX = sys.float_info.max
 # Every digit to "0" and "E" to "e": the shapes read_json scans for.
 _SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
+
+
+def bundled_path(name: str) -> Path:
+    """Return the filesystem path of a bundled data fixture."""
+    return Path(str(resources.files("errorkit").joinpath("data", name)))
+
+
+def shorten(text: str) -> str:
+    """``text``, or its first 21 characters and ``...`` if over 24."""
+    return text if len(text) <= 24 else text[:21] + "..."
+
+
+def _brief(value) -> str:
+    # 12 items print over 24 characters, so a longer list is cut as its first 12.
+    return shorten(repr(value[:12] if isinstance(value, list) else value))
 
 
 def _is_finite(value) -> bool:
@@ -97,13 +115,15 @@ def _additional_properties(arg, value, schema) -> list | None:
     extra = [key for key in value if key not in known]
     if not extra:
         return None
+    names = shorten(", ".join(map(repr, sorted(extra))))
     return ["Additional properties are not allowed (%s %s unexpected)" % (
-        ", ".join(map(repr, sorted(extra))), "was" if len(extra) == 1 else "were")]
+        names, "was" if len(extra) == 1 else "were")]
 
 
 def _too_short(arg, value) -> list:
     # minItems and minLength are worded alike.
-    return [f"{value!r} should be non-empty" if arg == 1 else f"{value!r} is too short"]
+    short = _brief(value)
+    return [f"{short} should be non-empty" if arg == 1 else f"{short} is too short"]
 
 
 # keyword -> check(argument, value, schema): None, or the violation as
@@ -111,13 +131,15 @@ def _too_short(arg, value) -> list:
 # JSON Schema does: "minimum" passes a string.
 _KEYWORDS = {
     "$schema": lambda arg, v, s: None,
-    "type": lambda arg, v, s: None if _TYPES[arg](v) else [f"{v!r} is not of type {arg!r}"],
+    "type": lambda arg, v, s: (
+        None if _TYPES[arg](v) else [f"{_brief(v)} is not of type {arg!r}"]),
     # String members only, which is all the schemas list.
     "enum": lambda arg, v, s: (
-        None if isinstance(v, str) and v in arg else [f"{v!r} is not one of {arg!r}"]),
+        None if isinstance(v, str) and v in arg
+        else [f"{_brief(v)} is not one of {arg!r}"]),
     "anyOf": lambda arg, v, s: (
         None if any(_violation(sub, v) is None for sub in arg)
-        else [f"{v!r} is not valid under any of the given schemas"]),
+        else [f"{_brief(v)} is not valid under any of the given schemas"]),
     "required": lambda arg, v, s: None if not isinstance(v, dict) else next(
         ([f"{k!r} is a required property"] for k in arg if k not in v), None),
     "properties": lambda arg, v, s: None if not isinstance(v, dict) else _first(
@@ -128,15 +150,15 @@ _KEYWORDS = {
     "minItems": lambda arg, v, s: (
         None if not isinstance(v, list) or len(v) >= arg else _too_short(arg, v)),
     "maxItems": lambda arg, v, s: (
-        None if not isinstance(v, list) or len(v) <= arg else [f"{v!r} is too long"]),
+        None if not isinstance(v, list) or len(v) <= arg else [f"{_brief(v)} is too long"]),
     "minLength": lambda arg, v, s: (
         None if not isinstance(v, str) or len(v) >= arg else _too_short(arg, v)),
     "minimum": lambda arg, v, s: (
         None if not _number(v) or v >= arg
-        else [f"{v!r} is less than the minimum of {arg!r}"]),
+        else [f"{_brief(v)} is less than the minimum of {arg!r}"]),
     "exclusiveMinimum": lambda arg, v, s: (
         None if not _number(v) or v > arg
-        else [f"{v!r} is less than or equal to the minimum of {arg!r}"]),
+        else [f"{_brief(v)} is less than or equal to the minimum of {arg!r}"]),
 }
 
 
@@ -199,8 +221,7 @@ def read_json(path, schema: dict, error: type[Exception]):
     found = first_nonfinite(raw) if bad else None
     if found is not None:
         token = next(token for token, value in bad if value is found[1])
-        token = token if len(token) <= 24 else token[:21] + "..."
-        raise error(f"{path.name}: at {found[0]}: {token} is not a finite number")
+        raise error(f"{path.name}: at {found[0]}: {shorten(token)} is not a finite number")
 
     violation = _violation(schema, raw)
     if violation is not None:

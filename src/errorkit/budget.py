@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._jsonfile import read_json
 from .distributions import ArcsineDistribution, sample
 
@@ -193,7 +191,7 @@ def total_std(budget: ErrorBudget) -> float:
     return math.sqrt(acc)
 
 
-def _chunk_draws(c: BudgetComponent, shape: str, rng: np.random.Generator):
+def _chunk_draws(c: BudgetComponent, shape: str, rng):
     """``draw(m)``: the component's next m draws in its native unit, or
     None for a component that adds nothing (a zero-std arcsine, since
     ArcsineDistribution refuses a zero amplitude)."""
@@ -255,6 +253,8 @@ def monte_carlo_std(
         raise BudgetError(
             f"need n <= 10^9 draws, the limit of the Monte Carlo check, got {n}"
         )
+    import numpy as np
+
     n = int(n)
     shapes = shapes or {}
     children = np.random.SeedSequence(seed).spawn(len(budget.components))

@@ -6,12 +6,12 @@ Four batch commands tie the library together: ``random-model``
 budget synthesis). Every command is deterministic given its inputs,
 flags, and seed; reports embed a digest of the input file so reruns
 are verifiable. Exit codes are stable: 0 success, 2 input or
-configuration error, 3 numerical failure.
+configuration error, 3 numerical failure. Each command imports what
+it runs, so ``--version`` and a closed-form ``propagate`` load no numpy.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -19,17 +19,17 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import __version__, dataset, regression
-from ._jsonfile import first_nonfinite
-from .linsolve import SingularSystemError
+from . import __version__
+from ._jsonfile import bundled_path, first_nonfinite
 
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 
 def _digest(path: Path) -> str:
+    import hashlib
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -39,9 +39,7 @@ def _resolve_input(name: str, data_dir: str | None) -> Path:
     p = Path(name)
     if p.is_file():
         return p
-    candidate = (
-        Path(data_dir) / name if data_dir else Path(dataset.bundled_path(name))
-    )
+    candidate = Path(data_dir) / name if data_dir else bundled_path(name)
     if candidate.is_file():
         return candidate
     click.echo(f"error: no such input: {name}", err=True)
@@ -50,14 +48,12 @@ def _resolve_input(name: str, data_dir: str | None) -> Path:
 
 @contextmanager
 def _exit_on_failure():
-    """Map library exceptions onto the stable exit-code contract.
-
-    numpy's floating-point warnings are off; :func:`_emit` refuses a
-    result that is not finite instead."""
+    """Map library exceptions onto the stable exit-code contract."""
     try:
-        with np.errstate(all="ignore"):
-            yield
-    except SingularSystemError as exc:
+        yield
+    # Looked up as an exception arrives: only linsolve raises it, so it is
+    # loaded by then, and otherwise () matches nothing.
+    except getattr(sys.modules.get("errorkit.linsolve"), "SingularSystemError", ()) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
     except MemoryError as exc:
@@ -66,6 +62,13 @@ def _exit_on_failure():
     except (ValueError, OSError) as exc:  # every library input error is a ValueError
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
+
+
+def _quiet_numpy():
+    """numpy's warnings off for numpy work: :func:`_emit` refuses non-finite results."""
+    import numpy as np
+
+    return np.errstate(all="ignore")
 
 
 def _refuse_nonfinite(results: dict):
@@ -128,7 +131,9 @@ def main():
 @_json_option
 def cmd_random_model(input_csv, column, data_dir, as_json):
     """Mean, spread, and relative spread of repeated observations."""
-    with _exit_on_failure():
+    from . import dataset, regression
+
+    with _exit_on_failure(), _quiet_numpy():
         path = _resolve_input(input_csv, data_dir)
         if column == "diff":
             columns = dataset.load_differential(path).columns
@@ -158,6 +163,8 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
 
 def _write_fit_points(path, series, samples, model, condition_format, error_unit):
     """Write each sample with the model's fitted value and the residual."""
+    from . import dataset
+
     condition, error = samples.columns
     fitted = [model(c) for c in condition.tolist()]
     dataset.write_table(
@@ -165,7 +172,7 @@ def _write_fit_points(path, series, samples, model, condition_format, error_unit
         f"condition={series.condition_unit} observed={error_unit}",
         "condition,observed,fitted,residual",
         [condition_format + ",%g,%.6f,%.6f"] * len(fitted),
-        np.column_stack((condition, error, fitted, error - fitted)),
+        list(zip(condition, error, fitted, error - fitted)),
     )
 
 
@@ -205,7 +212,11 @@ def _write_fit_points(path, series, samples, model, condition_format, error_unit
 def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             raw_errors, data_dir, as_json):
     """Fit an error model to a series and report its coefficients."""
-    with _exit_on_failure():
+    import numpy as np
+
+    from . import dataset, regression
+
+    with _exit_on_failure(), _quiet_numpy():
         path = _resolve_input(input_csv, data_dir)
         lines = []
         if model_name == "poly3":
@@ -302,9 +313,10 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
 def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                  eps_abs, data_dir, as_json):
     """Run a scenario file and summarize the generated readings."""
+    from . import dataset
     from . import simulate as simulate_mod
 
-    with _exit_on_failure():
+    with _exit_on_failure(), _quiet_numpy():
         path = _resolve_input(scenario_json, data_dir)
         scenario = simulate_mod.load_scenario(path)
         lines: list[str] = []
@@ -439,7 +451,8 @@ def cmd_propagate(budget_json, mc_draws, seed, data_dir, as_json):
         }
         lines = [f"total std {total:.4g} mm"]
         if mc_draws is not None:
-            mc = budget_mod.monte_carlo_std(budget, mc_draws, seed)
+            with _quiet_numpy():
+                mc = budget_mod.monte_carlo_std(budget, mc_draws, seed)
             results["monte_carlo_std_mm"] = mc
             line = f"monte-carlo std {mc:.4g} mm"
             if total > 0:

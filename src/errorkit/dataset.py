@@ -46,12 +46,11 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import not_utf8
+from ._jsonfile import bundled_path, not_utf8
 
 __all__ = [
     "DatasetError",
@@ -447,11 +446,6 @@ class ColumnSchema:
     sanity_bound: float = SANITY_BOUND
 
 
-def bundled_path(name: str) -> Path:
-    """Return the filesystem path of a bundled data fixture."""
-    return Path(str(resources.files("errorkit").joinpath("data", name)))
-
-
 def _parse_units_line(line: str) -> dict[str, str]:
     # "# units: condition=degC observed=MHz" or "# units: m" (all columns)
     body = line.split(":", 1)[1].strip()
@@ -503,9 +497,10 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], tuple[list[str], bool]]:
     if data_at is None:
         raise EmptyInputError(f"{path}: header only, no data rows")
     head, data = lines[:data_at], lines[data_at:]
-    # splitlines removes only line breaks, so the counts differ exactly
-    # when a data line holds a "#": a comment, or a units line.
-    if text.count("#") > sum(line.count("#") for line in head):
+    start = 0  # where the data lines start: a line break is 1 character, "\r\n" 2
+    for line in head:
+        start += len(line) + 1 + text.startswith("\r\n", start + len(line))
+    if text.find("#", start) >= 0:  # a comment or units line among the data
         head, data = lines, _content(data)
     units_lines = [line for line in head if line.startswith("# units:")]
     units = _parse_units_line(units_lines[-1]) if units_lines else {}

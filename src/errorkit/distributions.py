@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported only to sample
+    import numpy as np
 
 __all__ = ["ArcsineDistribution", "pdf", "std", "cdf", "sample"]
 
@@ -68,5 +70,7 @@ def sample(d: ArcsineDistribution, n: int, rng: np.random.Generator) -> np.ndarr
     U is uniform on [0, 2*pi); no inverse-CDF approximation is
     involved, so the sample follows the law exactly.
     """
+    import numpy as np
+
     u = rng.uniform(0.0, 2.0 * math.pi, int(n))
     return d.amplitude * np.sin(u)

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._jsonfile import read_json
+from ._jsonfile import read_json, shorten
 from .dataset import DifferentialRows, LegPairs, MeasurementSeries
 
 __all__ = [
@@ -298,13 +298,16 @@ def _contribution_mm(
     source: ErrorSource,
     conditions: Mapping[str, np.ndarray],
     nominal_m: np.ndarray,
-    seed: np.random.SeedSequence,
+    noise_seed: int,
+    position: int,
 ) -> np.ndarray:
     """This source's contribution (mm) to each reading.
 
     ``nominal_m`` holds the true value each reading measures, in any
     shape; the conditions and the result have the same shape. A noise
-    source draws from its own stream, seeded by ``seed``.
+    source draws from the child of ``noise_seed`` at ``position``, as
+    ``spawn`` makes it, built only here: a noise-free run never loads
+    ``numpy.random``.
     """
     if source.depends_on != "none" and source.depends_on not in conditions:
         raise ConfigurationError(
@@ -324,6 +327,7 @@ def _contribution_mm(
         r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])
         return r_ppm * nominal_m * 1e-3
     # gaussian-noise: a fresh draw per reading
+    seed = np.random.SeedSequence(noise_seed, spawn_key=(position,))
     return np.random.default_rng(seed).normal(0.0, source.sigma_mm, nominal_m.shape)
 
 
@@ -349,9 +353,8 @@ def simulate_repeated(
     nominal_m = np.full(n, float(true_value))
     contributions: dict[str, np.ndarray] = {}
     total_mm = np.zeros(n)
-    seeds = np.random.SeedSequence(noise_seed).spawn(len(sources))
-    for source, seed in zip(sources, seeds):
-        c = _contribution_mm(source, conditions, nominal_m, seed)
+    for position, source in enumerate(sources):
+        c = _contribution_mm(source, conditions, nominal_m, noise_seed, position)
         if source.name in contributions:
             raise ConfigurationError(f"duplicate source name {source.name!r}")
         contributions[source.name] = c
@@ -431,9 +434,8 @@ def simulate_differential(
     diff_contributions = {}
     total2_mm = np.zeros(len(legs))
     diff_mm = np.zeros(len(legs))
-    seeds = np.random.SeedSequence(noise_seed).spawn(len(sources))
-    for source, seed in zip(sources, seeds):
-        c = _contribution_mm(source, conditions, legs, seed)
+    for position, source in enumerate(sources):
+        c = _contribution_mm(source, conditions, legs, noise_seed, position)
         dc = c[:, 1] - c[:, 0]
         diff_contributions[source.name] = dc
         total2_mm = total2_mm + c[:, 0]
@@ -613,7 +615,7 @@ def _leg_pairs(pairs: list) -> LegPairs:
         ):
             raise ScenarioError(
                 f"at /differential/pairs/{i}: expected two numbers "
-                f"[s_ab, s_ac], got {json.dumps(pair)}"
+                f"[s_ab, s_ac], got {shorten(json.dumps(pair))}"
             )
         if not float(pair[1]) > float(pair[0]):
             raise ScenarioError(

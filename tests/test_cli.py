@@ -11,6 +11,7 @@ from errorkit import dataset
 from errorkit.cli import main
 
 import reference_values as ref
+from test_package import cli_run
 from test_simulate import MALFORMED_PAIRS, differential_scenario_text
 
 
@@ -857,3 +858,43 @@ class TestInputDigest:
         report = json.loads(result.output)
         want = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
         assert report["input_digest"] == want
+
+
+class TestFreshInterpreter:
+    """Each command imports what it runs. In a fresh interpreter, where
+    nothing else has loaded linsolve or numpy, the exit-3 mapping still
+    holds and an overflow prints its error line and no RuntimeWarning."""
+
+    def test_a_degenerate_fit_exits_3(self, tmp_path):
+        p = tmp_path / "collinear.csv"
+        p.write_text("# units: m\ns2,s1\n10,18\n30,38\n50,58\n70,78\n")
+        assert cli_run("fit", str(p), "--model", "cycle-diff")[:2] == (
+            3, "error: singular system: no usable pivot at elimination step 1 "
+            "(degenerate distance layout; legs must sample diverse phases)\n")
+
+    @pytest.mark.parametrize("argv, text, code, message", [
+        (["random-model"], "# units: m\ncondition,observed\n1,1e308\n2,1.5e308\n",
+         3, "result /mean is inf: the computation left the range of double precision"),
+        (["fit", "--model", "cycle"],
+         dataset.bundled_path("table2.csv").read_text().replace(
+             "6.0232,6.0232,6.0237", "6.0232,1e300,1.005e300"),
+         3, "result /residual_std is inf: the computation left the range of double "
+            "precision"),
+        (["simulate"], json.dumps({
+            "true_value": 5.0,
+            "sources": [{"name": n, "kind": "additive-constant", "c_mm": 1e308}
+                        for n in "ab"],
+            "schedule": {"repeats": 2, "generator": "constant",
+                         "conditions": {"distance": 5.0}}}),
+         2, "row 1, column 'observed': observed must be finite, got inf"),
+        # The arcsine draws overflow to inf and nan before the total is refused.
+        (["propagate", "--monte-carlo", "10000"], json.dumps({"components": [
+            {"name": "a", "std": 1.5e308, "unit": "mm", "shape": "arcsine"}]}),
+         3, "result /total_std_mm is inf: the computation left the range of double "
+            "precision"),
+    ], ids=["random-model", "fit", "simulate", "propagate"])
+    def test_an_overflow_prints_only_its_error_line(self, tmp_path, argv, text, code,
+                                                     message):
+        p = tmp_path / "input"
+        p.write_text(text)
+        assert cli_run(argv[0], str(p), *argv[1:])[:2] == (code, f"error: {message}\n")

@@ -117,3 +117,64 @@ def test_mutated_inputs_keep_the_exit_code_contract(case):
                 assert result.exit_code in (0, 2, 3), context
                 if result.exit_code == 0:
                     assert not NONFINITE_TOKEN.search(result.stdout), context
+
+
+# Values put in place of one node of a bundled scenario or budget: wrong
+# types, bounds and names, and containers and strings far longer than
+# an error line.
+NODE_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "distance", "random", 0, -1, 0.5,
+                     1e308, 2**63, [], [1.0], {}, {"x": 1}]),
+    st.integers(100, 3000).map(lambda n: [[10.0, 18.0]] * n),
+    st.integers(100, 3000).map(lambda n: "x" * n),
+    st.integers(10, 300).map(lambda n: {f"key{i}": i for i in range(n)}),
+)
+ERROR_LINE_MAX = 200
+
+
+def _node_paths(node, path=()):
+    """Paths to the root, every value under a key and the first three
+    items of each list."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = list(enumerate(node))[:3]
+    else:
+        return
+    for key, child in items:
+        yield from _node_paths(child, (*path, key))
+
+
+@st.composite
+def replaced_node(draw):
+    """(fixture name, text) of a bundled JSON file with one node replaced."""
+    name = draw(st.sampled_from(["table3_scenario.json", "budget_example.json"]))
+    doc = json.loads(dataset.bundled_path(name).read_text(encoding="utf-8"))
+    path = draw(st.sampled_from(list(_node_paths(doc))))
+    value = draw(NODE_VALUES)
+    if path:
+        _set(doc, path, value)
+    else:
+        doc = value
+    return name, json.dumps(doc)
+
+
+@settings(max_examples=150)
+@given(replaced_node())
+def test_an_input_error_is_one_short_line(case):
+    name, text = case
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        for command in COMMANDS[name]:
+            argv = [str(path) if arg == "{}" else arg for arg in command]
+            for extra in ([], ["--json"]):
+                result = runner.invoke(main, argv + extra)
+                context = f"{argv + extra}\n{text[:500]}\n{result.stderr[:500]}"
+                assert isinstance(result.exception, (SystemExit, type(None))), context
+                assert result.exit_code in (0, 2, 3), context
+                if result.exit_code == 2:
+                    assert result.stderr.count("\n") == 1, context
+                    assert len(result.stderr) <= ERROR_LINE_MAX, context

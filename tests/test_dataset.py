@@ -586,6 +586,19 @@ LOADERS = [dataset._read_csv, dataset.load_series, dataset.load_differential,
            dataset.load_differential_pairs]
 
 
+@pytest.mark.parametrize("br", BREAKS, ids=repr)
+def test_only_a_hash_among_the_data_lines_filters_them(tmp_path, br):
+    # The "#" search starts at the first data line, found from the
+    # widths of the line breaks before it.
+    path = tmp_path / "f.csv"
+    head = ["# units: m", "", "condition"]
+    path.write_text(br.join([*head, "5", "", "6"]) + br, encoding="utf-8", newline="")
+    assert dataset._read_csv(path)[2][0] == ["5", "", "6"]
+    path.write_text(br.join([*head, "5", "# note", "6"]) + br, encoding="utf-8",
+                    newline="")
+    assert dataset._read_csv(path)[2][0] == ["5", "6"]
+
+
 @st.composite
 def csv_files(draw):
     """The bytes of a CSV file: blank, whitespace-only and comment lines

@@ -14,7 +14,8 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from errorkit import dataset
-from errorkit._jsonfile import _KEYWORDS, _violation, first_nonfinite, read_json
+from errorkit._jsonfile import (
+    _KEYWORDS, _brief, _violation, first_nonfinite, read_json, shorten)
 from errorkit.budget import BUDGET_SCHEMA, BudgetError, load_budget
 from errorkit.simulate import SCENARIO_SCHEMA, ScenarioError, load_scenario
 
@@ -415,6 +416,31 @@ class TestViolations:
         with pytest.raises(ValueError) as raised:
             load(path)
         assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize("load, doc, message", [
+        (load_scenario, [[10.0, 18.0]] * 10**4,
+         "at /: [[10.0, 18.0], [10.0,... is not of type 'object'"),
+        (load_scenario, {"sources": [SOURCE], "differential": [[10.0, 18.0]] * 10**4},
+         "at /differential: [[10.0, 18.0], [10.0,... is not of type 'object'"),
+        (load_budget, {"components": [{**COMPONENT, "unit": "x" * 10**4}]},
+         "at /components/0/unit: 'xxxxxxxxxxxxxxxxxxxx... is not one of ['mm', 'ppm']"),
+        (load_budget, {"components": [], **{f"extra{i}": i for i in range(100)}},
+         "at /: Additional properties are not allowed ('extra0', 'extra1', '... were "
+         "unexpected)"),
+    ], ids=["root", "differential", "enum", "additionalProperties"])
+    def test_a_long_value_is_cut(self, tmp_path, load, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as raised:
+            load(path)
+        assert str(raised.value) == message
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers() | st.text(),
+        lambda inner: st.lists(inner, max_size=40) | st.dictionaries(st.text(), inner),
+        max_leaves=60))
+    def test_a_cut_repr_is_the_whole_reprs_cut(self, value):
+        assert _brief(value) == shorten(repr(value))
 
     def test_a_rejection_raises_the_given_error(self, tmp_path):
         class Refused(Exception):

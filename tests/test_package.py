@@ -60,20 +60,27 @@ def _run(code, *args):
                           text=True, check=True, env=env)
 
 
-def run_cli(*argv):
-    """(exit code, stderr, jsonschema imported?) of ``errorkit argv`` run
-    in a fresh interpreter."""
+def cli_run(*argv):
+    """(exit code, stderr, names of the loaded modules) of ``errorkit argv``
+    run in a fresh interpreter."""
     done = _run(
         "import sys\n"
         "from errorkit.cli import main\n"
         "try:\n"
         "    main(sys.argv[1:])\n"
         "except SystemExit as stop:\n"
-        "    print(stop.code, 'jsonschema' in sys.modules)\n",
+        "    print(stop.code, *sys.modules)\n",
         *argv,
     )
-    code, imported = done.stdout.split()[-2:]
-    return int(code), done.stderr, imported == "True"
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), done.stderr, set(modules)
+
+
+def run_cli(*argv):
+    """(exit code, stderr, jsonschema imported?) of ``errorkit argv`` run
+    in a fresh interpreter."""
+    code, stderr, modules = cli_run(*argv)
+    return code, stderr, "jsonschema" in modules
 
 
 def loaded_after(statement):
@@ -91,11 +98,9 @@ class TestImports:
         assert loaded_after("import errorkit") == set()
 
     def test_cli_imports_only_what_its_start_up_needs(self):
-        # simulate, budget and distributions wait for a command; _jsonfile
-        # imports only json, sys and pathlib.
-        assert loaded_after("import errorkit.cli") == {
-            "errorkit.cli", "errorkit.dataset", "errorkit.regression",
-            "errorkit.linsolve", "errorkit._jsonfile"}
+        # Each command imports the modules it runs; _jsonfile imports only
+        # the standard library.
+        assert loaded_after("import errorkit.cli") == {"errorkit.cli", "errorkit._jsonfile"}
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "table3_scenario.json", "--regen-table3", "--classify"],
@@ -115,6 +120,46 @@ class TestImports:
             "('wobble_mm' was unexpected)\n",
             False,
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["--help"], ["propagate", "--help"],
+        ["propagate", "budget_example.json"],
+        ["propagate", "budget_example.json", "--json"],
+    ])
+    def test_a_run_without_arrays_loads_no_numpy(self, argv):
+        code, stderr, modules = cli_run(*argv)
+        assert (code, stderr) == (0, "")
+        assert "numpy" not in modules
+        # Only --json digests the input.
+        assert ("hashlib" in modules) == ("--json" in argv)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"components": [}', "budget.json: line 1 column 17: Expecting value"),
+        ('{"components": {}}', "at /components: {} is not of type 'array'"),
+        ('{"components": [{"name": "a", "std": -1, "unit": "mm"}]}',
+         "at /components/0/std: -1 is less than the minimum of 0"),
+    ], ids=["syntax", "type", "minimum"])
+    def test_a_rejected_budget_loads_no_numpy(self, tmp_path, text, message):
+        path = tmp_path / "budget.json"
+        path.write_text(text)
+        code, stderr, modules = cli_run("propagate", str(path), "--monte-carlo", "10000")
+        assert (code, stderr) == (2, f"error: {message}\n")
+        assert "numpy" not in modules
+
+    def test_a_noise_free_run_loads_no_numpy_random(self):
+        code, stderr, modules = cli_run(
+            "simulate", "table3_scenario.json", "--regen-table3", "--classify")
+        assert (code, stderr) == (0, "")
+        assert "numpy" in modules
+        assert "numpy.random" not in modules
+        assert run_python(
+            "import sys\n"
+            "from errorkit.simulate import ErrorSource, simulate_differential\n"
+            "cycle = ErrorSource(name='cycle', kind='cycle', amplitude_mm=5.0)\n"
+            "offset = ErrorSource(name='offset', kind='additive-constant', c_mm=1.0)\n"
+            "run = simulate_differential(cycle, [(10.0, 18.0), (12.0, 21.0)], [offset])\n"
+            "print(len(run.rows), 'numpy.random' in sys.modules)\n"
+        ) == "2 False\n"
 
     def test_submodule_attribute_after_a_bare_import(self):
         assert run_python(

@@ -252,6 +252,22 @@ class TestSimulateRepeated:
         assert a.series.observed == b.series.observed
         assert a.series.observed != c.series.observed
 
+    @pytest.mark.parametrize("seed", [0, 4, 11, 2**32 + 5, 2**63])
+    def test_a_noise_stream_is_the_spawned_child(self, seed):
+        # A noise source builds only its own child seed; its draws must be
+        # those of the child that spawning one per source gives.
+        children = np.random.SeedSequence(seed).spawn(5)
+        for position, child in enumerate(children):
+            own = np.random.SeedSequence(seed, spawn_key=(position,))
+            assert np.array_equal(np.random.default_rng(own).normal(size=16),
+                                  np.random.default_rng(child).normal(size=16))
+        sources = [ErrorSource.additive_constant(1.0), campaign_cycle(),
+                   ErrorSource.gaussian_noise(0.5)]
+        run = simulate_repeated(sources, ConditionSchedule.constant(50, distance=10.0),
+                                10.0, noise_seed=seed)
+        want = np.random.default_rng(children[2]).normal(0.0, 0.5, 50)
+        assert np.array_equal(run.contributions[sources[2].name], want)
+
     def test_single_condition_becomes_the_series_axis(self):
         schedule = ConditionSchedule.listed(temperature=[18.0, 20.0, 22.0])
         run = simulate_repeated(
@@ -749,9 +765,10 @@ def reference_leg_pairs(pairs):
             and type(pair[0]) in (int, float)
             and type(pair[1]) in (int, float)
         ):
+            text = json.dumps(pair)  # cut to one short line
             raise ScenarioError(
                 f"at /differential/pairs/{i}: expected two numbers "
-                f"[s_ab, s_ac], got {json.dumps(pair)}"
+                f"[s_ab, s_ac], got {text if len(text) <= 24 else text[:21] + '...'}"
             )
         s_ab, s_ac = float(pair[0]), float(pair[1])
         if not s_ac > s_ab:
