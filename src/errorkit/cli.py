@@ -163,6 +163,8 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
 
 def _write_fit_points(path, series, samples, model, condition_format, error_unit):
     """Write each sample with the model's fitted value and the residual."""
+    import numpy as np
+
     from . import dataset
 
     condition, error = samples.columns
@@ -172,7 +174,7 @@ def _write_fit_points(path, series, samples, model, condition_format, error_unit
         f"condition={series.condition_unit} observed={error_unit}",
         "condition,observed,fitted,residual",
         [condition_format + ",%g,%.6f,%.6f"] * len(fitted),
-        list(zip(condition, error, fitted, error - fitted)),
+        np.column_stack((condition, error, fitted, error - fitted)),
     )
 
 
