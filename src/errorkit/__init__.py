@@ -11,6 +11,9 @@ whole chain as batch commands.
 
 Importing the package loads none of these modules: each public name
 imports the module that owns it on first use (PEP 562).
+:class:`SingularSystemError`, which ``linsolve`` raises and re-exports,
+is defined here, so the command line maps it to its exit code without
+loading numpy.
 """
 
 import importlib
@@ -49,6 +52,22 @@ _EXPORTS = {
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = ["__version__", *_OWNER]
+
+
+class SingularSystemError(Exception):
+    """The matrix is singular or numerically rank deficient.
+
+    Attributes:
+        pivot_index: elimination step (0-based) where no usable pivot
+            remained.
+    """
+
+    def __init__(self, pivot_index: int, detail: str = ""):
+        self.pivot_index = pivot_index
+        message = f"singular system: no usable pivot at elimination step {pivot_index}"
+        if detail:
+            message += f" ({detail})"
+        super().__init__(message)
 
 
 def __getattr__(name):

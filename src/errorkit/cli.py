@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import SingularSystemError, __version__
 from ._jsonfile import bundled_path, first_nonfinite
 
 EXIT_INPUT_ERROR = 2
@@ -51,9 +51,7 @@ def _exit_on_failure():
     """Map library exceptions onto the stable exit-code contract."""
     try:
         yield
-    # Looked up as an exception arrives: only linsolve raises it, so it is
-    # loaded by then, and otherwise () matches nothing.
-    except getattr(sys.modules.get("errorkit.linsolve"), "SingularSystemError", ()) as exc:
+    except SingularSystemError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
     except MemoryError as exc:
@@ -161,23 +159,6 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
         ], ["relative std is undefined: the mean is 0"] if relative is None else ())
 
 
-def _write_fit_points(path, series, samples, model, condition_format, error_unit):
-    """Write each sample with the model's fitted value and the residual."""
-    import numpy as np
-
-    from . import dataset
-
-    condition, error = samples.columns
-    fitted = [model(c) for c in condition.tolist()]
-    dataset.write_table(
-        path,
-        f"condition={series.condition_unit} observed={error_unit}",
-        "condition,observed,fitted,residual",
-        [condition_format + ",%g,%.6f,%.6f"] * len(fitted),
-        np.column_stack((condition, error, fitted, error - fitted)),
-    )
-
-
 @main.command("fit")
 @click.argument("input_csv")
 @click.option(
@@ -236,7 +217,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"dof {model.dof}")
             if emit_series:
                 _refuse_nonfinite(report_body)
-                _write_fit_points(emit_series, series, samples, model, "%g", "ppm")
+                dataset.write_fit_points(emit_series, series, samples, model, "%g", "ppm")
         elif model_name == "cycle":
             series = dataset.load_series(path)
             samples = dataset.to_error_samples(series, "explicit-reference")
@@ -250,7 +231,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"dof {model.dof}")
             if emit_series:
                 _refuse_nonfinite(report_body)
-                _write_fit_points(emit_series, series, samples, model, "%.4f", "mm")
+                dataset.write_fit_points(emit_series, series, samples, model, "%.4f", "mm")
         else:
             rows_in = dataset.load_differential(path)
             model = regression.fit_cycle_differential(rows_in, wavelength)

@@ -747,6 +747,20 @@ def write_differential_csv(
                 np.column_stack((s_ab, s_ac, s2, s1)))
 
 
+def write_fit_points(path, series, samples, model, condition_format, error_unit):
+    """Write each sample with the model's fitted value and the residual
+    (``fit --emit-series``)."""
+    condition, error = samples.columns
+    fitted = [model(c) for c in condition.tolist()]
+    write_table(
+        path,
+        f"condition={series.condition_unit} observed={error_unit}",
+        "condition,observed,fitted,residual",
+        [condition_format + ",%g,%.6f,%.6f"] * len(fitted),
+        np.column_stack((condition, error, fitted, error - fitted)),
+    )
+
+
 def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSamples:
     """Convert a series to (condition, error) samples.
 

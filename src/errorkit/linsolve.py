@@ -22,6 +22,8 @@ from operator import mul
 
 import numpy as np
 
+from . import SingularSystemError
+
 __all__ = ["NormalEquations", "SingularSystemError", "solve"]
 
 # A pivot this much smaller than the largest initial pivot candidate is
@@ -29,22 +31,6 @@ __all__ = ["NormalEquations", "SingularSystemError", "solve"]
 _SINGULAR_RTOL = 1e-12
 
 _REFINEMENT_SWEEPS = 2
-
-
-class SingularSystemError(Exception):
-    """The matrix is singular or numerically rank deficient.
-
-    Attributes:
-        pivot_index: elimination step (0-based) where no usable pivot
-            remained.
-    """
-
-    def __init__(self, pivot_index: int, detail: str = ""):
-        self.pivot_index = pivot_index
-        message = f"singular system: no usable pivot at elimination step {pivot_index}"
-        if detail:
-            message += f" ({detail})"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -76,13 +76,6 @@ def cli_run(*argv):
     return int(code), done.stderr, set(modules)
 
 
-def run_cli(*argv):
-    """(exit code, stderr, jsonschema imported?) of ``errorkit argv`` run
-    in a fresh interpreter."""
-    code, stderr, modules = cli_run(*argv)
-    return code, stderr, "jsonschema" in modules
-
-
 def loaded_after(statement):
     """errorkit submodules and jsonschema modules loaded by ``statement``."""
     return set(run_python(
@@ -107,19 +100,22 @@ class TestImports:
         ["propagate", "budget_example.json"],
     ])
     def test_a_valid_file_does_not_import_jsonschema(self, argv):
-        assert run_cli(*argv) == (0, "", False)
+        code, stderr, modules = cli_run(*argv)
+        assert (code, stderr) == (0, "")
+        assert "jsonschema" not in modules
 
     def test_a_rejected_file_is_worded_without_jsonschema(self, tmp_path):
         scenario = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
         scenario["sources"][0]["wobble_mm"] = 0.1
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
-        assert run_cli("simulate", str(path)) == (
+        code, stderr, modules = cli_run("simulate", str(path))
+        assert (code, stderr) == (
             2,
             "error: at /sources/0: Additional properties are not allowed "
             "('wobble_mm' was unexpected)\n",
-            False,
         )
+        assert "jsonschema" not in modules
 
     @pytest.mark.parametrize("argv", [
         ["--version"], ["--help"], ["propagate", "--help"],
@@ -151,6 +147,9 @@ class TestImports:
             "simulate", "table3_scenario.json", "--regen-table3", "--classify")
         assert (code, stderr) == (0, "")
         assert "numpy" in modules
+        # numpy 1.x imports numpy.random with numpy itself; 2.x on first use.
+        if run_python("import sys, numpy\nprint('numpy.random' in sys.modules)\n") != "False\n":
+            pytest.skip("this numpy loads numpy.random on import")
         assert "numpy.random" not in modules
         assert run_python(
             "import sys\n"

@@ -301,7 +301,7 @@ def test_fit_points_match_the_csv_module_writer(
     series = MeasurementSeries.from_columns(
         condition, np.ones(n), condition_unit=condition_unit, value_unit="m")
     got, want = (tmp_path_factory.mktemp("fit") / name for name in ("got", "want"))
-    cli._write_fit_points(got, series, samples, model, condition_format, "ppm")
+    dataset.write_fit_points(got, series, samples, model, condition_format, "ppm")
     reference_fit_points(want, series, samples, model, condition_format, "ppm")
     assert got.read_bytes() == want.read_bytes()
 
