@@ -182,7 +182,8 @@ def read_json(path, schema: dict, error: type[Exception]):
     A leading UTF-8 byte-order mark is skipped. A file that is not UTF-8
     text raises ``error`` with the message of :func:`not_utf8`; one that
     is not JSON raises ``error`` naming the file, the line and the
-    column. A number that is not a finite double raises ``error`` naming the
+    column, and one nested deeper than ``json``'s recursion limit
+    raises ``error`` naming the file. A number that is not a finite double raises ``error`` naming the
     file, the location and the token; values that parse are exactly
     what ``json.loads`` gives. One byte scan proves a text's numbers
     finite, or sends it to a hook on every token. A document that
@@ -216,6 +217,8 @@ def read_json(path, schema: dict, error: type[Exception]):
         raw = json.loads(text, parse_constant=finite(float), **hooks)
     except json.JSONDecodeError as exc:
         raise error(f"{path.name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise error(f"{path.name}: nested deeper than the parser allows") from None
     # A duplicate key can shadow a rejected token, so look in what parsed
     # and word the token that parsed to the value found there.
     found = first_nonfinite(raw) if bad else None

@@ -207,6 +207,10 @@ def _chunk_draws(c: BudgetComponent, shape: str, rng):
     if shape == "uniform":
         # half-width sqrt(3)*std for matching variance
         half = c.std * math.sqrt(3.0)
+        if not math.isfinite(2.0 * half):  # rng.uniform needs a finite high - low
+            raise OverflowError(
+                f"component {c.name!r}: uniform range of half-width {half:.6g} "
+                f"{c.unit} leaves the range of double precision")
         return lambda m: rng.uniform(-half, half, m)
     raise BudgetError(f"component {c.name!r}: unknown shape {shape!r}")
 
@@ -246,6 +250,8 @@ def monte_carlo_std(
 
     Raises:
         BudgetError: n out of range or an unknown shape name.
+        OverflowError: a uniform component whose range, twice its
+            half-width, is not a finite double.
     """
     if n < 10**4:
         raise BudgetError(f"need n >= 10^4 draws for a stable estimate, got {n}")

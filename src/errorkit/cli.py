@@ -51,7 +51,7 @@ def _exit_on_failure():
     """Map library exceptions onto the stable exit-code contract."""
     try:
         yield
-    except SingularSystemError as exc:
+    except (SingularSystemError, OverflowError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
     except MemoryError as exc:

@@ -34,8 +34,9 @@ the nominal leg pairs of a differential campaign (:class:`LegPairs`,
 items :class:`LegPair`).  Every CSV errorkit writes, the command
 line's ``--emit-series`` files included, goes through
 :func:`write_table`: a ``# units:`` line, the header, and a body
-formatted with one ``%`` over the interleaved columns, its format
-string made of one line template per row.
+written in blocks of lines, each formatted with one ``%`` over its
+cells of the interleaved columns, its format string made of one line
+template per row.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +91,8 @@ _UNIT_FORMATS = {
     "mm": "%.4f",
     "ppm": "%g",
 }
+# write_table formats and writes the body _BLOCK_LINES lines at a time.
+_BLOCK_LINES = 2048
 
 
 class DatasetError(ValueError):
@@ -690,16 +694,20 @@ def load_differential_pairs(path) -> LegPairs:
 
 def write_table(path, units: str, header: str, templates, values) -> None:
     """Write a CSV in errorkit's layout: the ``# units:`` line, the
-    header, then one body line per template.
+    header, then one body line per template, each ended by a newline.
 
-    The body is the templates joined by newlines, formatted with one
-    ``%`` over ``np.ravel(values)``, the cells of every line in file
-    order.
+    ``np.ravel(values)`` holds the cells of every line in file order.
+    The body is formatted and written ``_BLOCK_LINES`` lines at a time,
+    one ``%`` per block, so memory does not grow with the line count.
     """
-    body = "\n".join(templates) % tuple(np.ravel(values).tolist())
-    head = [f"# units: {units}", header]
-    Path(path).write_text("\n".join([*head, body] if body else head) + "\n",
-                          encoding="utf-8")
+    cells, templates = np.ravel(values), iter(templates)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"# units: {units}\n{header}\n")
+        at = 0
+        while block := "\n".join(islice(templates, _BLOCK_LINES)):
+            n = block.count("%")
+            out.write(block % tuple(cells[at:at + n].tolist()) + "\n")
+            at += n
 
 
 def write_series_csv(series: MeasurementSeries, path) -> None:

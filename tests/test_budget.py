@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import jsonschema
@@ -226,6 +227,23 @@ class TestMonteCarlo:
         )
         estimate = monte_carlo_std(budget, n=100_000, seed=123)
         assert estimate == pytest.approx(2.5, rel=0.02)
+
+    @pytest.mark.parametrize("std", [1.2e308, 6e307])
+    def test_uniform_range_past_the_double_range_is_refused(self, std):
+        # rng.uniform needs a finite high - low, 2 * sqrt(3) * std.
+        budget = ErrorBudget(components=(
+            BudgetComponent(name="ok", std=1.0),
+            BudgetComponent(name="wide", std=std, shape="uniform"),
+        ))
+        with pytest.raises(OverflowError, match="^component 'wide': uniform range "):
+            monte_carlo_std(budget, n=10_000, seed=1)
+
+    def test_widest_uniform_range_draws(self):
+        # Half-width just under max/2: high - low is finite.
+        std = math.nextafter(sys.float_info.max / 2 / math.sqrt(3.0), 0.0)
+        budget = ErrorBudget(
+            components=(BudgetComponent(name="wide", std=std, shape="uniform"),))
+        assert math.isfinite(monte_carlo_std(budget, n=10_000, seed=1))
 
     def test_arcsine_draws_are_pinned_bit_for_bit(self):
         # The value of the inline A*sin(uniform(0, 2*pi)) draw that

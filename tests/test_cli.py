@@ -185,6 +185,16 @@ class TestInputErrors:
             "error: input.json: line 2 column 3: Expecting property name enclosed in "
             "double quotes\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "propagate"])
+    def test_json_nested_past_the_recursion_limit(self, runner, tmp_path, command):
+        # json.loads raises RecursionError, which is not a JSONDecodeError.
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 10**5 + "]" * 10**5)
+        result = runner.invoke(main, [command, str(p)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: deep.json: nested deeper than the parser allows\n"
+
     @pytest.mark.parametrize("command, fixture", [
         ("simulate", "table3_scenario.json"), ("propagate", "budget_example.json"),
     ])
@@ -267,6 +277,23 @@ class TestNonfiniteResults:
             main, ["simulate", scenario, "--classify", "--emit-series", str(out)]
         )
         self._refused_without_file(result, out, "/effects/up/mean_mm")
+
+    @pytest.mark.parametrize("std", [1.2e308, 6e307])
+    @pytest.mark.parametrize("shape", ["gaussian", "arcsine", "uniform"])
+    def test_overflowing_monte_carlo_component(self, runner, tmp_path, shape, std):
+        # A uniform range twice past 5.2e307 is refused before drawing;
+        # the other shapes draw and overflow the closed-form total.
+        p = tmp_path / "budget.json"
+        p.write_text(json.dumps({"components": [
+            {"name": "a", "std": std, "unit": "mm", "shape": shape}]}))
+        result = runner.invoke(main, ["propagate", str(p), "--monte-carlo", "10000"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        if shape == "uniform":
+            assert result.stderr.startswith("error: component 'a': uniform range ")
+        else:
+            assert result.stderr.startswith("error: result /total_std_mm is inf")
 
     def test_overflowing_mean(self, runner, huge_csv):
         result = runner.invoke(main, ["random-model", huge_csv])

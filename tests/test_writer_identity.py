@@ -7,6 +7,10 @@ iterating ``rows``, one unit format per cell.  The writers format from
 the stored columns and must give the same file, byte for byte, for
 every size from an empty body up.
 
+The writers format and write the body ``dataset._BLOCK_LINES`` lines at
+a time; the files are the same on either side of a block boundary, and
+a writer's traced memory stays a few column copies.
+
 ``reference_plot_series`` and the two writers over it are the
 ``fit --emit-series`` writers as they were when the command line wrote
 its CSV with the ``csv`` module, one sample at a time; their ``\r\n``
@@ -16,6 +20,7 @@ row endings are mapped to the ``\n`` every other errorkit file uses.
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +234,97 @@ def test_empty_series_and_campaign_are_the_header_lines(tmp_path):
     for pairs, rows in [(LegPairs([], []), DifferentialRows([], [])), ([], [])]:
         dataset.write_differential_csv(pairs, rows, out, units="mm")
         assert out.read_text() == "# units: mm\ns_ab,s_ac,s2,s1\n"
+
+
+B = dataset._BLOCK_LINES
+BLOCK_SIZES = [0, B - 1, B, B + 1, 2 * B + 1]
+
+
+def _series(n, reference, seed=5):
+    rng = np.random.default_rng(seed)
+    observed = rng.uniform(9.0, 11.0, n)
+    ref = observed * (1.0 + rng.uniform(-5e-3, 5e-3, n))
+    if reference == "absent":
+        ref[:] = math.nan
+    elif reference == "partly blank":
+        ref[rng.random(n) < 0.5] = math.nan
+    return MeasurementSeries.from_columns(
+        _values(rng, n, 1), observed, ref, condition_unit="degC", value_unit="m")
+
+
+def _campaign(n, seed=6):
+    rng = np.random.default_rng(seed)
+    s_ab = rng.uniform(0.0, 500.0, n)
+    s2 = _values(rng, n, 2)
+    return LegPairs(s_ab, s_ab + rng.uniform(0.01, 50.0, n)), DifferentialRows(
+        s2 + np.abs(_values(rng, n, 2)) + 1.0, s2)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("reference", ["full", "partly blank", "absent"])
+def test_series_writer_across_block_boundaries(tmp_path, n, reference):
+    _same_file(tmp_path, dataset.write_series_csv, reference_series_csv,
+               _series(n, reference))
+
+
+def test_missing_references_straddling_a_block_boundary(tmp_path):
+    series = _series(2 * B + 1, "full")
+    observed, reference = series.columns.observed, series.columns.reference.copy()
+    reference[[B - 2, B - 1, B, B + 1, 2 * B]] = math.nan
+    series = MeasurementSeries.from_columns(
+        series.columns.condition, observed, reference,
+        condition_unit="degC", value_unit="m")
+    _same_file(tmp_path, dataset.write_series_csv, reference_series_csv, series)
+    assert tmp_path.joinpath("got.csv").read_text().count(",\n") == 5
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("as_records", [False, True])
+def test_differential_writer_across_block_boundaries(tmp_path, n, as_records):
+    pairs, rows = _campaign(n)
+    if as_records:
+        pairs, rows = list(pairs), list(rows)
+    _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
+               pairs, rows, units="mm")
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_fit_points_across_block_boundaries(tmp_path, n):
+    rng = np.random.default_rng(7)
+    condition = rng.uniform(-30.0, 60.0, 20)
+    model = regression.fit_polynomial(
+        ErrorSamples(condition, _values(rng, 20, 1)), degree=3)
+    samples = ErrorSamples(rng.uniform(-30.0, 60.0, n), _values(rng, n, 1))
+    series = _series(n, "absent")
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataset.write_fit_points(got, series, samples, model, "%g", "ppm")
+    reference_fit_points(want, series, samples, model, "%g", "ppm")
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _traced_peak(write, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", ["series full", "series partly blank", "differential"])
+def test_writer_memory_does_not_grow_with_the_rows(tmp_path, writer):
+    # A few float64 column copies (8 bytes a cell) and a template
+    # pointer a row; the cells' Python floats live one block at a time.
+    n = 200_000
+    out = tmp_path / "out.csv"
+    if writer == "differential":
+        peak = _traced_peak(dataset.write_differential_csv, *_campaign(n), out)
+    else:
+        peak = _traced_peak(dataset.write_series_csv,
+                            _series(n, writer.removeprefix("series ")), out)
+    assert out.read_text().count("\n") == n + 2
+    assert peak <= 64 * n
 
 
 def test_contributions_are_the_same_python_floats():
