@@ -183,10 +183,11 @@ def read_json(path, schema: dict, error: type[Exception]):
     text raises ``error`` with the message of :func:`not_utf8`; one that
     is not JSON raises ``error`` naming the file, the line and the
     column, and one nested deeper than ``json``'s recursion limit
-    raises ``error`` naming the file. A number that is not a finite double raises ``error`` naming the
-    file, the location and the token; values that parse are exactly
-    what ``json.loads`` gives. One byte scan proves a text's numbers
-    finite, or sends it to a hook on every token. A document that
+    raises ``error`` naming the file. A number that is not a finite
+    double raises ``error`` naming the file, the location and the
+    token; values that parse are exactly what ``json.loads`` gives.
+    One byte scan proves a text's numbers finite, or sends it to a hook
+    on every token. A document that
     violates ``schema`` raises ``error("at <pointer>: <message>")`` for
     the first violation in walk order.
     """

@@ -698,7 +698,8 @@ def write_table(path, units: str, header: str, templates, values) -> None:
 
     ``np.ravel(values)`` holds the cells of every line in file order.
     The body is formatted and written ``_BLOCK_LINES`` lines at a time,
-    one ``%`` per block, so memory does not grow with the line count.
+    one ``%`` per block, so the text held does not grow with the line
+    count.
     """
     cells, templates = np.ravel(values), iter(templates)
     with open(path, "w", encoding="utf-8") as out:
