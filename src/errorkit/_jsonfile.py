@@ -19,11 +19,14 @@ The schema check is a small walker over the keywords the bundled
 schemas use, with JSON Schema Draft 2020-12 meaning. It names the first
 violation in walk order, worded as the Python JSON Schema validator
 (4.26) words that keyword, except that a value or token longer than 24
-characters is cut to its first 21 and ``...``: an error is one short line.
+characters is cut to its first 21 and ``...``, and a pointer longer than
+48 to its first 22, ``...`` and its last 23: an error is one short line.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import sys
 from importlib import resources
@@ -42,6 +45,24 @@ def bundled_path(name: str) -> Path:
 def shorten(text: str) -> str:
     """``text``, or its first 21 characters and ``...`` if over 24."""
     return text if len(text) <= 24 else text[:21] + "..."
+
+
+def _cut_pointer(pointer: str) -> str:
+    return pointer if len(pointer) <= 48 else pointer[:22] + "..." + pointer[-23:]
+
+
+def gc_paused(loader):
+    """``loader`` with the cyclic garbage collector paused: it builds no cycles."""
+    @functools.wraps(loader)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return loader(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _brief(value) -> str:
@@ -225,10 +246,11 @@ def read_json(path, schema: dict, error: type[Exception]):
     found = first_nonfinite(raw) if bad else None
     if found is not None:
         token = next(token for token, value in bad if value is found[1])
-        raise error(f"{path.name}: at {found[0]}: {shorten(token)} is not a finite number")
+        raise error(
+            f"{path.name}: at {_cut_pointer(found[0])}: {shorten(token)} is not a finite number")
 
     violation = _violation(schema, raw)
     if violation is not None:
         message, *keys = violation
-        raise error(f"at /{'/'.join(map(str, reversed(keys)))}: {message}")
+        raise error(f"at {_cut_pointer('/' + '/'.join(map(str, reversed(keys))))}: {message}")
     return raw

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._jsonfile import read_json
+from ._jsonfile import gc_paused, read_json
 from .distributions import ArcsineDistribution, sample
 
 __all__ = [
@@ -291,6 +291,7 @@ def monte_carlo_std(
     return math.ldexp(math.sqrt(m2 / (n - 1)), k)
 
 
+@gc_paused
 def load_budget(path) -> ErrorBudget:
     """Load and validate a budget JSON file."""
     raw = read_json(path, BUDGET_SCHEMA, BudgetError)

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import bundled_path, not_utf8
+from ._jsonfile import bundled_path, gc_paused, not_utf8
 
 __all__ = [
     "DatasetError",
@@ -618,6 +618,7 @@ def _checked_prefix(build, columns):
     raise first
 
 
+@gc_paused
 def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
     """Load a measurement series from CSV.
 
@@ -666,6 +667,7 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
     return _checked_prefix(build, _read_columns(block, specs))
 
 
+@gc_paused
 def load_differential(path) -> DifferentialRows:
     """Load a four-column differential campaign CSV (s_ab,s_ac,s2,s1).
 
@@ -679,6 +681,7 @@ def load_differential(path) -> DifferentialRows:
         block, [(index[name], name, False) for name in ("s1", "s2")]))
 
 
+@gc_paused
 def load_differential_pairs(path) -> LegPairs:
     """Return the nominal (s_ab, s_ac) leg pairs of a differential CSV.
 

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._jsonfile import read_json, shorten
+from ._jsonfile import gc_paused, read_json, shorten
 from .dataset import DifferentialRows, LegPairs, MeasurementSeries
 
 __all__ = [
@@ -654,6 +654,7 @@ class Scenario:
         )
 
 
+@gc_paused
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file.
 

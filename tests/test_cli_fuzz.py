@@ -12,6 +12,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,31 @@ def test_an_input_error_is_one_short_line(case):
                 if result.exit_code == 2:
                     assert result.stderr.count("\n") == 1, context
                     assert len(result.stderr) <= ERROR_LINE_MAX, context
+
+
+def _deep_budget(depth):
+    return '{"components": ' + "[" * depth + "1e999" + "]" * depth + "}"
+
+
+def _long_key_scenario(value):
+    return json.dumps({
+        "true_value": 10.0,
+        "sources": [{"name": "c", "kind": "additive-constant", "c_mm": 0.1}],
+        "schedule": {"repeats": 3, "generator": "uniform-random", "seed": 1,
+                     "ranges": {"x" * 3000: value}},
+    })
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("propagate", "budget_example.json", _deep_budget(600)),
+    ("simulate", "table3_scenario.json", _long_key_scenario([1.0, "a"])),
+    ("simulate", "table3_scenario.json", _long_key_scenario([1.0, 1e999])),
+], ids=["deep non-finite", "long key violation", "long key non-finite"])
+def test_a_long_pointer_still_makes_one_short_line(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    for extra in ([], ["--json"]):
+        result = CliRunner().invoke(main, [command, str(path), *extra])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.count("\n") == 1, result.stderr[:500]
+        assert len(result.stderr) <= ERROR_LINE_MAX, result.stderr[:500]

@@ -15,7 +15,7 @@ from jsonschema.exceptions import best_match
 
 from errorkit import dataset
 from errorkit._jsonfile import (
-    _KEYWORDS, _brief, _violation, first_nonfinite, read_json, shorten)
+    _KEYWORDS, _brief, _cut_pointer, _violation, first_nonfinite, read_json, shorten)
 from errorkit.budget import BUDGET_SCHEMA, BudgetError, load_budget
 from errorkit.simulate import SCENARIO_SCHEMA, ScenarioError, load_scenario
 
@@ -193,6 +193,35 @@ def _subschemas(schema):
                 *(schema[key] for key in ("items", "additionalProperties")
                   if isinstance(schema.get(key), dict))):
         yield from _subschemas(sub)
+
+
+class TestPointerCut:
+    @pytest.mark.parametrize("pointer", ["/", "/differential/pairs/9999", "/ab" * 16])
+    def test_a_pointer_of_48_characters_or_fewer_is_kept(self, pointer):
+        assert _cut_pointer(pointer) == pointer
+
+    def test_a_longer_pointer_keeps_its_head_and_tail(self):
+        cut = _cut_pointer("/components" + "/0" * 600 + "/7")
+        assert cut == "/components/0/0/0/0/0/...0/0/0/0/0/0/0/0/0/0/0/7"
+        assert len(cut) == 48
+
+    def test_deep_nonfinite_number(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"components": ' + "[" * 600 + "1e999" + "]" * 600 + "}")
+        with pytest.raises(BudgetError) as raised:
+            load_budget(path)
+        assert str(raised.value) == (
+            "deep.json: at /components/0/0/0/0/0/...0/0/0/0/0/0/0/0/0/0/0/0: "
+            "1e999 is not a finite number")
+
+    def test_long_key_violation(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"sources": [SOURCE], "schedule": {
+            **SCHEDULE, "ranges": {"x" * 3000: [0.0]}}}))
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(path)
+        assert str(raised.value) == (
+            "at /schedule/ranges/xxxxx..." + "x" * 23 + ": [0.0] is too short")
 
 
 class TestSchemaChecker:
