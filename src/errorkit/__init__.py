@@ -24,10 +24,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dataset": (
         "ColumnSchema", "DatasetError", "DifferentialRow", "EmptyInputError",
-        "ErrorSample", "MalformedRowError", "MeasurementRow",
-        "MeasurementSeries", "bundled_path", "differences", "load_differential",
-        "load_differential_pairs", "load_series", "to_error_samples",
-        "write_differential_csv", "write_series_csv",
+        "ErrorSample", "MalformedRowError", "MeasurementSeries", "bundled_path",
+        "load_differential", "load_differential_pairs", "load_series",
+        "to_error_samples", "write_differential_csv", "write_series_csv",
     ),
     "linsolve": ("NormalEquations", "SingularSystemError", "solve"),
     "regression": (

@@ -328,9 +328,9 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                 )
                 total = 2 * len(fixture)
                 matches = sum(
-                    ("%.4f" % got.s2 == "%.4f" % want.s2)
-                    + ("%.4f" % got.s1 == "%.4f" % want.s1)
-                    for got, want in zip(run.rows, fixture)
+                    "%.4f" % got == "%.4f" % want
+                    for got_leg, want_leg in zip(run.rows.columns, fixture.columns)
+                    for got, want in zip(got_leg.tolist(), want_leg.tolist())
                 )
                 results["regen_matches"] = matches
                 results["regen_total"] = total

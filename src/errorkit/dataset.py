@@ -27,11 +27,12 @@ with Python's ``float()``; that reader alone locates errors.  The
 first bad row, in file order, is reported as a
 :class:`MalformedRowError` naming its 1-based row and its column.  A
 leading UTF-8 byte-order mark is ignored; any other byte that is not
-UTF-8 is reported with its line.  Row objects
-(:class:`MeasurementRow`, :class:`ErrorSample`, :class:`DifferentialRow`)
-are built from the columns only when a caller reads them, and so are
-the nominal leg pairs of a differential campaign (:class:`LegPairs`,
-items :class:`LegPair`).  Every CSV errorkit writes, the command
+UTF-8 is reported with its line.  A series is only its columns, and
+:meth:`MeasurementSeries.from_columns` is its one checked constructor.
+The items of error samples (:class:`ErrorSample`), of differential
+readings (:class:`DifferentialRow`) and of the nominal leg pairs of a
+differential campaign (:class:`LegPair`) are built from the columns
+only when a caller reads them.  Every CSV errorkit writes, the command
 line's ``--emit-series`` files included, goes through
 :func:`write_table`: a ``# units:`` line, the header, and a body
 written in blocks of lines, each formatted with one ``%`` over its
@@ -46,19 +47,18 @@ import io
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import bundled_path, gc_paused, not_utf8
+from ._jsonfile import bundled_path, gc_paused, not_utf8, shorten
 
 __all__ = [
     "DatasetError",
     "MalformedRowError",
     "EmptyInputError",
-    "MeasurementRow",
     "MeasurementSeries",
     "DifferentialRow",
     "DifferentialRows",
@@ -73,7 +73,6 @@ __all__ = [
     "write_series_csv",
     "write_differential_csv",
     "to_error_samples",
-    "differences",
     "bundled_path",
 ]
 
@@ -103,9 +102,9 @@ class MalformedRowError(DatasetError):
     """A row failed to parse or to pass its checks; carries the offending
     1-based row and the column.
 
-    Like every ``DatasetError`` it is a ``ValueError``, the type the row
-    types (:class:`MeasurementRow`, :class:`DifferentialRow`) raise for
-    the same faults."""
+    Like every ``DatasetError`` it is a ``ValueError``, the type the
+    record types (:class:`ErrorSample`, :class:`DifferentialRow`) raise
+    for their own faults."""
 
     def __init__(self, row_index: int, column: str, detail: str):
         self.row_index = row_index
@@ -118,41 +117,7 @@ class EmptyInputError(DatasetError):
     """The input file contained no data rows."""
 
 
-@dataclass(frozen=True)
-class MeasurementRow:
-    """One observation: a condition value plus the observed reading.
-
-    ``reference`` is the known-good value for the same quantity when the
-    campaign had one (calibration baselines).  A reference further than
-    ``sanity_bound`` (fractional) from the observed value is rejected,
-    because real instrument errors are orders of magnitude smaller than
-    the reading itself; so is a NaN reference, since a series stores a
-    missing reference as NaN.
-    """
-
-    condition: float
-    observed: float
-    reference: float | None = None
-    sanity_bound: float = field(default=SANITY_BOUND, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("condition", "observed"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.reference is not None:
-            if math.isnan(self.reference):
-                raise ValueError(f"reference must be finite, got {self.reference!r}")
-            gap = abs(self.observed - self.reference)
-            if gap >= self.sanity_bound * abs(self.observed):
-                raise ValueError(
-                    "reference %r is implausibly far from observed %r"
-                    % (self.reference, self.observed)
-                )
-
-
-# The column sets of the columnar types, named by the fields of the
-# record each row or item would be.
+# The column sets of the columnar types, one column per field of a row.
 SeriesColumns = namedtuple("SeriesColumns", ["condition", "observed", "reference"])
 SampleColumns = namedtuple("SampleColumns", ["condition", "error"])
 LegColumns = namedtuple("LegColumns", ["s1", "s2"])
@@ -179,37 +144,17 @@ def _first_false(ok: np.ndarray) -> int | None:
 
 @dataclass(frozen=True, eq=False, init=False)
 class MeasurementSeries:
-    """An ordered, immutable series of rows sharing unit tags.
+    """An ordered, immutable series of readings sharing unit tags.
 
-    The series is stored as three read-only float64 columns,
-    ``columns.condition``, ``columns.observed`` and ``columns.reference``
-    (NaN where a row has no reference).  ``rows`` builds the
-    :class:`MeasurementRow` tuple from them the first time it is read.
+    The series is three read-only float64 columns, ``columns.condition``,
+    ``columns.observed`` and ``columns.reference`` (NaN where a reading
+    has no reference).  :meth:`from_columns` builds and checks one.
     """
 
     columns: SeriesColumns
     condition_unit: str
     value_unit: str
     label: str = ""
-    _sanity_bound: float = field(default=SANITY_BOUND, repr=False)
-    _rows: tuple[MeasurementRow, ...] | None = field(default=None, repr=False)
-
-    def __init__(self, rows, condition_unit: str, value_unit: str, label: str = ""):
-        rows = tuple(rows)
-        self._store(
-            [r.condition for r in rows],
-            [r.observed for r in rows],
-            [math.nan if r.reference is None else r.reference for r in rows],
-            condition_unit, value_unit, label, SANITY_BOUND, rows,
-        )
-
-    def _store(self, condition, observed, reference, *rest):
-        """Set the fields, in order, from three columns and the rest."""
-        columns = SeriesColumns(*map(_frozen_column, (condition, observed, reference)))
-        if len({len(c) for c in columns}) != 1:
-            raise ValueError("condition, observed and reference differ in length")
-        for f, value in zip(fields(self), (columns, *rest)):
-            object.__setattr__(self, f.name, value)
 
     @classmethod
     def from_columns(
@@ -223,37 +168,43 @@ class MeasurementSeries:
         label: str = "",
         sanity_bound: float = SANITY_BOUND,
     ) -> MeasurementSeries:
-        """Build a series from columns, checked as :class:`MeasurementRow`
-        checks each row.
+        """Build a series from columns, checking every row.
 
-        ``reference`` is optional; NaN entries mean "no reference".
+        ``reference`` is optional; NaN entries mean "no reference".  A
+        row's condition and observed value must be finite.  A reference
+        further than ``sanity_bound`` (fractional) from the observed
+        value is rejected, because real instrument errors are orders of
+        magnitude smaller than the reading itself.
 
         Raises:
-            MalformedRowError: the first row a MeasurementRow would
-                reject, with its 1-based index, the slot name
-                (``condition``, ``observed`` or ``reference``) and the
-                row's own message.
+            MalformedRowError: the first bad row, with its 1-based index,
+                the slot name (``condition``, ``observed`` or
+                ``reference``) and what is wrong with it.
             ValueError: the columns differ in length or are not 1-D.
         """
         if reference is None:
             reference = np.full(len(conditions), math.nan)
-        series = cls.__new__(cls)
-        series._store(conditions, observed, reference, condition_unit, value_unit,
-                      label, sanity_bound, None)
-        cond, obs, ref = series.columns
+        columns = SeriesColumns(*map(_frozen_column, (conditions, observed, reference)))
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("condition, observed and reference differ in length")
+        cond, obs, ref = columns
         with np.errstate(invalid="ignore", over="ignore"):
             ok = np.isfinite(cond) & np.isfinite(obs)
             ok &= np.isnan(ref) | ~(np.abs(obs - ref) >= sanity_bound * np.abs(obs))
         bad = _first_false(ok)
         if bad is not None:
-            c, o, r = float(cond[bad]), float(obs[bad]), float(ref[bad])
-            try:
-                MeasurementRow(c, o, None if math.isnan(r) else r,
-                               sanity_bound=sanity_bound)
-            except ValueError as exc:
-                slot = ("condition" if not math.isfinite(c)
-                        else "observed" if not math.isfinite(o) else "reference")
-                raise MalformedRowError(bad + 1, slot, str(exc)) from None
+            o, r = float(obs[bad]), float(ref[bad])
+            for slot, value in (("condition", float(cond[bad])), ("observed", o)):
+                if not math.isfinite(value):
+                    raise MalformedRowError(
+                        bad + 1, slot, f"{slot} must be finite, got {value!r}")
+            raise MalformedRowError(
+                bad + 1, "reference",
+                "reference %r is implausibly far from observed %r" % (r, o))
+        series = cls.__new__(cls)
+        for name, value in zip(("columns", "condition_unit", "value_unit", "label"),
+                               (columns, condition_unit, value_unit, label)):
+            object.__setattr__(series, name, value)
         return series
 
     def __len__(self) -> int:
@@ -277,18 +228,6 @@ class MeasurementSeries:
         cond, obs, _ = self.columns
         return hash((self.condition_unit, self.value_unit, self.label,
                      (cond + 0.0).tobytes(), (obs + 0.0).tobytes()))
-
-    @property
-    def rows(self) -> tuple[MeasurementRow, ...]:
-        if self._rows is None:
-            cond, obs, ref = (c.tolist() for c in self.columns)
-            bound = self._sanity_bound
-            rows = tuple(
-                MeasurementRow(c, o, None if math.isnan(r) else r, sanity_bound=bound)
-                for c, o, r in zip(cond, obs, ref)
-            )
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
 
     @property
     def conditions(self) -> tuple[float, ...]:
@@ -736,27 +675,16 @@ def write_series_csv(series: MeasurementSeries, path) -> None:
 
 
 def write_differential_csv(
-    pairs, rows, path, *, units: str = "m"
+    pairs: LegPairs, rows: DifferentialRows, path, *, units: str = "m"
 ) -> None:
-    """Write a differential campaign (nominal pairs plus readings).
-
-    ``pairs`` is a :class:`LegPairs` or a list of (s_ab, s_ac) pairs;
-    ``rows`` is a :class:`DifferentialRows` or a list of :class:`DifferentialRow`.
-    """
+    """Write a differential campaign: the nominal leg pairs, then the
+    readings, as the loaders and the simulator return them."""
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
-    if isinstance(pairs, LegPairs):
-        s_ab, s_ac = pairs.columns
-    else:
-        s_ab, s_ac = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
-    if isinstance(rows, DifferentialRows):
-        s1, s2 = rows.columns
-    else:
-        s1, s2 = [r.s1 for r in rows], [r.s2 for r in rows]
     value_fmt = _UNIT_FORMATS.get(units, "%g")
     write_table(path, units, "s_ab,s_ac,s2,s1",
                 ["%g,%g," + value_fmt + "," + value_fmt] * len(rows),
-                np.column_stack((s_ab, s_ac, s2, s1)))
+                np.column_stack((*pairs.columns, rows.columns.s2, rows.columns.s1)))
 
 
 def write_fit_points(path, series, samples, model, condition_format, error_unit):
@@ -780,7 +708,7 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
 
     * ``"explicit-reference"``: every row carries a reference value and
       the error is ``reference - observed``, reported in mm.  Requires
-      the series value unit to be metres.
+      the series value unit to be metres (``m``) or undeclared.
     * ``"mean-reference"``: the series mean plays the reference role and
       the error is ``(observed - mean) / mean * 1e6``, in ppm.  The mean
       is the built-in ``sum(...) / n`` of the observed values.
@@ -790,13 +718,19 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
         ``columns.condition`` and ``columns.error`` hold the data.
 
     Raises:
-        DatasetError: explicit-reference requested but some row has no
+        DatasetError: explicit-reference requested on a series in a
+            unit other than metres or with a row that has no
             reference, mean-reference on a series whose mean is 0 or
             overflows, or the rule name is unknown.
         ValueError: some error is not finite.
     """
     cond, obs, ref = series.columns
     if reference_rule == "explicit-reference":
+        if series.value_unit not in ("m", ""):
+            raise DatasetError(
+                f"explicit-reference needs a series in metres (m), "
+                f"got values in {shorten(repr(series.value_unit))}"
+            )
         missing = np.flatnonzero(np.isnan(ref))
         if missing.size:
             raise DatasetError(
@@ -821,8 +755,3 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
         with np.errstate(over="ignore", invalid="ignore"):
             return ErrorSamples(cond, (obs - mean) / mean * 1e6)
     raise DatasetError(f"unknown reference rule {reference_rule!r}")
-
-
-def differences(rows) -> list[float]:
-    """The differential observable s1 - s2 for each row."""
-    return [r.s1 - r.s2 for r in rows]

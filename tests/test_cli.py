@@ -154,6 +154,23 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "row 3, column 'reference': must be finite, got nan" in result.stderr
 
+    @pytest.mark.parametrize("unit", ["MHz", "mm"])
+    def test_cycle_fit_refuses_values_not_in_metres(self, runner, tmp_path, unit):
+        # Explicit-reference errors are (reference - observed) * 1e3, in
+        # mm only when the readings are in metres.
+        p = tmp_path / "series.csv"
+        p.write_text(
+            f"# units: condition=degC observed={unit} reference={unit}\n"
+            "condition,observed,reference\n"
+            + "".join(f"{t},5.0,{5.0 + t * 1e-4}\n" for t in (1, 2, 3, 4))
+        )
+        result = runner.invoke(main, ["fit", str(p), "--model", "cycle"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: explicit-reference needs a series in metres (m), "
+            f"got values in {unit!r}\n")
+
     @pytest.mark.parametrize("command, data, line, byte", [
         # A byte-order mark shifts no line.
         ("random-model", b"\xef\xbb\xbf# units: m\ncondition,observed\n1,2\n3,4\xff\n", 4, "ff"),

@@ -17,45 +17,49 @@ from errorkit.dataset import (
     EmptyInputError,
     ErrorSample,
     MalformedRowError,
-    MeasurementRow,
     MeasurementSeries,
 )
 
 import reference_values as ref
 
 
-class TestMeasurementRow:
+def _one_row(condition, observed, reference=math.nan, **kwargs):
+    return MeasurementSeries.from_columns(
+        [condition], [observed], [reference], condition_unit="m", value_unit="m",
+        **kwargs)
+
+
+class TestFromColumnsRowChecks:
     def test_plain_row(self):
-        row = MeasurementRow(condition=-40.0, observed=4.9999)
-        assert row.reference is None
+        series = _one_row(-40.0, 4.9999)
+        assert math.isnan(series.columns.reference[0])
 
     def test_reference_within_bound(self):
-        row = MeasurementRow(condition=6.0232, observed=6.0232, reference=6.0237)
-        assert row.reference == 6.0237
+        series = _one_row(6.0232, 6.0232, 6.0237)
+        assert series.columns.reference.tolist() == [6.0237]
 
     def test_reference_outside_bound_rejected(self):
-        with pytest.raises(ValueError, match="implausibly far"):
-            MeasurementRow(condition=1.0, observed=5.0, reference=5.2)
+        with pytest.raises(MalformedRowError) as excinfo:
+            _one_row(1.0, 5.0, 5.2)
+        assert str(excinfo.value) == (
+            "row 1, column 'reference': reference 5.2 is implausibly far from observed 5.0")
 
     def test_custom_bound_loosens_the_check(self):
-        row = MeasurementRow(
-            condition=1.0, observed=5.0, reference=5.2, sanity_bound=0.1
-        )
-        assert row.reference == 5.2
+        series = _one_row(1.0, 5.0, 5.2, sanity_bound=0.1)
+        assert series.columns.reference.tolist() == [5.2]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_observed_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementRow(condition=0.0, observed=bad)
+        with pytest.raises(MalformedRowError) as excinfo:
+            _one_row(0.0, bad)
+        assert (excinfo.value.column, excinfo.value.detail) == (
+            "observed", f"observed must be finite, got {bad!r}")
 
     def test_nonfinite_condition_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            MeasurementRow(condition=math.nan, observed=1.0)
-
-    def test_nan_reference_rejected(self):
-        # a series stores a missing reference as NaN, so NaN cannot be one
-        with pytest.raises(ValueError, match="reference must be finite, got nan"):
-            MeasurementRow(condition=1.0, observed=5.0, reference=math.nan)
+        with pytest.raises(MalformedRowError) as excinfo:
+            _one_row(math.nan, 1.0)
+        assert (excinfo.value.column, excinfo.value.detail) == (
+            "condition", "condition must be finite, got nan")
 
 
 class TestDifferentialRow:
@@ -86,10 +90,10 @@ class TestLoadSeries:
     def test_bundled_calibration_table(self, table2_series):
         assert len(table2_series) == 21
         assert table2_series.value_unit == "m"
-        for row, (standard, measured, _) in zip(table2_series.rows, ref.TABLE2):
-            assert row.observed == measured
-            assert row.reference == standard
-            assert row.condition == measured
+        condition, observed, reference = (c.tolist() for c in table2_series.columns)
+        assert observed == [measured for _, measured, _ in ref.TABLE2]
+        assert reference == [standard for standard, _, _ in ref.TABLE2]
+        assert condition == observed
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -127,8 +131,8 @@ class TestLoadSeries:
         p = tmp_path / "optional.csv"
         p.write_text("condition,observed,reference\n1,5.0,5.0001\n2,5.0\n")
         series = dataset.load_series(p)
-        assert series.rows[0].reference == 5.0001
-        assert series.rows[1].reference is None
+        assert series.columns.reference[0] == 5.0001
+        assert math.isnan(series.columns.reference[1])
 
     def test_nan_reference_cell_reported_as_malformed(self, tmp_path):
         p = tmp_path / "nan_ref.csv"
@@ -141,7 +145,7 @@ class TestLoadSeries:
         p = tmp_path / "blank_ref.csv"
         p.write_text("condition,observed,reference\n1,5.0,5.0001\n2,5.0,  \n")
         series = dataset.load_series(p)
-        assert series.rows[1].reference is None
+        assert series.columns.reference[0] == 5.0001
         assert math.isnan(series.columns.reference[1])
 
     def test_earlier_check_failure_beats_later_parse_failure(self, tmp_path):
@@ -440,12 +444,9 @@ class TestRoundTrip:
         assert out.read_bytes() == src.read_bytes()
 
     def test_written_series_reloads_identically(self, tmp_path):
-        rows = tuple(
-            MeasurementRow(condition=float(i), observed=5.0 + i * 0.25)
-            for i in range(4)
-        )
-        series = MeasurementSeries(
-            rows=rows, condition_unit="n", value_unit="mm", label="loop"
+        series = MeasurementSeries.from_columns(
+            [float(i) for i in range(4)], [5.0 + i * 0.25 for i in range(4)],
+            condition_unit="n", value_unit="mm", label="loop"
         )
         out = tmp_path / "loop.csv"
         dataset.write_series_csv(series, out)
@@ -478,7 +479,7 @@ class TestDifferentialLoading:
             dataset.load_differential_pairs(p)
 
     def test_differences(self, table3_rows):
-        diffs = dataset.differences(table3_rows)
+        diffs = (table3_rows.columns.s1 - table3_rows.columns.s2).tolist()
         assert diffs == [r.s1 - r.s2 for r in table3_rows]
         assert min(diffs) > 7.99 and max(diffs) < 8.01
 
@@ -529,18 +530,15 @@ class TestToErrorSamples:
         assert [round(s.error) for s in samples] == list(ref.TABLE1_R_PPM)
 
     def test_explicit_reference_missing_rows_reported(self):
-        rows = (
-            MeasurementRow(condition=1.0, observed=5.0, reference=5.001),
-            MeasurementRow(condition=2.0, observed=5.0),
-            MeasurementRow(condition=3.0, observed=5.0),
-        )
-        series = MeasurementSeries(rows=rows, condition_unit="m", value_unit="m")
+        series = MeasurementSeries.from_columns(
+            [1.0, 2.0, 3.0], [5.0] * 3, [5.001, math.nan, math.nan],
+            condition_unit="m", value_unit="m")
         with pytest.raises(DatasetError, match=r"rows \[2, 3\]"):
             dataset.to_error_samples(series, "explicit-reference")
 
     def test_mean_reference_needs_a_nonzero_mean(self):
-        rows = tuple(MeasurementRow(float(i), v) for i, v in enumerate((-1.0, 1.0, 0.0)))
-        series = MeasurementSeries(rows=rows, condition_unit="", value_unit="")
+        series = MeasurementSeries.from_columns(
+            [0.0, 1.0, 2.0], [-1.0, 1.0, 0.0], condition_unit="", value_unit="")
         with pytest.raises(DatasetError, match="needs a nonzero mean"):
             dataset.to_error_samples(series, "mean-reference")
 
@@ -555,19 +553,30 @@ class TestToErrorSamples:
             dataset.to_error_samples(table1_series, "median-reference")
 
     def test_mean_reference_sign_convention(self):
-        rows = (
-            MeasurementRow(condition=0.0, observed=9.0),
-            MeasurementRow(condition=1.0, observed=11.0),
-        )
-        series = MeasurementSeries(rows=rows, condition_unit="", value_unit="")
+        series = MeasurementSeries.from_columns(
+            [0.0, 1.0], [9.0, 11.0], condition_unit="", value_unit="")
         lo, hi = dataset.to_error_samples(series, "mean-reference")
         assert lo.error == pytest.approx(-1e5)
         assert hi.error == pytest.approx(1e5)
 
     def test_explicit_reference_sign_convention(self):
         # reference longer than the reading means a positive error
-        rows = (MeasurementRow(condition=6.0, observed=6.0, reference=6.0005),)
-        series = MeasurementSeries(rows=rows, condition_unit="m", value_unit="m")
+        (sample,) = dataset.to_error_samples(_one_row(6.0, 6.0, 6.0005),
+                                             "explicit-reference")
+        assert sample.error == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("unit", ["MHz", "mm"])
+    def test_explicit_reference_refuses_values_not_in_metres(self, unit):
+        series = MeasurementSeries.from_columns(
+            [1.0], [6.0], [6.0005], condition_unit="degC", value_unit=unit)
+        with pytest.raises(DatasetError) as excinfo:
+            dataset.to_error_samples(series, "explicit-reference")
+        assert str(excinfo.value) == (
+            f"explicit-reference needs a series in metres (m), got values in {unit!r}")
+
+    def test_explicit_reference_accepts_an_undeclared_unit(self):
+        series = MeasurementSeries.from_columns(
+            [1.0], [6.0], [6.0005], condition_unit="", value_unit="")
         (sample,) = dataset.to_error_samples(series, "explicit-reference")
         assert sample.error == pytest.approx(0.5)
 

@@ -19,10 +19,9 @@ from errorkit import dataset, linsolve
 OWNERS = {
     "dataset": [
         "ColumnSchema", "DatasetError", "DifferentialRow", "EmptyInputError",
-        "ErrorSample", "MalformedRowError", "MeasurementRow",
-        "MeasurementSeries", "bundled_path", "differences", "load_differential",
-        "load_differential_pairs", "load_series", "to_error_samples",
-        "write_differential_csv", "write_series_csv",
+        "ErrorSample", "MalformedRowError", "MeasurementSeries", "bundled_path",
+        "load_differential", "load_differential_pairs", "load_series",
+        "to_error_samples", "write_differential_csv", "write_series_csv",
     ],
     "linsolve": ["NormalEquations", "SingularSystemError", "solve"],
     "regression": [
@@ -187,9 +186,13 @@ class TestExportTable:
     def test_dir_lists_every_public_name(self):
         assert set(PUBLIC_NAMES) <= set(dir(errorkit))
 
-    def test_unknown_attribute(self):
-        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
-            errorkit.nonexistent
+    # Retired names: a series is its columns, and a campaign's
+    # differences are rows.columns.s1 - rows.columns.s2.
+    @pytest.mark.parametrize("name", ["nonexistent", "MeasurementRow", "differences"])
+    def test_unknown_attribute(self, name):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(errorkit, name)
+        assert not hasattr(dataset, name)
 
 
 class TestErrorBases:
