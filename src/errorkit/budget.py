@@ -10,7 +10,7 @@ deviation is
 
 where ``c_i`` resolves each component's sensitivity at the operating
 point.  ``monte_carlo_std`` re-derives the same number from scratch by
-drawing the components with configurable distribution shapes, which
+drawing the components with their declared distribution shapes, which
 makes it an independent numerical check on the closed form.
 
 Units are explicit per component. A "mm" component enters as is; a
@@ -191,36 +191,29 @@ def total_std(budget: ErrorBudget) -> float:
     return math.sqrt(acc)
 
 
-def _chunk_draws(c: BudgetComponent, shape: str, rng):
+def _chunk_draws(c: BudgetComponent, rng):
     """``draw(m)``: the component's next m draws in its native unit, or
     None for a component that adds nothing (a zero-std arcsine, since
     ArcsineDistribution refuses a zero amplitude)."""
-    if shape == "gaussian":
+    if c.shape == "gaussian":
         return lambda m: rng.normal(0.0, c.std, m)
-    if shape == "arcsine":
+    if c.shape == "arcsine":
         # amplitude with std A/sqrt(2) equal to the component std
         amplitude = c.std * math.sqrt(2.0)
         if not amplitude:
             return None
         law = ArcsineDistribution(amplitude)
         return lambda m: sample(law, m, rng)
-    if shape == "uniform":
-        # half-width sqrt(3)*std for matching variance
-        half = c.std * math.sqrt(3.0)
-        if not math.isfinite(2.0 * half):  # rng.uniform needs a finite high - low
-            raise OverflowError(
-                f"component {c.name!r}: uniform range of half-width {half:.6g} "
-                f"{c.unit} leaves the range of double precision")
-        return lambda m: rng.uniform(-half, half, m)
-    raise BudgetError(f"component {c.name!r}: unknown shape {shape!r}")
+    # uniform: half-width sqrt(3)*std for matching variance
+    half = c.std * math.sqrt(3.0)
+    if not math.isfinite(2.0 * half):  # rng.uniform needs a finite high - low
+        raise OverflowError(
+            f"component {c.name!r}: uniform range of half-width {half:.6g} "
+            f"{c.unit} leaves the range of double precision")
+    return lambda m: rng.uniform(-half, half, m)
 
 
-def monte_carlo_std(
-    budget: ErrorBudget,
-    n: int,
-    seed: int,
-    shapes: dict[str, str] | None = None,
-) -> float:
+def monte_carlo_std(budget: ErrorBudget, n: int, seed: int) -> float:
     """Sample standard deviation of the synthesized total error.
 
     Each component gets its own child stream spawned from the seed, so
@@ -245,11 +238,9 @@ def monte_carlo_std(
     Args:
         n: number of draws, from 10**4 to ``MAX_DRAWS`` (10**9).
         seed: root seed for the per-component substreams.
-        shapes: optional per-component shape overrides (by name);
-            defaults to each component's declared shape.
 
     Raises:
-        BudgetError: n out of range or an unknown shape name.
+        BudgetError: n out of range.
         OverflowError: a uniform component whose range, twice its
             half-width, is not a finite double.
     """
@@ -262,12 +253,11 @@ def monte_carlo_std(
     import numpy as np
 
     n = int(n)
-    shapes = shapes or {}
     children = np.random.SeedSequence(seed).spawn(len(budget.components))
     streams, largest = [], 0.0
     for c, child in zip(budget.components, children):
         rng = np.random.Generator(np.random.PCG64(child))
-        draw = _chunk_draws(c, shapes.get(c.name, c.shape), rng)
+        draw = _chunk_draws(c, rng)
         if draw is not None:
             coefficient = _coefficient_mm(c, budget.operating_point_m)
             streams.append((coefficient, draw))

@@ -10,23 +10,25 @@ package under ``errorkit/data/``:
 * ``table2.csv``   geodimeter readings against a calibration baseline
 * ``table3.csv``   simulated differential distance campaign
 
-Series CSV layout is ``condition,observed[,reference]`` with a
-``# units:`` comment line before the header.  Differential campaigns
-use the four-column layout ``s_ab,s_ac,s2,s1`` (nominal legs, then the
-two readings).  All values use a decimal point; locale-specific comma
+Series CSV layout is ``condition,observed[,reference]``, under those
+header names, with a ``# units:`` comment line before the header; that
+line alone gives the units.  Differential campaigns use the
+four-column layout ``s_ab,s_ac,s2,s1`` (nominal legs, then the two
+readings).  All values use a decimal point; locale-specific comma
 decimals are not supported.
 
 Series, error samples and differential readings are stored as
 read-only float64 columns, one per field; a missing reference is NaN.
-The loaders parse the CSV columns in one pass with numpy's C reader
-and check each whole column at once; empty, whitespace-only and
-comment lines are skipped.  When the C reader refuses a file, it parses
-the required columns alone once more.  A column it cannot take, and an
-optional reference column with a gap or a NaN, is read cell by cell
-with Python's ``float()``; that reader alone locates errors.  The
-first bad row, in file order, is reported as a
-:class:`MalformedRowError` naming its 1-based row and its column.  A
-leading UTF-8 byte-order mark is ignored; any other byte that is not
+The loaders read all the columns of a file with one reader and check
+each whole column at once; empty, whitespace-only and comment lines
+are skipped.  numpy's C reader parses a clean file in one pass.  A
+blank or NaN cell in the optional reference column costs one more C
+pass, with a converter on that column only.  A file with a quote
+among its data lines, or one the C reader still refuses, is read cell
+by cell with Python's ``float()``, every column of it; that reader
+alone locates errors.  The first bad row, in file order, is reported
+as a :class:`MalformedRowError` naming its 1-based row and its column.
+A leading UTF-8 byte-order mark is ignored; any other byte that is not
 UTF-8 is reported with its line.  A series is only its columns, and
 :meth:`MeasurementSeries.from_columns` is its one checked constructor.
 The items of error samples (:class:`ErrorSample`), of differential
@@ -48,6 +50,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -66,7 +69,6 @@ __all__ = [
     "LegPairs",
     "ErrorSample",
     "ErrorSamples",
-    "ColumnSchema",
     "load_series",
     "load_differential",
     "load_differential_pairs",
@@ -76,9 +78,9 @@ __all__ = [
     "bundled_path",
 ]
 
-# Default bound for the reference sanity check: a reference that differs
-# from the observed value by more than this fraction is rejected as a
-# probable column mix-up.
+# The bound of the reference sanity check: a reference that differs from
+# the observed value by this fraction or more is rejected as a probable
+# column mix-up.
 SANITY_BOUND = 0.01
 
 # Canonical cell formats per unit tag, chosen so that writing a loaded
@@ -166,15 +168,14 @@ class MeasurementSeries:
         condition_unit: str,
         value_unit: str,
         label: str = "",
-        sanity_bound: float = SANITY_BOUND,
     ) -> MeasurementSeries:
         """Build a series from columns, checking every row.
 
         ``reference`` is optional; NaN entries mean "no reference".  A
         row's condition and observed value must be finite.  A reference
-        further than ``sanity_bound`` (fractional) from the observed
-        value is rejected, because real instrument errors are orders of
-        magnitude smaller than the reading itself.
+        ``SANITY_BOUND`` (1%) or more away from the observed value is
+        rejected, because real instrument errors are orders of magnitude
+        smaller than the reading itself.
 
         Raises:
             MalformedRowError: the first bad row, with its 1-based index,
@@ -190,7 +191,7 @@ class MeasurementSeries:
         cond, obs, ref = columns
         with np.errstate(invalid="ignore", over="ignore"):
             ok = np.isfinite(cond) & np.isfinite(obs)
-            ok &= np.isnan(ref) | ~(np.abs(obs - ref) >= sanity_bound * np.abs(obs))
+            ok &= np.isnan(ref) | ~(np.abs(obs - ref) >= SANITY_BOUND * np.abs(obs))
         bad = _first_false(ok)
         if bad is not None:
             o, r = float(obs[bad]), float(ref[bad])
@@ -364,36 +365,29 @@ class DifferentialRows(_Records):
 class LegPairs(_Records):
     """Nominal (s_ab, s_ac) leg pairs as columns; items are :class:`LegPair`.
 
-    It holds the pairs as given: whether ``s_ac > s_ab`` is for the
-    loader or the simulator that reads them to check.
+    It checks only that every leg is finite: whether ``s_ac > s_ab`` is
+    for the loader or the simulator that reads them to check.
+
+    Raises:
+        MalformedRowError: the first row with a leg that is not finite.
     """
 
     _record = LegPair
     _columns = PairColumns
 
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Mapping from CSV header names to the series' slots.
-
-    The defaults match the canonical layout.  Units given here override
-    whatever the file's ``# units:`` line declares, which lets callers
-    ingest third-party files without editing them.
-    """
-
-    condition: str = "condition"
-    observed: str = "observed"
-    reference: str = "reference"
-    condition_unit: str | None = None
-    value_unit: str | None = None
-    sanity_bound: float = SANITY_BOUND
+    def __init__(self, s_ab, s_ac):
+        super().__init__(s_ab, s_ac)
+        s_ab, s_ac = self.columns
+        bad = _first_false(np.isfinite(s_ab) & np.isfinite(s_ac))
+        if bad is not None:
+            a, b = float(s_ab[bad]), float(s_ac[bad])
+            column, value = ("s_ab", a) if not math.isfinite(a) else ("s_ac", b)
+            raise MalformedRowError(bad + 1, column, f"must be finite, got {value!r}")
 
 
 def _parse_units_line(line: str) -> dict[str, str]:
     # "# units: condition=degC observed=MHz" or "# units: m" (all columns)
     body = line.split(":", 1)[1].strip()
-    if not body:
-        return {}
     if "=" not in body:
         return {"*": body}
     out = {}
@@ -452,12 +446,16 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], tuple[list[str], bool]]:
     return units, [h.strip() for h in header], (data, quoted)
 
 
-def _column_index(path, header: list[str], required) -> dict[str, int]:
+def _specs(path, header: list[str], required, optional=()) -> list[tuple[int, str, bool]]:
+    """The ``(position, column name, optional)`` of each column to read:
+    the ``required`` ones, which the header must name, then the
+    ``optional`` ones it names."""
     index = {name: i for i, name in enumerate(header)}
     for name in required:
         if name not in index:
             raise DatasetError(f"{path}: missing column {name!r}")
-    return index
+    return ([(index[name], name, False) for name in required]
+            + [(index[name], name, True) for name in optional if name in index])
 
 
 def _read_column(
@@ -493,12 +491,25 @@ def _read_column(
     return np.array(values), None
 
 
-def _loadtxt(lines: list[str], positions: list[int]) -> np.ndarray | None:
+def _optional_cell(cell: str) -> float:
+    """An optional cell as :func:`_read_column` reads it: blank is NaN,
+    and a cell that parses to NaN is refused."""
+    if not cell.strip():
+        return math.nan
+    value = float(cell)
+    if math.isnan(value):
+        raise ValueError(f"NaN cell {cell!r}")
+    return value
+
+
+def _loadtxt(lines: list[str], positions: list[int], converters=None) -> np.ndarray | None:
     """The columns ``positions`` of ``lines`` as parsed by numpy's C
     reader, one row each, or None if it refuses a line."""
     try:
+        # encoding=None: converters get str, where numpy 1.x's default gives bytes.
         return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                          ndmin=2, usecols=positions).T
+                          ndmin=2, usecols=positions, converters=converters,
+                          encoding=None).T
     except ValueError:
         return None
 
@@ -509,35 +520,29 @@ def _read_columns(
     """Parse the columns ``specs`` of a data block from :func:`_read_csv`.
 
     Each spec is ``(position, column name, optional)``.  Returns one
-    ``(values, error)`` pair per spec, as :func:`_read_column` does.
-    Unless a data line holds a quote (which may hide a comma or span
-    lines), numpy's C reader parses the whole block in one pass.  If it
-    refuses a line, it parses the required columns alone once more.  A
-    column it parsed is used as it is, but an optional column with a NaN
-    (a gap, or a NaN cell) is read again.  Every column left (quotes,
-    whitespace-only lines, blank or bad cells, spellings such as ``1_0``
-    that only ``float()`` accepts) is read cell by cell, after the
-    lines that are not data are dropped.
+    ``(values, error)`` pair per spec, as :func:`_read_column` does, and
+    every column from one reader.  Unless a data line holds a quote
+    (which may hide a comma or span lines), numpy's C reader parses the
+    block in one pass.  If it refuses a line or reads a NaN in an
+    optional column, it parses the block once more with
+    :func:`_optional_cell` on the optional positions.  A block it still
+    refuses (whitespace-only lines, short rows, bad cells, spellings
+    such as ``1_0`` that only ``float()`` accepts) is read cell by cell,
+    after the lines that are not data are dropped.
     """
     lines, quoted = block
-    parsed = {}  # spec index -> values from the C reader
     if not quoted:
-        columns = _loadtxt(lines, [pos for pos, _, _ in specs])
+        positions = [pos for pos, _, _ in specs]
+        optional = [i for i, (_, _, opt) in enumerate(specs) if opt]
+        columns = _loadtxt(lines, positions)
+        if optional and (columns is None or np.isnan(columns[optional]).any()):
+            columns = _loadtxt(lines, positions,
+                               {specs[i][0]: _optional_cell for i in optional})
         if columns is not None:
-            parsed = {i: values for i, (values, (_, _, optional))
-                      in enumerate(zip(columns, specs))
-                      if not (optional and np.isnan(values).any())}
-        elif any(optional for _, _, optional in specs):
-            required = [i for i, (_, _, optional) in enumerate(specs) if not optional]
-            columns = _loadtxt(lines, [specs[i][0] for i in required])
-            if columns is not None:
-                parsed = dict(zip(required, columns))
-    if len(parsed) == len(specs):
-        return [(parsed[i], None) for i in range(len(specs))]
+            return [(values, None) for values in columns]
     rows = [row for row in csv.reader(io.StringIO("\n".join(_content(lines)))) if row]
-    return [(parsed[i], None) if i in parsed
-            else _read_column(rows, pos, column, optional=optional)
-            for i, (pos, column, optional) in enumerate(specs)]
+    return [_read_column(rows, pos, column, optional=optional)
+            for pos, column, optional in specs]
 
 
 def _checked_prefix(build, columns):
@@ -558,14 +563,12 @@ def _checked_prefix(build, columns):
 
 
 @gc_paused
-def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
+def load_series(path) -> MeasurementSeries:
     """Load a measurement series from CSV.
 
     Args:
         path: CSV file with a ``# units:`` line, a header row, and
-            ``condition,observed[,reference]`` columns (names remappable
-            through ``schema``).
-        schema: optional column mapping and unit overrides.
+            ``condition,observed[,reference]`` columns.
 
     Returns:
         MeasurementSeries with row order preserved.
@@ -576,33 +579,12 @@ def load_series(path, schema: ColumnSchema | None = None) -> MeasurementSeries:
             checks, named by row/column (the first such row in the file).
         DatasetError: a required column is missing.
     """
-    schema = schema or ColumnSchema()
     units, header, block = _read_csv(path)
-    index = _column_index(path, header, (schema.condition, schema.observed))
-    cond_unit = schema.condition_unit or units.get("condition") or units.get("*", "")
-    value_unit = schema.value_unit or units.get("observed") or units.get("*", "")
-    names = {
-        "condition": schema.condition,
-        "observed": schema.observed,
-        "reference": schema.reference,
-    }
-
-    def build(cond, obs, ref=None):
-        try:
-            return MeasurementSeries.from_columns(
-                cond, obs, ref,
-                condition_unit=cond_unit,
-                value_unit=value_unit,
-                label=Path(path).stem,
-                sanity_bound=schema.sanity_bound,
-            )
-        except MalformedRowError as exc:
-            raise MalformedRowError(exc.row_index, names[exc.column], exc.detail) from None
-
-    specs = [(index[name], name, False)
-             for name in (schema.condition, schema.observed)]
-    if schema.reference in index:
-        specs.append((index[schema.reference], schema.reference, True))
+    specs = _specs(path, header, ("condition", "observed"), ("reference",))
+    build = partial(MeasurementSeries.from_columns,
+                    condition_unit=units.get("condition") or units.get("*", ""),
+                    value_unit=units.get("observed") or units.get("*", ""),
+                    label=Path(path).stem)
     return _checked_prefix(build, _read_columns(block, specs))
 
 
@@ -615,9 +597,8 @@ def load_differential(path) -> DifferentialRows:
             ``s1 <= s2``; the first such row in the file, with its column.
     """
     _, header, block = _read_csv(path)
-    index = _column_index(path, header, ("s1", "s2"))
-    return _checked_prefix(DifferentialRows, _read_columns(
-        block, [(index[name], name, False) for name in ("s1", "s2")]))
+    return _checked_prefix(DifferentialRows,
+                           _read_columns(block, _specs(path, header, ("s1", "s2"))))
 
 
 @gc_paused
@@ -625,13 +606,12 @@ def load_differential_pairs(path) -> LegPairs:
     """Return the nominal (s_ab, s_ac) leg pairs of a differential CSV.
 
     Raises:
-        MalformedRowError: a nominal leg failed to parse; the first such
-            row in the file, with its column.
+        MalformedRowError: a nominal leg failed to parse or is not
+            finite; the first such row in the file, with its column.
     """
     _, header, block = _read_csv(path)
-    index = _column_index(path, header, ("s_ab", "s_ac"))
-    return _checked_prefix(LegPairs, _read_columns(
-        block, [(index[name], name, False) for name in ("s_ab", "s_ac")]))
+    return _checked_prefix(LegPairs,
+                           _read_columns(block, _specs(path, header, ("s_ab", "s_ac"))))
 
 
 def write_table(path, units: str, header: str, templates, values) -> None:

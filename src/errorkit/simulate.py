@@ -665,16 +665,7 @@ def load_scenario(path) -> Scenario:
     raw = read_json(path, SCENARIO_SCHEMA, ScenarioError)
 
     sources = tuple(
-        ErrorSource(
-            name=s["name"],
-            kind=s["kind"],
-            depends_on=s.get("depends_on", _KIND_CONDITIONS[s["kind"]][0]),
-            **{
-                k: (tuple(v) if k == "coeffs_ppm" else v)
-                for k, v in s.items()
-                if k not in ("name", "kind", "depends_on")
-            },
-        )
+        ErrorSource(**{"depends_on": _KIND_CONDITIONS[s["kind"]][0], **s})
         for s in raw["sources"]
     )
 
@@ -712,9 +703,7 @@ def load_scenario(path) -> Scenario:
             # JSON Schema's integer admits integral floats such as 1.0.
             repeats=int(sched["repeats"]),
             generator=sched["generator"],
-            conditions={
-                k: v for k, v in sched.get("conditions", {}).items()
-            },
+            conditions=sched.get("conditions", {}),
             ranges={
                 k: (float(v[0]), float(v[1]))
                 for k, v in sched.get("ranges", {}).items()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -40,6 +41,14 @@ def example_budget():
         ),
         operating_point_m=1000.0,
     )
+
+
+def reshaped(budget, shapes):
+    """``budget`` with the components named in ``shapes`` declaring the
+    shape given there."""
+    return dataclasses.replace(budget, components=tuple(
+        dataclasses.replace(c, shape=shapes.get(c.name, c.shape))
+        for c in budget.components))
 
 
 class TestComponentValidation:
@@ -268,23 +277,16 @@ class TestMonteCarlo:
         estimate = monte_carlo_std(budget, n=100_000, seed=123)
         assert estimate == pytest.approx(total_std(budget), rel=0.02)
 
-    def test_shape_overrides_change_the_draws_not_the_std(self):
+    def test_other_shapes_change_the_draws_not_the_std(self):
         budget = example_budget()
         default = monte_carlo_std(budget, n=100_000, seed=123)
-        overridden = monte_carlo_std(
-            budget,
+        other = monte_carlo_std(
+            reshaped(budget, {"cycle": "arcsine", "resolution": "uniform"}),
             n=100_000,
             seed=123,
-            shapes={"cycle": "arcsine", "resolution": "uniform"},
         )
-        assert overridden != default
-        assert overridden == pytest.approx(total_std(budget), rel=0.02)
-
-    def test_unknown_shape_override(self):
-        with pytest.raises(BudgetError, match="unknown shape"):
-            monte_carlo_std(
-                example_budget(), n=10_000, seed=1, shapes={"cycle": "bimodal"}
-            )
+        assert other != default
+        assert other == pytest.approx(total_std(budget), rel=0.02)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_huge_std_whose_closed_form_is_finite(self, shape):
@@ -323,18 +325,16 @@ class TestMonteCarlo:
         assert errors[0] > errors[1] > errors[2]
 
 
-def whole_array_monte_carlo_std(budget, n, seed, shapes=None):
+def whole_array_monte_carlo_std(budget, n, seed):
     """The Monte Carlo check as it was before streaming: every draw of
     every component held at once, reduced by one ``std(ddof=1)``."""
-    shapes = shapes or {}
     children = np.random.SeedSequence(seed).spawn(len(budget.components))
     delta = np.zeros(n)
     for c, child in zip(budget.components, children):
-        shape = shapes.get(c.name, c.shape)
         rng = np.random.Generator(np.random.PCG64(child))
-        if shape == "gaussian":
+        if c.shape == "gaussian":
             draws = rng.normal(0.0, c.std, n)
-        elif shape == "arcsine":
+        elif c.shape == "arcsine":
             amplitude = c.std * math.sqrt(2.0)
             draws = sample(ArcsineDistribution(amplitude), n, rng) if amplitude else 0.0
         else:
@@ -381,9 +381,9 @@ class TestStreaming:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("n", SIZES)
     def test_chunked_draws_join_to_one_call(self, shape, n):
-        component = BudgetComponent(name="c", std=1.5)
-        whole = _chunk_draws(component, shape, np.random.default_rng(5))(n)
-        draw = _chunk_draws(component, shape, np.random.default_rng(5))
+        component = BudgetComponent(name="c", std=1.5, shape=shape)
+        whole = _chunk_draws(component, np.random.default_rng(5))(n)
+        draw = _chunk_draws(component, np.random.default_rng(5))
         chunks = [
             draw(min(CHUNK_DRAWS, n - start)) for start in range(0, n, CHUNK_DRAWS)
         ]
@@ -404,17 +404,15 @@ class TestStreaming:
         # (10^6, 20260819) is the README's propagate run, whose --json
         # report prints the estimate to the last digit.
         budget = example_budget()
-        overrides = {"cycle": "arcsine", "resolution": "uniform"}
-        for n, seed, shapes in [
-            (10**6, 20260819, None),
-            (10**4, 77, None),
-            (10**5, 123, None),
-            (10**5, 123, overrides),
-            (10**6, 42, None),
+        other = reshaped(budget, {"cycle": "arcsine", "resolution": "uniform"})
+        for n, seed, b in [
+            (10**6, 20260819, budget),
+            (10**4, 77, budget),
+            (10**5, 123, budget),
+            (10**5, 123, other),
+            (10**6, 42, budget),
         ]:
-            assert monte_carlo_std(budget, n, seed, shapes) == (
-                whole_array_monte_carlo_std(budget, n, seed, shapes)
-            )
+            assert monte_carlo_std(b, n, seed) == whole_array_monte_carlo_std(b, n, seed)
 
     def test_memory_is_constant_in_the_draw_count(self):
         # The whole-array reduction peaks at 22.9 MB traced for 10^6 draws.

@@ -154,6 +154,15 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "row 3, column 'reference': must be finite, got nan" in result.stderr
 
+    def test_quoted_cell_across_two_lines_is_an_input_error(self, runner, tmp_path):
+        # With quotechar='"', numpy's C reader would join the two lines
+        # into the cell "12" and read 12.0.
+        p = tmp_path / "quoted.csv"
+        p.write_text('# units: m\ncondition,observed\n"1\n2",3\n4,5\n')
+        result = runner.invoke(main, ["random-model", str(p)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: row 1, column 'condition': not a number: '1\\n2'\n"
+
     @pytest.mark.parametrize("unit", ["MHz", "mm"])
     def test_cycle_fit_refuses_values_not_in_metres(self, runner, tmp_path, unit):
         # Explicit-reference errors are (reference - observed) * 1e3, in

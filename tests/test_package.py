@@ -18,8 +18,8 @@ from errorkit import dataset, linsolve
 # has always listed them.
 OWNERS = {
     "dataset": [
-        "ColumnSchema", "DatasetError", "DifferentialRow", "EmptyInputError",
-        "ErrorSample", "MalformedRowError", "MeasurementSeries", "bundled_path",
+        "DatasetError", "DifferentialRow", "EmptyInputError", "ErrorSample",
+        "MalformedRowError", "MeasurementSeries", "bundled_path",
         "load_differential", "load_differential_pairs", "load_series",
         "to_error_samples", "write_differential_csv", "write_series_csv",
     ],
