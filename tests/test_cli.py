@@ -143,6 +143,16 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "row 2, column 's2': must be finite, got nan" in result.stderr
 
+    def test_column_named_twice_is_an_input_error(self, runner, tmp_path):
+        # Each s1 column alone gives a finite leg difference.
+        p = tmp_path / "twice.csv"
+        p.write_text("# units: m\ns_ab,s_ac,s2,s1,s1\n10,18,10.0,18.0,18.5\n"
+                     "10,18,10.0,18.1,18.4\n")
+        result = runner.invoke(main, ["random-model", str(p), "--column", "diff"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {p}: column 's1' is named more than once\n"
+
     def test_nan_reference_cell_names_row_and_column(self, runner, tmp_path):
         src = dataset.bundled_path("table2.csv").read_text().splitlines()
         cells = src[4].split(",")

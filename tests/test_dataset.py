@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 from pathlib import Path
 from unittest import mock
 
@@ -163,6 +164,24 @@ class TestLoadSeries:
         with pytest.raises(MalformedRowError, match="row 2"):
             dataset.load_series(p)
 
+    @pytest.mark.parametrize("header, column", [
+        ("condition,observed,observed", "observed"),
+        ("condition,observed,reference,condition", "condition"),
+        ("condition,observed,reference, reference ", "reference"),
+    ])
+    def test_column_read_twice_by_name_is_refused(self, tmp_path, header, column):
+        p = tmp_path / "twice.csv"
+        p.write_text(f"{header}\n1,5.0,5.0,1\n")
+        with pytest.raises(DatasetError) as excinfo:
+            dataset.load_series(p)
+        assert type(excinfo.value) is DatasetError
+        assert str(excinfo.value) == f"{p}: column {column!r} is named more than once"
+
+    def test_column_not_read_may_be_named_twice(self, tmp_path):
+        p = tmp_path / "extra.csv"
+        p.write_text("note,condition,observed,note\na,1,5.0,b\n")
+        assert dataset.load_series(p).observed == (5.0,)
+
     def test_bare_units_token_applies_to_all_columns(self, tmp_path):
         p = tmp_path / "bare_units.csv"
         p.write_text("# units: m\ncondition,observed\n1,2\n3,4\n")
@@ -226,11 +245,13 @@ def _reference_read_columns(lines, specs):
 
 def _outcome(load, path):
     """What ``load`` makes of ``path``: units, label and every column bit
-    for bit (any NaN equal to any other), or the error's type and message."""
+    for bit (any NaN equal to any other), or the error's type, row,
+    column and message."""
     try:
         result = load(path)
     except (ValueError, OSError) as exc:
-        return type(exc), str(exc)
+        return (type(exc), getattr(exc, "row_index", None), getattr(exc, "column", None),
+                str(exc))
     if isinstance(result, tuple):  # _read_csv
         return result[:2]
     labels = ((result.condition_unit, result.value_unit, result.label)
@@ -395,6 +416,180 @@ class TestFastPathHandover:
         assert series.columns.observed.tolist() == [float(r[2]) for r in rows]
 
 
+def _branch_outcome(load, path, chars):
+    """What ``load`` makes of ``path`` with the path feed's size threshold
+    at ``chars``, as :func:`_outcome` gives it, and whether numpy's
+    reader was handed the file's path."""
+    fed, loadtxt = [], np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        fed.append(not isinstance(source, list))
+        return loadtxt(source, *args, **kwargs)
+
+    with mock.patch.object(dataset, "_PATH_FEED_CHARS", chars), \
+            mock.patch.object(np, "loadtxt", spy):
+        return _outcome(load, path), any(fed)
+
+
+def _branch_fixtures():
+    """name -> (file bytes, whether numpy may read the file by path).
+
+    Every cell is a full-precision repr, so equal columns are equal bit
+    for bit; the faults sit at data row 17."""
+    rng = np.random.default_rng(21)
+    obs = 5.0 + rng.random(40) * 1e-3
+    rows = [f"{c!r},{o!r},{o + d!r}" for c, o, d in
+            zip((rng.random(40) * 90 - 40).tolist(), obs.tolist(),
+                (rng.random(40) * 1e-5).tolist())]
+    legs = [f"{a!r},{a + 8!r},{a + d!r},{a + 8 - d!r}" for a, d in
+            zip((10 + rng.random(40) * 50).tolist(), (rng.random(40) * 1e-3).tolist())]
+    head = ["# units: m", "condition,observed,reference"]
+
+    def text(lines, br="\n"):
+        return (br.join(lines) + br).encode("utf-8")
+
+    def at17(cells, j, cell):
+        edited = list(cells)
+        parts = edited[16].split(",")
+        parts[j:j + 1] = [cell] if cell is not None else []
+        edited[16] = ",".join(parts)
+        return edited
+
+    fixtures = {
+        "LF": (text(head + rows), True),
+        "CRLF": (text(head + rows, "\r\n"), True),
+        "lone CR": (text(head + rows, "\r"), True),
+        "byte-order mark": (b"\xef\xbb\xbf" + text(head + rows), True),
+        "differential": (text(["# units: m", "s_ab,s_ac,s2,s1"] + legs), True),
+        "remark and blank line": (text(head + rows[:9] + ["# remark", ""] + rows[9:]), False),
+        "blank line": (text(head + rows[:9] + [""] + rows[9:]), True),
+        "whitespace-only line": (text(head + rows[:9] + [" \t"] + rows[9:]), True),
+        "quoted cell": (text(head + at17(rows, 1, '"5.0"')), False),
+        "quoted comma in s_ab": (
+            text(["s_ab,s_ac,s2,s1"] + at17(legs, 0, '"10,5"')), False),
+        "blank reference": (text(head + at17(rows, 2, "")), True),
+        "nan reference": (text(head + at17(rows, 2, "nan")), True),
+        "omitted reference": (text(head + at17(rows, 2, None)), True),
+        "bad cell": (text(head + at17(rows, 1, "5.0x")), True),
+        "non-UTF-8 byte": (text(head + at17(rows, 1, "5.0")).replace(
+            b"5.0,", b"5.0\xff,", 1), False),
+    }
+    for br in ["\f", "\x85", "\u2028"]:
+        fixtures[f"{br!r} in the head"] = (
+            text(head + rows).replace(b"\n", br.encode(), 1), False)
+        fixtures[f"{br!r} among the data"] = (
+            text(head + rows[:9]) + text(rows[9:]).replace(b"\n", br.encode(), 1), False)
+    return fixtures
+
+
+BRANCH_FIXTURES = _branch_fixtures()
+
+
+class TestPathFeed:
+    """Both feeds of numpy's reader, the file's path and its list of
+    lines, give the same columns or the same error."""
+
+    @pytest.mark.parametrize("name", BRANCH_FIXTURES)
+    def test_both_branches_agree(self, tmp_path, name):
+        data, fed = BRANCH_FIXTURES[name]
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        for load in LOADERS[1:]:
+            by_lines, on_lines = _branch_outcome(load, path, 10**12)
+            by_path, on_path = _branch_outcome(load, path, 0)
+            assert by_path == by_lines, load
+            assert not on_lines
+            # A loader refused for a missing column reads no cell.
+            assert on_path == (fed and by_path[0] is not DatasetError), load
+
+    def test_fixture_outcomes(self, tmp_path):
+        # The fixtures do show what they are named for.
+        outcome = {}
+        for name, (data, _) in BRANCH_FIXTURES.items():
+            path = tmp_path / f"{len(outcome)}.csv"
+            path.write_bytes(data)
+            outcome[name] = _outcome(dataset.load_series, path)
+        lengths = {name: len(result[1][0]) // 8 for name, result in outcome.items()
+                   if len(result) == 2}
+        assert lengths == {name: 40 for name in [
+            "LF", "CRLF", "lone CR", "byte-order mark", "remark and blank line",
+            "blank line", "whitespace-only line", "quoted cell", "blank reference",
+            "omitted reference", *(f"{br!r} {where}" for br in ["\f", "\x85", "\u2028"]
+                                   for where in ["in the head", "among the data"])]}
+        assert outcome["LF"][1] == outcome["CRLF"][1] == outcome["byte-order mark"][1]
+        assert outcome["nan reference"][1:] == (
+            17, "reference", "row 17, column 'reference': must be finite, got nan")
+        assert outcome["bad cell"][1:] == (
+            17, "observed", "row 17, column 'observed': not a number: '5.0x'")
+        assert outcome["non-UTF-8 byte"][3].endswith("not UTF-8 text at line 19 (byte 0xff)")
+
+    def test_large_file_takes_the_path_feed_unpatched(self, tmp_path):
+        rows = _scale_rows(3_000)
+        p = _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows)
+        assert p.stat().st_size > dataset._PATH_FEED_CHARS
+        assert _branch_outcome(dataset.load_series, p, dataset._PATH_FEED_CHARS) == (
+            _branch_outcome(dataset.load_series, p, 10**12)[0], True)
+        columns = dataset.load_series(p).columns
+        assert columns.reference.tolist() == [float(r[2]) for r in rows]
+
+    def test_small_file_keeps_the_list_feed_unpatched(self, tmp_path):
+        p = _write_rows(tmp_path / "s.csv", "condition,observed,reference",
+                        _scale_rows(1_000))
+        assert p.stat().st_size < dataset._PATH_FEED_CHARS
+        assert not _branch_outcome(dataset.load_series, p, dataset._PATH_FEED_CHARS)[1]
+
+    @pytest.mark.parametrize("change", ["grown", "rewritten", "removed"])
+    def test_file_changed_before_numpy_reads_it(self, tmp_path, change):
+        # The columns come from the text read first, parsed from its lines.
+        rows = _scale_rows(3_000)
+        p = _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows)
+        want = dataset.load_series(p)
+        sources, loadtxt = [], np.loadtxt
+        mtime = p.stat().st_mtime_ns
+
+        def spy(source, *args, **kwargs):
+            if not isinstance(source, list) and not sources:
+                if change == "removed":
+                    p.unlink()
+                else:
+                    edited = rows[:-1] + [[rows[-1][0], "5.9", rows[-1][2]]]
+                    _write_rows(p, "condition,observed,reference",
+                                edited + rows[:1] if change == "grown" else edited)
+                    os.utime(p, ns=(mtime + 10**9, mtime + 10**9))
+            sources.append(type(source))
+            return loadtxt(source, *args, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", spy):
+            assert dataset.load_series(p) == want
+        assert sources == [str, list]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self, tmp_path):
+        # As from a shell's <(...): reading the path again finds the pipe empty.
+        rows = _scale_rows(2_500)
+        p = _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows)
+        assert dataset._PATH_FEED_CHARS < p.stat().st_size < 60_000  # fits a pipe
+        r, w = os.pipe()
+        try:
+            os.write(w, p.read_bytes())
+            os.close(w)
+            columns = dataset.load_series(f"/dev/fd/{r}").columns
+        finally:
+            os.close(r)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(columns, dataset.load_series(p).columns))
+
+    def test_compressed_suffix_is_read_as_text(self, tmp_path):
+        # numpy's reader would take an .xz path for an xz stream.
+        rows = _scale_rows(3_000)
+        p = _write_rows(tmp_path / "s.csv.xz", "condition,observed,reference", rows)
+        (outcome, fed), (plain, _) = (
+            _branch_outcome(dataset.load_series, p, 0),
+            _branch_outcome(dataset.load_series, p, 10**12))
+        assert (outcome, fed) == (plain, False)
+        assert len(outcome[1][0]) == 8 * 3_000
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["table1.csv", "table2.csv"])
     def test_series_fixture_byte_for_byte(self, name, tmp_path):
@@ -459,6 +654,15 @@ class TestDifferentialLoading:
         with pytest.raises(MalformedRowError) as excinfo:
             dataset.load_differential_pairs(p)
         assert str(excinfo.value) == f"row 2, column {column!r}: must be finite, got {value}"
+
+    def test_leg_named_twice_is_refused(self, tmp_path):
+        # Only the loader that reads s1 refuses the file.
+        p = tmp_path / "twice.csv"
+        p.write_text("s_ab,s_ac,s2,s1,s1\n10,18,10.0,18.0,18.5\n")
+        with pytest.raises(DatasetError) as excinfo:
+            dataset.load_differential(p)
+        assert str(excinfo.value) == f"{p}: column 's1' is named more than once"
+        assert dataset.load_differential_pairs(p) == [(10.0, 18.0)]
 
     def test_differences(self, table3_rows):
         diffs = (table3_rows.columns.s1 - table3_rows.columns.s2).tolist()
@@ -584,10 +788,10 @@ def test_only_a_hash_among_the_data_lines_filters_them(tmp_path, br):
     path = tmp_path / "f.csv"
     head = ["# units: m", "", "condition"]
     path.write_text(br.join([*head, "5", "", "6"]) + br, encoding="utf-8", newline="")
-    assert dataset._read_csv(path)[2][0] == ["5", "", "6"]
+    assert dataset._read_csv(path)[2].lines() == ["5", "", "6"]
     path.write_text(br.join([*head, "5", "# note", "6"]) + br, encoding="utf-8",
                     newline="")
-    assert dataset._read_csv(path)[2][0] == ["5", "6"]
+    assert dataset._read_csv(path)[2].lines() == ["5", "6"]
 
 
 @st.composite
@@ -625,3 +829,14 @@ def test_loaders_match_the_line_filtering_reader(tmp_path_factory, data):
     path.write_bytes(data)
     assert ([_outcome(load, path) for load in LOADERS]
             == [_reference_outcome(load, path) for load in LOADERS])
+
+
+@settings(max_examples=400)
+@given(csv_files())
+def test_path_feed_matches_the_line_filtering_reader(tmp_path_factory, data):
+    # Every file the path feed may take is read by path, however small.
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(data)
+    with mock.patch.object(dataset, "_PATH_FEED_CHARS", 0):
+        got = [_outcome(load, path) for load in LOADERS]
+    assert got == [_reference_outcome(load, path) for load in LOADERS]
