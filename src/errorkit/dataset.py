@@ -451,8 +451,8 @@ class _Block(NamedTuple):
     file: tuple | None  # (path, lines before the data, file key) for the path feed
 
     def lines(self) -> list[str]:
-        """The data lines; only blank, whitespace-only and comment lines
-        may be among them."""
+        """The data lines; unless filtered, blank and whitespace-only
+        lines may be among them."""
         if self.filtered is not None:
             return self.filtered
         return self.text[self.start:].splitlines()
@@ -480,15 +480,16 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], _Block]:
     Empty, whitespace-only and comment lines (``#`` first) are skipped,
     and a leading byte-order mark is ignored.  The header is the first
     line not skipped, and the last ``# units:`` line gives the units.
-    Unless a data line holds a ``#``, the data lines are not filtered
-    here: numpy's C reader skips empty lines and refuses whitespace-only
-    ones, and :func:`_read_columns` drops both before it reads cell by
-    cell.  Only the lines up to the first data line are split.  The C
-    reader may read a large data block from the file itself (see
-    :data:`_PATH_FEED_CHARS`), so a large clean file gets no per-line
-    Python pass at all.  It may do so only when the file is a regular
-    one, no data line holds a quote or a ``#``, and the text has no line
-    break but ``\\n``, ``\\r\\n`` and ``\\r``, the ones both readers know.
+    Unless a data line holds a ``#``, the data lines are neither split
+    nor filtered here: numpy's C reader skips empty lines and refuses
+    whitespace-only ones, and :func:`_read_columns` drops both before it
+    reads cell by cell.  The C reader may read a data block of
+    :data:`_PATH_FEED_CHARS` characters or more from the file itself, so
+    only a large clean file gets no per-line Python pass at all; a
+    smaller one is split into lines.  The path feed needs a regular file whose name
+    has no compressed suffix, no quote or ``#`` in a data line, and no
+    line break in the text but ``\\n``, ``\\r\\n`` and ``\\r``, the ones
+    both readers know.
     """
     with open(path, "rb") as file:
         st = os.fstat(file.fileno())
