@@ -545,14 +545,15 @@ class TestPathFeed:
         p = _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows)
         want = dataset.load_series(p)
         sources, loadtxt = [], np.loadtxt
-        mtime = p.stat().st_mtime_ns
+        size, mtime = p.stat().st_size, p.stat().st_mtime_ns
 
         def spy(source, *args, **kwargs):
             if not isinstance(source, list) and not sources:
                 if change == "removed":
                     p.unlink()
                 else:
-                    edited = rows[:-1] + [[rows[-1][0], "5.9", rows[-1][2]]]
+                    # The same size when rewritten: only the mtime tells.
+                    edited = rows[:-1] + [[rows[-1][0], "5.900000", rows[-1][2]]]
                     _write_rows(p, "condition,observed,reference",
                                 edited + rows[:1] if change == "grown" else edited)
                     os.utime(p, ns=(mtime + 10**9, mtime + 10**9))
@@ -562,6 +563,8 @@ class TestPathFeed:
         with mock.patch.object(np, "loadtxt", spy):
             assert dataset.load_series(p) == want
         assert sources == [str, list]
+        if change == "rewritten":
+            assert p.stat().st_size == size
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_once(self, tmp_path):
