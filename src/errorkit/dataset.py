@@ -765,16 +765,13 @@ def write_series_csv(series: MeasurementSeries, path) -> None:
     write_table(path, units, header, map(templates.__getitem__, has.tolist()), values)
 
 
-def write_differential_csv(
-    pairs: LegPairs, rows: DifferentialRows, path, *, units: str = "m"
-) -> None:
-    """Write a differential campaign: the nominal leg pairs, then the
-    readings, as the loaders and the simulator return them."""
+def write_differential_csv(pairs: LegPairs, rows: DifferentialRows, path) -> None:
+    """Write a differential campaign in metres (``%.4f`` readings): the
+    nominal leg pairs, then the readings, as the loaders and the
+    simulator return them."""
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
-    value_fmt = _UNIT_FORMATS.get(units, "%g")
-    write_table(path, units, "s_ab,s_ac,s2,s1",
-                ["%g,%g," + value_fmt + "," + value_fmt] * len(rows),
+    write_table(path, "m", "s_ab,s_ac,s2,s1", ["%g,%g,%.4f,%.4f"] * len(rows),
                 np.column_stack((*pairs.columns, rows.columns.s2, rows.columns.s1)))
 
 

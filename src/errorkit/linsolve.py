@@ -6,8 +6,8 @@ normal matrices (condition numbers around 1e11 for a cubic over a
 elimination with scaled partial pivoting, on Python floats, with two
 sweeps of iterative refinement. Each sweep's residual is exact before
 its one rounding: an error-free dot product (Ogita, Rump and Oishi,
-"Accurate Sum and Dot Product", SIAM J. Sci. Comput. 26(6), 2005), so
-no step depends on the platform's ``long double``.
+"Accurate Sum and Dot Product", SIAM J. Sci. Comput. 26(6), 2005) or
+exact rationals, so no step depends on the platform's ``long double``.
 
 Design envelope is k <= 16; nothing here is meant for large or sparse
 systems.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -111,36 +110,50 @@ def _solve_factored(lu: list, perm: list, b: list) -> list:
     return x
 
 
-def _split(values: list) -> tuple[int, list, list]:
-    """(e, hi, lo): each ``v * 2**-e`` below 1 in magnitude, split by
-    Veltkamp into ``hi + lo`` with at most 26 significant bits in each
-    half, so that a product of two halves is exact."""
-    e = math.frexp(max(map(abs, values), default=0.0))[1]
+def _split(values: list) -> tuple[list, list] | None:
+    """(hi, lo): each ``v`` split by Veltkamp into ``hi + lo`` with at
+    most 26 significant bits in each half, or None when a nonzero
+    magnitude lies outside [2**-484, 2**484). Inside that window a
+    product of two halves is exact: it neither overflows nor loses a
+    bit to underflow."""
+    mags = sorted(map(abs, values))
+    if not (2.0**-484 <= next(filter(None, mags), 1.0) and mags[-1] < 2.0**484):
+        return None
     hi, lo = [], []
     for v in values:
-        v = math.ldexp(v, -e)
         c = 134217729.0 * v  # 2**27 + 1
         hi.append(c - (c - v))
         lo.append(v - hi[-1])
-    return e, hi, lo
+    return hi, lo
 
 
-def _residual(rows: list, b: list, x: list) -> list:
-    """``b - a @ x``, each component exact before its one rounding.
+def _exact_dot(u: list, v: list) -> float:
+    """``u @ v`` rounded once, from exact rationals: ``float`` of a
+    Fraction divides two integers, which CPython rounds correctly.
+    Raises OverflowError for a result beyond the double range, or a
+    value that is not finite."""
+    from fractions import Fraction  # 2 ms to import; only this path needs it
 
-    ``rows`` holds each row of ``a`` as ``(e, hi + hi + lo + lo)`` from
-    :func:`_split`. Each product is the sum of four exact half products
-    (Dekker), and :func:`math.fsum` adds them without error. The power
-    of two scaling keeps the split from overflowing and the half
-    products clear of underflow. Raises OverflowError for a residual
-    beyond the double range.
-    """
-    xe, hi, lo = _split([-v for v in x])
-    halves = hi + lo + hi + lo
-    return [
-        math.ldexp(math.fsum(chain((math.ldexp(bi, -e - xe),), map(mul, row, halves))), e + xe)
-        for (e, row), bi in zip(rows, b)
-    ]
+    if not all(map(math.isfinite, u + v)):
+        raise OverflowError("a dot product of values that are not finite")
+    return float(sum(map(mul, map(Fraction, u), map(Fraction, v))))
+
+
+def _residual(ab: list, rows: list, x: list) -> list:
+    """``b - a @ x``, each component exact before its one rounding: the
+    dot product of row ``i`` of ``ab``, ``a[i]`` followed by ``b[i]``,
+    with ``[-x, 1]``. ``rows`` is ``list(map(_split, ab))``. Inside the
+    window of :func:`_split`, each product is four exact half products
+    (Dekker) that :func:`math.fsum` adds without error; outside it,
+    :func:`_exact_dot` computes the component. Raises OverflowError for
+    a residual beyond the double range."""
+    x = [-v for v in x] + [1.0]
+    split_x = None if None in rows else _split(x)
+    if split_x is None:
+        return [_exact_dot(row, x) for row in ab]
+    x_hi, x_lo = split_x
+    halves = x_hi + x_lo + x_hi + x_lo
+    return [math.fsum(map(mul, hi + hi + lo + lo, halves)) for hi, lo in rows]
 
 
 def solve(eq: NormalEquations) -> np.ndarray:
@@ -151,8 +164,8 @@ def solve(eq: NormalEquations) -> np.ndarray:
     systems, raw-monomial normal matrices among them, whose diagonally
     equilibrated cond_1 is at most 1e9. The first misses seen were near
     cond_1 = 4e10, by up to 160 ulps, where the long-double refinement
-    this replaced was off by 1e6 ulps or more. Exactness needs each row
-    of the matrix, and the solution, to span less than about 2**1000.
+    this replaced was off by 1e6 ulps or more. Each refinement residual
+    is exact before its one rounding, for any finite system.
 
     Raises:
         SingularSystemError: the matrix is rank deficient at working
@@ -161,10 +174,11 @@ def solve(eq: NormalEquations) -> np.ndarray:
     lu, perm = _factor(eq.matrix)
     b = eq.rhs.tolist()
     x = _solve_factored(lu, perm, b)
-    rows = [(e, hi + hi + lo + lo) for e, hi, lo in map(_split, eq.matrix.tolist())]
+    ab = [[*row, bi] for row, bi in zip(eq.matrix.tolist(), b)]
+    rows = list(map(_split, ab))
     for _ in range(_REFINEMENT_SWEEPS):
         try:
-            residual = _residual(rows, b, x)
+            residual = _residual(ab, rows, x)
         except OverflowError:  # x overflowed, or misses b by more than 1e308
             return np.full(len(x), math.nan)
         x = [v + c for v, c in zip(x, _solve_factored(lu, perm, residual))]

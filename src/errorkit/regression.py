@@ -73,11 +73,9 @@ class RandomModelEstimate:
 class PolynomialErrorModel:
     """Error as a polynomial in the condition, coefficients in ppm.
 
-    ``coeffs[k]`` multiplies ``(T - basis_offset)**k``; the offset is
-    zero for the default raw-power basis and the condition mean when
-    the fit was centered.  ``domain`` is the fitted condition range;
-    evaluating outside it is allowed but flagged by
-    :func:`predict_frequency`.
+    ``coeffs[k]`` multiplies ``T**k``: the basis is the raw monomials.
+    ``domain`` is the fitted condition range; evaluating outside it is
+    allowed but flagged by :func:`predict_frequency`.
     """
 
     coeffs: tuple[float, ...]
@@ -85,7 +83,6 @@ class PolynomialErrorModel:
     residual_std: float
     dof: int
     normal: NormalEquations
-    basis_offset: float = 0.0
 
     def __call__(self, t: float) -> float:
         return evaluate_polynomial(self, t)
@@ -155,19 +152,13 @@ def _normalize_phase(phi: float) -> float:
     return phi % TWO_PI
 
 
-def fit_polynomial(
-    samples, degree: int = 3, *, center: bool = False
-) -> PolynomialErrorModel:
-    """Least-squares polynomial over the raw monomial basis.
+def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
+    """Least-squares polynomial over the raw monomial basis ``T**k``.
 
     Args:
         samples: ErrorSample sequence; condition is the abscissa.
         degree: polynomial degree (3 for the canonical temperature
             workflow, but any degree with n > degree + 1 works).
-        center: fit over powers of (T - mean(T)) instead of raw powers.
-            This conditions the normal matrix far better but changes
-            the basis the assembled system is expressed in, so it is
-            off by default; the fitted curve is the same either way.
 
     Raises:
         InsufficientDataError: fewer than degree + 2 samples.
@@ -179,8 +170,6 @@ def fit_polynomial(
         raise InsufficientDataError(
             f"degree {degree} needs at least {degree + 2} samples, got {n}"
         )
-    offset = float(t.mean()) if center else 0.0
-    t = t - offset
 
     # The normal matrix over the monomial basis is the Hankel matrix of
     # condition power sums, so tabulate t^0 .. t^(2*degree) once and
@@ -199,20 +188,19 @@ def fit_polynomial(
     residual_std = float(np.sqrt((residuals**2).sum() / dof))
     return PolynomialErrorModel(
         coeffs=tuple(float(c) for c in coeffs),
-        domain=(float(t.min()) + offset, float(t.max()) + offset),
+        # + 0.0 reports a -0.0 condition as 0.0, as the domain always has.
+        domain=(float(t.min()) + 0.0, float(t.max()) + 0.0),
         residual_std=residual_std,
         dof=dof,
         normal=eq,
-        basis_offset=offset,
     )
 
 
 def evaluate_polynomial(model: PolynomialErrorModel, t: float) -> float:
     """Evaluate the fitted polynomial (Horner) at condition t, in ppm."""
-    u = t - model.basis_offset
     acc = 0.0
     for c in reversed(model.coeffs):
-        acc = acc * u + c
+        acc = acc * t + c
     return acc
 
 
@@ -250,20 +238,17 @@ def _cycle_basis(s: np.ndarray, wavelength: float):
     return np.sin(theta), np.cos(theta)
 
 
-def fit_cycle_direct(
-    samples, wavelength: float, *, with_constant: bool = False
-) -> SinusoidalErrorModel:
+def fit_cycle_direct(samples, wavelength: float) -> SinusoidalErrorModel:
     """Fit ``y = a*sin(2*pi*S/wl) + b*cos(2*pi*S/wl)`` to error samples.
 
     The sample condition must be the instrument reading (the reading is
-    what drives the cycle phase); errors are in mm.  Amplitude is
+    what drives the cycle phase); errors are in mm.  The basis is the
+    sin and cos columns alone, with no constant term.  Amplitude is
     ``hypot(a, b)`` and phase ``atan2(b, a)``, normalized to [0, 2*pi).
 
     Args:
         samples: ErrorSample sequence (condition m, error mm).
         wavelength: cycle length in m, known a priori.
-        with_constant: include a constant term in the basis (off by
-            default; the plain model has none).
 
     Raises:
         InsufficientDataError: fewer than 3 samples.
@@ -275,19 +260,14 @@ def fit_cycle_direct(
     s, y = _arrays(samples, "condition", "error")
     if len(s) < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {len(s)}")
-    sin_t, cos_t = _cycle_basis(s, wavelength)
-
-    columns = [sin_t, cos_t]
-    if with_constant:
-        columns.append(np.ones_like(s))
-    basis = np.column_stack(columns)
+    basis = np.column_stack(_cycle_basis(s, wavelength))
     eq = NormalEquations(matrix=basis.T @ basis, rhs=basis.T @ y)
     sol = solve(eq)
     a, b = float(sol[0]), float(sol[1])
 
     residuals = y - basis @ sol
-    dof = len(s) - basis.shape[1]
-    residual_std = float(np.sqrt((residuals**2).sum() / dof)) if dof > 0 else 0.0
+    dof = len(s) - 2  # at least 1
+    residual_std = float(np.sqrt((residuals**2).sum() / dof))
     return SinusoidalErrorModel(
         amplitude=math.hypot(a, b),
         wavelength=wavelength,
@@ -374,7 +354,8 @@ def to_report(model) -> dict:
 
     The shape is ``{model, coefficients, residual_std, dof,
     normal_matrix, rhs}`` plus model-specific extras (domain, phase in
-    degrees, offset).
+    degrees, offset).  A polynomial's ``basis_offset`` is always 0: the
+    basis is the raw monomials.
     """
     if isinstance(model, PolynomialErrorModel):
         return {
@@ -385,7 +366,7 @@ def to_report(model) -> dict:
             "normal_matrix": model.normal.matrix.tolist(),
             "rhs": model.normal.rhs.tolist(),
             "domain": list(model.domain),
-            "basis_offset": model.basis_offset,
+            "basis_offset": 0.0,
         }
     if isinstance(model, SinusoidalErrorModel):
         report = {

@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._jsonfile import gc_paused, read_json, shorten
-from .dataset import DifferentialRows, LegPairs, MeasurementSeries
+from .dataset import DifferentialRows, LegPairs, MeasurementSeries, _first_false
 
 __all__ = [
     "ConfigurationError",
@@ -386,7 +386,7 @@ def _round_tenth_mm(x: np.ndarray) -> np.ndarray:
 
 def simulate_differential(
     cycle: ErrorSource,
-    pairs: LegPairs | Sequence[tuple[float, float]],
+    pairs: LegPairs,
     extra_sources: Sequence[ErrorSource] = (),
     *,
     round_readings: bool = False,
@@ -394,8 +394,10 @@ def simulate_differential(
 ) -> DifferentialRun:
     """Generate two-leg differential readings from nominal leg pairs.
 
-    ``pairs`` is a :class:`~errorkit.dataset.LegPairs`, whose columns
-    are read as they are, or any sequence of (s_ab, s_ac) pairs.
+    ``pairs`` is a :class:`~errorkit.dataset.LegPairs`, as
+    :func:`load_scenario` and
+    :func:`~errorkit.dataset.load_differential_pairs` return it; build
+    one from (s_ab, s_ac) pairs with ``LegPairs(*zip(*pairs))``.
     Each pair (s_ab, s_ac) with s_ac > s_ab yields readings
     s2 = s_ab + y(s_ab) and s1 = s_ac + y(s_ac), y being the cycle
     error evaluated at the nominal leg, plus any extra-source
@@ -419,10 +421,7 @@ def simulate_differential(
     names = [s.name for s in sources]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate source names {names}")
-    if isinstance(pairs, LegPairs):
-        legs = np.column_stack(pairs.columns)
-    else:
-        legs = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
+    legs = np.column_stack(pairs.columns)
     bad = np.flatnonzero(~(legs[:, 1] > legs[:, 0]))
     if bad.size:
         s_ab, s_ac = pairs[bad[0]]
@@ -485,7 +484,8 @@ def classify_effects(
     ``eps_abs`` defaults to 1e-6 mm, which suits noiseless
     simulations; with gaussian noise in play the caller must choose a
     threshold, since classifying a noisy mixture is inherently
-    threshold-relative. ``eps_abs`` must be positive and finite.
+    threshold-relative. ``eps_abs`` must be positive and finite, and
+    so must every contribution: a ValueError names the first that is not.
     """
     if not 0 < eps_abs < math.inf:
         raise ValueError(f"eps_abs must be positive and finite, got {eps_abs}")
@@ -494,6 +494,10 @@ def classify_effects(
         values = np.asarray(seq, dtype=float)
         if values.size == 0:
             raise ValueError(f"source {name!r} has an empty contribution sequence")
+        bad = _first_false(np.isfinite(values))
+        if bad is not None:
+            raise ValueError(f"source {name!r}: row {bad + 1}: contribution must be "
+                             f"finite, got {float(values[bad])!r}")
         mean = float(values.mean())
         std = float(values.std(ddof=1)) if values.size > 1 else 0.0
         max_abs = float(np.abs(values).max())

@@ -19,6 +19,7 @@ from errorkit.budget import (
 )
 from errorkit.dataset import (
     ErrorSample,
+    LegPairs,
     bundled_path,
     load_differential,
     load_series,
@@ -43,6 +44,9 @@ from errorkit.simulate import (
 import reference_values as ref
 
 QUARTER_TURN = math.pi / 4.0
+
+# The published nominal leg pairs as the columns the simulator reads.
+TABLE3_PAIRS = LegPairs(*zip(*ref.TABLE3_PAIRS))
 
 
 def rounded_ppm_samples():
@@ -89,7 +93,7 @@ def test_criterion_04_direct_cycle_fit_of_the_calibration_errors():
 
 def test_criterion_05_differential_campaign_regenerates_exactly():
     run = simulate_differential(
-        campaign_cycle(), ref.TABLE3_PAIRS, round_readings=True
+        campaign_cycle(), TABLE3_PAIRS, round_readings=True
     )
     matches = sum(
         (got.s2 == want_s2) + (got.s1 == want_s1)
@@ -121,7 +125,7 @@ def test_criterion_07_differential_cycle_fit():
 
     # part two: fit of the unrounded regenerated stream recovers the
     # base distance to the tight bound the readout rounding destroys
-    unrounded = simulate_differential(campaign_cycle(), ref.TABLE3_PAIRS)
+    unrounded = simulate_differential(campaign_cycle(), TABLE3_PAIRS)
     regen_fit = fit_cycle_differential(unrounded.rows, wavelength=20.0)
     matrix_dev = np.abs(regen_fit.normal.matrix - ref.DIFF_MATRIX) / np.abs(
         ref.DIFF_MATRIX
@@ -208,10 +212,10 @@ def test_criterion_10_schedule_decides_systematic_random_or_null():
     assert abs(varied_report["cycle"].std - expected_std) <= 0.02 * expected_std
 
     # differential schedule: a common-mode constant cancels bit for bit
-    base = simulate_differential(campaign_cycle(), ref.TABLE3_PAIRS)
+    base = simulate_differential(campaign_cycle(), TABLE3_PAIRS)
     shifted = simulate_differential(
         campaign_cycle(),
-        ref.TABLE3_PAIRS,
+        TABLE3_PAIRS,
         extra_sources=[ErrorSource.additive_constant(0.0123)],
     )
     assert [r.s1 - r.s2 for r in shifted.rows] == [r.s1 - r.s2 for r in base.rows]

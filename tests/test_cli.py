@@ -422,6 +422,59 @@ class TestFitPoly3:
         assert "-0" not in observed
 
 
+class TestFitJsonReport:
+    """The ``fit --json`` report of each bundled fit, key for key."""
+
+    COMMON_KEYS = {"model", "coefficients", "residual_std", "dof", "normal_matrix", "rhs"}
+    FITS = {
+        "poly3": ("table1.csv", COMMON_KEYS | {"domain", "basis_offset"}),
+        "cycle": ("table2.csv", COMMON_KEYS | {"amplitude_unit"}),
+        "cycle-diff": ("table3.csv", COMMON_KEYS | {"amplitude_unit"}),
+    }
+    COEFFICIENT_KEYS = {
+        "cycle": {"amplitude", "phase_rad", "phase_deg", "wavelength"},
+        "cycle-diff": {"amplitude", "phase_rad", "phase_deg", "wavelength", "offset_s0"},
+    }
+
+    @staticmethod
+    def report(runner, path, model):
+        result = runner.invoke(main, ["fit", str(path), "--model", model, "--json"])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)
+
+    @pytest.mark.parametrize("model", FITS)
+    def test_key_sets(self, runner, model):
+        table, keys = self.FITS[model]
+        report = self.report(runner, table, model)
+        assert set(report) == {"command", "input_digest", "results", "warnings"}
+        assert set(report["results"]) == keys
+        if model in self.COEFFICIENT_KEYS:
+            assert set(report["results"]["coefficients"]) == self.COEFFICIENT_KEYS[model]
+
+    def test_poly3_system_and_domain(self, runner):
+        # The whole-ppm errors and integer temperatures make every power
+        # sum exact, so these values hold on any platform.
+        results = self.report(runner, "table1.csv", "poly3")["results"]
+        assert results["basis_offset"] == 0.0
+        assert results["normal_matrix"] == [
+            [15.0, 450.0, 41500.0, 2925000.0],
+            [450.0, 41500.0, 2925000.0, 256870000.0],
+            [41500.0, 2925000.0, 256870000.0, 21952500000.0],
+            [2925000.0, 256870000.0, 21952500000.0, 1983295000000.0],
+        ]
+        assert results["rhs"] == [-1.0, 4610.0, 304500.0, 42713000.0]
+        assert results["domain"] == [-40.0, 100.0]
+
+    def test_negative_zero_condition_reports_a_positive_zero_domain(self, runner, tmp_path):
+        p = tmp_path / "minus_zero.csv"
+        p.write_text("# units: condition=degC observed=MHz\ncondition,observed\n"
+                     "-0.0,10.00001\n10,10.00003\n20,9.99998\n30,10.00002\n"
+                     "40,9.99996\n50,10.00004\n")
+        domain = self.report(runner, p, "poly3")["results"]["domain"]
+        assert domain == [0.0, 50.0]
+        assert math.copysign(1.0, domain[0]) == 1.0
+
+
 class TestFitCycle:
     def test_published_amplitude_and_phase(self, runner):
         result = runner.invoke(

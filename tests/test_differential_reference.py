@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from errorkit import dataset
 from errorkit.cli import main
-from errorkit.dataset import MalformedRowError
+from errorkit.dataset import LegPairs, MalformedRowError
 from errorkit.simulate import ConfigurationError, ErrorSource, simulate_differential
 
 GRID = float(2**30)
@@ -119,6 +119,7 @@ def test_matches_the_scalar_reference_bit_for_bit(
     want_s1, want_s2, want_dc = reference_differential(
         sources, pairs, round_readings, noise_seed
     )
+    pairs = LegPairs(*zip(*pairs))
     if want_s2 is None:
         # The reference's first refused pair is the first refused row.
         with pytest.raises(MalformedRowError) as info:
@@ -166,10 +167,10 @@ def test_overflowing_legs_raise_a_located_value_error():
     cycle = ErrorSource.cycle(5.0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="row 1, column 's1'"):
-            simulate_differential(cycle, [(1e300, 2e300)])
+            simulate_differential(cycle, LegPairs([1e300], [2e300]))
 
 
 def test_temperature_source_is_refused():
     oven = ErrorSource.temperature_polynomial([1.0], name="oven")
     with pytest.raises(ConfigurationError, match="'oven'.*'temperature'"):
-        simulate_differential(ErrorSource.cycle(5.0), [(1.0, 2.0)], [oven])
+        simulate_differential(ErrorSource.cycle(5.0), LegPairs([1.0], [2.0]), [oven])

@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errorkit import dataset, regression
-from errorkit.linsolve import NormalEquations, SingularSystemError, solve
+from errorkit.linsolve import (
+    NormalEquations,
+    SingularSystemError,
+    _residual,
+    _split,
+    solve,
+)
 
 import reference_values as ref
 
@@ -269,10 +275,73 @@ class TestExactOracle:
         assert_matches_oracle(a, a @ x_true)
 
 
+def signed(magnitudes):
+    return st.one_of(magnitudes, st.just(0.0)).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def binades(lo, hi):
+    """Doubles with any significand, from the binades 2**lo to 2**hi."""
+    return signed(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                            st.integers(lo, hi)))
+
+
+# Magnitudes well inside the window where the residual splits, on both
+# sides of its edges, and any finite double: subnormals and the largest
+# magnitudes too.
+ELEMENTS = [
+    signed(st.floats(min_value=1e-70, max_value=1e70)),
+    binades(-560, -470),
+    binades(440, 530),
+    signed(st.floats(min_value=5e-324, max_value=1.7e308)),
+]
+
+
+@st.composite
+def residual_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(draw(st.sampled_from(ELEMENTS)), min_size=k, max_size=k)
+    a, b, x = draw(st.lists(vector, min_size=k, max_size=k)), draw(vector), draw(vector)
+    if draw(st.booleans()):
+        # b as a @ x rounded, as refinement sees it: the residual is then
+        # the rounding error alone, which rests on every low bit.
+        try:
+            b = [float(sum(Fraction(v) * Fraction(w) for v, w in zip(row, x))) for row in a]
+        except OverflowError:
+            pass
+    return a, b, x
+
+
+class TestExactResidual:
+    @settings(max_examples=400)
+    @given(residual_cases())
+    def test_residual_is_the_correctly_rounded_one(self, case):
+        a, b, x = case
+        exact = [Fraction(bi) - sum(Fraction(v) * Fraction(w) for v, w in zip(row, x))
+                 for row, bi in zip(a, b)]
+        ab = [[*row, bi] for row, bi in zip(a, b)]
+        try:
+            want = [float(r) for r in exact]  # int / int: correctly rounded
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _residual(ab, list(map(_split, ab)), x)
+            return
+        assert _residual(ab, list(map(_split, ab)), x) == want
+
+    def test_rows_spanning_the_double_range(self):
+        # A split scaled by each row's largest entry loses the tiny
+        # entries and half products to underflow, and x0 to 8.7e-25.
+        a = np.array([[1e-12, 1e300, -1.0], [1.7e308, 2.5, -1.0], [1e300, 5e-324, 0.0]])
+        b = np.array([-1.7e308, -1e300, 1.0])
+        x = solve(NormalEquations(a, b))
+        for got, want in zip(x.tolist(), exact_solution(a, b)):
+            assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(float(want)))
+        assert x[0] == pytest.approx(1e-300, rel=1e-15)
+
+
 class TestExtremeScales:
-    """Power-of-two scaling keeps the exact residual finite and exact at
-    the ends of the double range, where the split alone would overflow
-    or lose its error terms to underflow."""
+    """At the ends of the double range, where the split would overflow
+    or lose its error terms to underflow, the residual comes from exact
+    rationals."""
 
     @staticmethod
     def assert_correctly_rounded(a, b):

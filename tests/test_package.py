@@ -152,10 +152,11 @@ class TestImports:
         assert "numpy.random" not in modules
         assert run_python(
             "import sys\n"
+            "from errorkit.dataset import LegPairs\n"
             "from errorkit.simulate import ErrorSource, simulate_differential\n"
             "cycle = ErrorSource(name='cycle', kind='cycle', amplitude_mm=5.0)\n"
             "offset = ErrorSource(name='offset', kind='additive-constant', c_mm=1.0)\n"
-            "run = simulate_differential(cycle, [(10.0, 18.0), (12.0, 21.0)], [offset])\n"
+            "run = simulate_differential(cycle, LegPairs([10.0, 12.0], [18.0, 21.0]), [offset])\n"
             "print(len(run.rows), 'numpy.random' in sys.modules)\n"
         ) == "2 False\n"
 

@@ -112,7 +112,6 @@ class TestFitPolynomial:
         assert model.residual_std == pytest.approx(2.2848603741608504, rel=1e-9)
         assert model.dof == 11
         assert model.domain == (-40.0, 100.0)
-        assert model.basis_offset == 0.0
 
     def test_against_numpy_polyfit(self, integer_ppm_samples):
         t = np.array([s.condition for s in integer_ppm_samples])
@@ -147,22 +146,6 @@ class TestFitPolynomial:
         samples = [ErrorSample(condition=20.0, error=float(i)) for i in range(8)]
         with pytest.raises(SingularSystemError):
             fit_polynomial(samples, degree=3)
-
-    def test_centered_fit_same_curve(self, integer_ppm_samples):
-        raw = fit_polynomial(integer_ppm_samples, degree=3)
-        centered = fit_polynomial(integer_ppm_samples, degree=3, center=True)
-        assert centered.basis_offset == pytest.approx(30.0)
-        assert centered.domain == raw.domain
-        grid = np.linspace(-40.0, 100.0, 57)
-        for t in grid:
-            assert centered(t) == pytest.approx(raw(t), abs=1e-12)
-
-    def test_centered_fit_conditions_the_system_better(self, integer_ppm_samples):
-        raw = fit_polynomial(integer_ppm_samples, degree=3)
-        centered = fit_polynomial(integer_ppm_samples, degree=3, center=True)
-        assert np.linalg.cond(centered.normal.matrix) < np.linalg.cond(
-            raw.normal.matrix
-        )
 
     def test_report_shape(self, integer_ppm_samples):
         report = to_report(fit_polynomial(integer_ppm_samples, degree=3))
@@ -274,20 +257,6 @@ class TestFitCycleDirect:
         samples = [ErrorSample(condition=float(s), error=0.0) for s in range(5)]
         model = fit_cycle_direct(samples, wavelength=20.0)
         assert model.amplitude == 0.0
-
-    def test_with_constant_term(self):
-        amplitude, phase, offset = 3.25, 2.4, 2.0
-        samples = [
-            ErrorSample(
-                condition=float(s),
-                error=offset + amplitude * math.sin(TWO_PI * s / 20.0 + phase),
-            )
-            for s in range(20)
-        ]
-        model = fit_cycle_direct(samples, wavelength=20.0, with_constant=True)
-        assert model.dof == 17
-        assert model.amplitude == pytest.approx(amplitude, rel=1e-9)
-        assert circular_difference(model.phase, phase % TWO_PI) <= 1e-9
 
     def test_too_few_samples(self):
         samples = [ErrorSample(condition=0.0, error=0.0)] * 2

@@ -62,15 +62,13 @@ def reference_series_csv(series, path):
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def reference_differential_csv(pairs, rows, path, *, units="m"):
+def reference_differential_csv(pairs, rows, path):
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
-    out = [f"# units: {units}", "s_ab,s_ac,s2,s1"]
+    out = ["# units: m", "s_ab,s_ac,s2,s1"]
     for (ab, ac), row in zip(pairs, rows):
         out.append(
-            ",".join(
-                ["%g" % ab, "%g" % ac, _format(row.s2, units), _format(row.s1, units)]
-            )
+            ",".join(["%g" % ab, "%g" % ac, _format(row.s2, "m"), _format(row.s1, "m")])
         )
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
@@ -176,11 +174,8 @@ def test_series_writer_matches_the_row_writer(
     n=sizes,
     seed=seeds,
     exponent=exponents,
-    units=st.sampled_from(UNITS),
 )
-def test_differential_writer_matches_the_row_writer(
-    tmp_path_factory, n, seed, exponent, units
-):
+def test_differential_writer_matches_the_row_writer(tmp_path_factory, n, seed, exponent):
     rng = np.random.default_rng(seed)
     s2 = _values(rng, n, exponent)
     s1 = s2 + np.abs(_values(rng, n, exponent)) + 10.0**exponent
@@ -188,7 +183,7 @@ def test_differential_writer_matches_the_row_writer(
     pairs = LegPairs(s_ab, s_ab + 1.0)
     rows = DifferentialRows(s1, s2)
     _same_file(tmp_path_factory.mktemp("diff"), dataset.write_differential_csv,
-               reference_differential_csv, pairs, rows, units=units)
+               reference_differential_csv, pairs, rows)
 
 
 def _simulated_campaign(pairs):
@@ -205,10 +200,11 @@ def test_simulated_campaign_is_written_as_the_row_writer_writes_it(tmp_path):
     rng = np.random.default_rng(11)
     s_ab = rng.uniform(0.0, 500.0, 10_000)
     s_ac = s_ab + rng.uniform(0.01, 50.0, 10_000)
-    run = _simulated_campaign(list(zip(s_ab.tolist(), s_ac.tolist())))
+    pairs = LegPairs(s_ab, s_ac)
+    run = _simulated_campaign(pairs)
     assert isinstance(run.rows, DifferentialRows)
     _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
-               LegPairs(s_ab, s_ac), run.rows)
+               pairs, run.rows)
 
 
 def test_simulated_campaign_from_leg_pair_columns(tmp_path):
@@ -225,9 +221,8 @@ def test_empty_series_and_campaign_are_the_header_lines(tmp_path):
         [], [], condition_unit="degC", value_unit="MHz")
     dataset.write_series_csv(series, out)
     assert out.read_text() == "# units: condition=degC observed=MHz\ncondition,observed\n"
-    dataset.write_differential_csv(LegPairs([], []), DifferentialRows([], []), out,
-                                   units="mm")
-    assert out.read_text() == "# units: mm\ns_ab,s_ac,s2,s1\n"
+    dataset.write_differential_csv(LegPairs([], []), DifferentialRows([], []), out)
+    assert out.read_text() == "# units: m\ns_ab,s_ac,s2,s1\n"
 
 
 B = dataset._BLOCK_LINES
@@ -275,7 +270,7 @@ def test_missing_references_straddling_a_block_boundary(tmp_path):
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_differential_writer_across_block_boundaries(tmp_path, n):
     _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
-               *_campaign(n), units="mm")
+               *_campaign(n))
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
