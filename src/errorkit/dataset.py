@@ -35,10 +35,13 @@ its 1-based row and its column.  A leading UTF-8 byte-order mark is
 ignored; any other byte that is not UTF-8 is reported with its line.
 A series is only its columns, and
 :meth:`MeasurementSeries.from_columns` is its one checked constructor.
-The items of error samples (:class:`ErrorSample`), of differential
-readings (:class:`DifferentialRow`) and of the nominal leg pairs of a
-differential campaign (:class:`LegPair`) are built from the columns
-only when a caller reads them.  Every CSV errorkit writes, the command
+Error samples (:class:`ErrorSamples`), differential readings
+(:class:`DifferentialRows`) and the nominal leg pairs of a
+differential campaign (:class:`LegPairs`) are columns too, each checked
+once, when it is built; their items, the named tuples
+:class:`ErrorSample`, :class:`DifferentialRow` and :class:`LegPair`,
+check nothing and are built from the columns only when a caller reads
+them.  Every CSV errorkit writes, the command
 line's ``--emit-series`` files included, goes through
 :func:`write_table`: a ``# units:`` line, the header, and a body
 written in blocks of lines, each formatted with one ``%`` over its
@@ -109,11 +112,7 @@ class DatasetError(ValueError):
 
 class MalformedRowError(DatasetError):
     """A row failed to parse or to pass its checks; carries the offending
-    1-based row and the column.
-
-    Like every ``DatasetError`` it is a ``ValueError``, the type the
-    record types (:class:`ErrorSample`, :class:`DifferentialRow`) raise
-    for their own faults."""
+    1-based row and the column."""
 
     def __init__(self, row_index: int, column: str, detail: str):
         self.row_index = row_index
@@ -132,8 +131,14 @@ SampleColumns = namedtuple("SampleColumns", ["condition", "error"])
 LegColumns = namedtuple("LegColumns", ["s1", "s2"])
 PairColumns = namedtuple("PairColumns", ["s_ab", "s_ac"])
 
+# The items of the columnar types.  They are tuples, so they compare
+# equal to plain tuples, and they check nothing: their columnar type has.
+# One (condition, error) point ready for fitting: the error is in ppm for
+# mean-referenced relative errors, in mm for explicit-reference ones.
+ErrorSample = namedtuple("ErrorSample", ["condition", "error"])
+# A reading pair from one differential setup; s1 is the longer leg.
+DifferentialRow = namedtuple("DifferentialRow", ["s1", "s2"])
 # One nominal leg pair of a differential setup: short leg, long leg (m).
-# A tuple, so pairs compare equal to plain (s_ab, s_ac) tuples.
 LegPair = namedtuple("LegPair", ["s_ab", "s_ac"])
 
 
@@ -246,47 +251,14 @@ class MeasurementSeries:
         return tuple(self.columns.observed.tolist())
 
 
-@dataclass(frozen=True)
-class DifferentialRow:
-    """A reading pair from one differential setup; s1 is the longer leg."""
-
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        if not self.s1 > self.s2:
-            raise ValueError(f"require s1 > s2, got s1={self.s1} s2={self.s2}")
-
-    @property
-    def difference(self) -> float:
-        return self.s1 - self.s2
-
-
-@dataclass(frozen=True)
-class ErrorSample:
-    """A single (condition, error) point ready for fitting.
-
-    The error unit follows the conversion that produced the sample:
-    ppm for mean-referenced relative errors, mm for explicit-reference
-    distance errors.
-    """
-
-    condition: float
-    error: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.error):
-            raise ValueError(f"error must be finite, got {self.error!r}")
-
-
 class _Records(Sequence):
-    """A read-only sequence of frozen records stored as float64 columns.
+    """A read-only sequence of records stored as float64 columns.
 
     ``columns`` is a named tuple with one column per field of the record
-    type.  An item is built from the columns only when it is indexed,
-    iterated over or unpacked, so a subclass checks in its constructor
-    whatever the record type would reject.  It compares equal to any
-    sequence of equal items and hashes as the tuple of its items.
+    type.  A subclass checks its rows once, in its constructor; an item
+    is built from the columns only when it is indexed, iterated over or
+    unpacked.  It compares equal to any sequence of equal items and
+    hashes as the tuple of its items.
     """
 
     _record: type
@@ -324,8 +296,8 @@ class ErrorSamples(_Records):
     """(condition, error) samples as columns; items are :class:`ErrorSample`.
 
     Raises:
-        ValueError: some error is not finite (the ErrorSample message,
-            after the first such 1-based row).
+        ValueError: some error is not finite; the message names the
+            first such 1-based row.
     """
 
     _record = ErrorSample
@@ -339,6 +311,26 @@ class ErrorSamples(_Records):
                 f"row {bad + 1}: error must be finite, "
                 f"got {float(self.columns.error[bad])!r}"
             )
+
+
+def _check_ordered_legs(columns, long: str, short: str) -> None:
+    """Raise for the first row whose legs are not both finite with the
+    ``long`` leg longer than the ``short`` one.
+
+    The :class:`MalformedRowError` names the 1-based row and the first
+    leg, in column order, that is not finite, or else the ``long`` leg.
+    """
+    a, b = getattr(columns, long), getattr(columns, short)
+    bad = _first_false(np.isfinite(a) & np.isfinite(b) & (a > b))
+    if bad is None:
+        return
+    for column, values in zip(columns._fields, columns):
+        value = float(values[bad])
+        if not math.isfinite(value):
+            raise MalformedRowError(bad + 1, column, f"must be finite, got {value!r}")
+    raise MalformedRowError(
+        bad + 1, long,
+        f"require {long} > {short}, got {long}={float(a[bad])} {short}={float(b[bad])}")
 
 
 class DifferentialRows(_Records):
@@ -356,27 +348,16 @@ class DifferentialRows(_Records):
 
     def __init__(self, s1, s2):
         super().__init__(s1, s2)
-        s1, s2 = self.columns
-        bad = _first_false(np.isfinite(s1) & np.isfinite(s2) & (s1 > s2))
-        if bad is not None:
-            a, b = float(s1[bad]), float(s2[bad])
-            if not math.isfinite(a):
-                column, detail = "s1", f"must be finite, got {a!r}"
-            elif not math.isfinite(b):
-                column, detail = "s2", f"must be finite, got {b!r}"
-            else:
-                column, detail = "s1", f"require s1 > s2, got s1={a} s2={b}"
-            raise MalformedRowError(bad + 1, column, detail)
+        _check_ordered_legs(self.columns, "s1", "s2")
 
 
 class LegPairs(_Records):
     """Nominal (s_ab, s_ac) leg pairs as columns; items are :class:`LegPair`.
 
-    It checks only that every leg is finite: whether ``s_ac > s_ab`` is
-    for the loader or the simulator that reads them to check.
-
     Raises:
-        MalformedRowError: the first row with a leg that is not finite.
+        MalformedRowError: the first row whose legs are not both finite
+            with ``s_ac > s_ab``, with its 1-based index and the leg's
+            column (``s_ac`` when the legs are out of order).
     """
 
     _record = LegPair
@@ -384,12 +365,7 @@ class LegPairs(_Records):
 
     def __init__(self, s_ab, s_ac):
         super().__init__(s_ab, s_ac)
-        s_ab, s_ac = self.columns
-        bad = _first_false(np.isfinite(s_ab) & np.isfinite(s_ac))
-        if bad is not None:
-            a, b = float(s_ab[bad]), float(s_ac[bad])
-            column, value = ("s_ab", a) if not math.isfinite(a) else ("s_ac", b)
-            raise MalformedRowError(bad + 1, column, f"must be finite, got {value!r}")
+        _check_ordered_legs(self.columns, "s_ac", "s_ab")
 
 
 def _parse_units_line(line: str) -> dict[str, str]:
@@ -718,7 +694,8 @@ def load_differential_pairs(path) -> LegPairs:
 
     Raises:
         MalformedRowError: a nominal leg failed to parse or is not
-            finite; the first such row in the file, with its column.
+            finite, or ``s_ac <= s_ab``; the first such row in the file,
+            with its column.
     """
     _, header, block = _read_csv(path)
     return _checked_prefix(LegPairs,

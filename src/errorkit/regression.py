@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DifferentialRows, ErrorSamples
 from .linsolve import NormalEquations, SingularSystemError, solve
 
 __all__ = [
@@ -120,17 +121,17 @@ class Prediction:
     in_domain: bool
 
 
-def _arrays(items, *fields):
-    """Float64 arrays of the named ``fields`` of ``items``.
+def _columns(items, kind):
+    """The columns of ``items``, a ``kind`` (``ErrorSamples`` or
+    ``DifferentialRows``) or an iterable of its records.
 
-    A columnar sequence (``ErrorSamples``, ``DifferentialRows``) hands
-    over its stored columns; any other iterable is copied item by item.
+    Records are built into a ``kind`` first, so a bad one raises the
+    error ``kind`` raises for it, naming its 1-based row.
     """
-    columns = getattr(items, "columns", None)
-    if columns is not None:
-        return [getattr(columns, f) for f in fields]
-    items = list(items)
-    return [np.array([getattr(x, f) for x in items], dtype=float) for f in fields]
+    if not isinstance(items, kind):
+        items = list(items)
+        items = kind(*([getattr(x, f) for x in items] for f in kind._columns._fields))
+    return items.columns
 
 
 def random_model(values) -> RandomModelEstimate:
@@ -156,7 +157,7 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
     """Least-squares polynomial over the raw monomial basis ``T**k``.
 
     Args:
-        samples: ErrorSample sequence; condition is the abscissa.
+        samples: ErrorSamples or ErrorSample items; condition is the abscissa.
         degree: polynomial degree (3 for the canonical temperature
             workflow, but any degree with n > degree + 1 works).
 
@@ -164,7 +165,7 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
         InsufficientDataError: fewer than degree + 2 samples.
         SingularSystemError: degenerate conditions (e.g. all equal).
     """
-    t, r = _arrays(samples, "condition", "error")
+    t, r = _columns(samples, ErrorSamples)
     n = len(t)
     if n <= degree + 1:
         raise InsufficientDataError(
@@ -247,7 +248,7 @@ def fit_cycle_direct(samples, wavelength: float) -> SinusoidalErrorModel:
     ``hypot(a, b)`` and phase ``atan2(b, a)``, normalized to [0, 2*pi).
 
     Args:
-        samples: ErrorSample sequence (condition m, error mm).
+        samples: ErrorSamples or ErrorSample items (condition m, error mm).
         wavelength: cycle length in m, known a priori.
 
     Raises:
@@ -257,7 +258,7 @@ def fit_cycle_direct(samples, wavelength: float) -> SinusoidalErrorModel:
         SingularSystemError: all conditions congruent modulo the
             wavelength, so the basis is degenerate.
     """
-    s, y = _arrays(samples, "condition", "error")
+    s, y = _columns(samples, ErrorSamples)
     if len(s) < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {len(s)}")
     basis = np.column_stack(_cycle_basis(s, wavelength))
@@ -288,7 +289,8 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
     cos(theta2)``, the model ``S_i = S0 + a*A_i + b*B_i`` is linear in
     (S0, a, b) and its 3x3 normal system is solved directly.  Amplitude,
     phase and residuals are in metres; the constant difference estimate
-    lands in ``offset_s0``.
+    lands in ``offset_s0``.  ``rows`` is DifferentialRows or
+    DifferentialRow items.
 
     Raises:
         InsufficientDataError: fewer than 3 rows.
@@ -298,7 +300,7 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
             legs must sample diverse cycle phases for the sin/cos
             differences to span the basis.
     """
-    s1, s2 = _arrays(rows, "s1", "s2")
+    s1, s2 = _columns(rows, DifferentialRows)
     n = len(s1)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 rows, got {n}")

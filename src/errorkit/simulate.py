@@ -47,7 +47,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._jsonfile import gc_paused, read_json, shorten
-from .dataset import DifferentialRows, LegPairs, MeasurementSeries, _first_false
+from .dataset import (DifferentialRows, LegPairs, MalformedRowError, MeasurementSeries,
+                      _first_false)
 
 __all__ = [
     "ConfigurationError",
@@ -92,7 +93,9 @@ _GRID = float(2**30)
 
 
 class ConfigurationError(ValueError):
-    """A source references a condition the run does not provide."""
+    """A run's sources do not fit it: two share a name, one depends on a
+    condition the run does not provide, or the differential driver is
+    not a cycle."""
 
 
 class ScenarioError(ValueError):
@@ -106,7 +109,8 @@ class ErrorSource:
     The per-kind parameter fields double as documentation of the five
     supported mechanisms; unused fields stay at their zero defaults.
     ``depends_on`` names the schedule condition that drives the
-    source, or "none" for condition-free sources.
+    source, or "none" for condition-free sources.  Every parameter
+    must be finite.
     """
 
     name: str
@@ -135,11 +139,18 @@ class ErrorSource:
                 f"source {self.name!r}: kind {self.kind!r} cannot depend on "
                 f"{self.depends_on!r}"
             )
+        object.__setattr__(self, "coeffs_ppm", tuple(self.coeffs_ppm))
+        numbers = {f: getattr(self, f) for f in (
+            "c_mm", "r_ppm", "amplitude_mm", "wavelength_m", "phase_rad", "sigma_mm")}
+        numbers.update((f"coeffs_ppm[{i}]", c) for i, c in enumerate(self.coeffs_ppm))
+        for field_name, value in numbers.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"source {self.name!r}: {field_name} must be finite, got {value!r}")
         if self.kind == "cycle" and not self.wavelength_m > 0:
             raise ValueError(f"source {self.name!r}: wavelength must be positive")
         if self.kind == "gaussian-noise" and self.sigma_mm < 0:
             raise ValueError(f"source {self.name!r}: sigma must be >= 0")
-        object.__setattr__(self, "coeffs_ppm", tuple(self.coeffs_ppm))
 
     @classmethod
     def additive_constant(cls, c_mm: float, name: str = "constant"):
@@ -331,6 +342,14 @@ def _contribution_mm(
     return np.random.default_rng(seed).normal(0.0, source.sigma_mm, nominal_m.shape)
 
 
+def _check_unique_names(sources: Sequence[ErrorSource]) -> None:
+    """Refuse two sources of one name, before any source is evaluated."""
+    names = [source.name for source in sources]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigurationError(f"duplicate source name {name!r}")
+
+
 def simulate_repeated(
     sources: Sequence[ErrorSource],
     schedule: ConditionSchedule,
@@ -348,6 +367,7 @@ def simulate_repeated(
     Noise sources draw from substreams spawned off ``noise_seed`` (one
     per source position), so runs are reproducible per seed.
     """
+    _check_unique_names(sources)
     conditions = schedule.resolve()
     n = schedule.repeats
     nominal_m = np.full(n, float(true_value))
@@ -355,8 +375,6 @@ def simulate_repeated(
     total_mm = np.zeros(n)
     for position, source in enumerate(sources):
         c = _contribution_mm(source, conditions, nominal_m, noise_seed, position)
-        if source.name in contributions:
-            raise ConfigurationError(f"duplicate source name {source.name!r}")
         contributions[source.name] = c
         total_mm = total_mm + c
     observed = true_value + total_mm * 1e-3
@@ -397,8 +415,8 @@ def simulate_differential(
     ``pairs`` is a :class:`~errorkit.dataset.LegPairs`, as
     :func:`load_scenario` and
     :func:`~errorkit.dataset.load_differential_pairs` return it; build
-    one from (s_ab, s_ac) pairs with ``LegPairs(*zip(*pairs))``.
-    Each pair (s_ab, s_ac) with s_ac > s_ab yields readings
+    one from (s_ab, s_ac) pairs with ``LegPairs(*zip(*pairs))``, which
+    checks that s_ac > s_ab.  Each pair yields readings
     s2 = s_ab + y(s_ab) and s1 = s_ac + y(s_ac), y being the cycle
     error evaluated at the nominal leg, plus any extra-source
     contributions per leg. ``round_readings`` additionally rounds both
@@ -418,16 +436,8 @@ def simulate_differential(
             f"differential driver must be a cycle source, got {cycle.kind!r}"
         )
     sources = (cycle, *extra_sources)
-    names = [s.name for s in sources]
-    if len(set(names)) != len(names):
-        raise ConfigurationError(f"duplicate source names {names}")
+    _check_unique_names(sources)
     legs = np.column_stack(pairs.columns)
-    bad = np.flatnonzero(~(legs[:, 1] > legs[:, 0]))
-    if bad.size:
-        s_ab, s_ac = pairs[bad[0]]
-        raise ConfigurationError(
-            f"pair {int(bad[0])}: s_ac must exceed s_ab, got ({s_ab}, {s_ac})"
-        )
     # Column 0 is the short leg s_ab (reading s2), column 1 the long leg.
     conditions = {"distance": legs}
     diff_contributions = {}
@@ -598,18 +608,20 @@ _JSON_NUMBER = frozenset({int, float})
 def _leg_pairs(pairs: list) -> LegPairs:
     """The parsed ``differential.pairs`` array as checked leg columns.
 
-    Well-formed pairs are checked and converted as whole columns.  If
-    any check fails, the pairs are read one at a time to find the first
-    bad one, which raises ScenarioError naming its index.
+    Well-formed pairs are converted as whole columns, which
+    :class:`~errorkit.dataset.LegPairs` checks.  If any check fails, the
+    pairs are read one at a time to find the first bad one, which raises
+    ScenarioError naming its index.
     """
     # type() rather than isinstance: a bool is not a JSON number.
     # read_json has already rejected numbers that are not finite.
     if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
             and set(map(type, chain.from_iterable(pairs))) <= _JSON_NUMBER):
         legs = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(pairs))
-        s_ab, s_ac = legs[0::2], legs[1::2]
-        if (s_ac > s_ab).all():
-            return LegPairs(s_ab, s_ac)
+        try:
+            return LegPairs(legs[0::2], legs[1::2])
+        except MalformedRowError:
+            pass  # the loop below words the error
     for i, pair in enumerate(pairs):
         if not (
             type(pair) is list

@@ -14,8 +14,11 @@ from errorkit import dataset
 from errorkit.dataset import (
     DatasetError,
     DifferentialRow,
+    DifferentialRows,
     EmptyInputError,
     ErrorSample,
+    ErrorSamples,
+    LegPairs,
     MalformedRowError,
     MeasurementSeries,
 )
@@ -57,20 +60,35 @@ class TestFromColumnsRowChecks:
             "condition", "condition must be finite, got nan")
 
 
-class TestDifferentialRow:
-    def test_difference(self):
-        row = DifferentialRow(s1=18.0008, s2=9.9965)
-        assert row.difference == 18.0008 - 9.9965
+class TestRowInvariants:
+    """Each row invariant is checked once, by its columnar type; the items
+    are named tuples that check nothing."""
+
+    def test_items_are_plain_tuples(self):
+        row = DifferentialRow(s1=5.0, s2=5.0)
+        assert row == (5.0, 5.0) and isinstance(row, tuple)
+        assert ErrorSample(condition=0.0, error=math.inf).error == math.inf
 
     def test_leg_order_enforced(self):
-        with pytest.raises(ValueError, match="s1 > s2"):
-            DifferentialRow(s1=5.0, s2=5.0)
+        with pytest.raises(MalformedRowError) as excinfo:
+            DifferentialRows([18.0008, 5.0], [9.9965, 5.0])
+        assert str(excinfo.value) == (
+            "row 2, column 's1': require s1 > s2, got s1=5.0 s2=5.0")
 
-
-class TestErrorSample:
     def test_nonfinite_error_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorSample(condition=0.0, error=math.inf)
+        with pytest.raises(ValueError, match=r"^row 1: error must be finite, got inf$"):
+            ErrorSamples([0.0], [math.inf])
+
+    @pytest.mark.parametrize("s_ab, s_ac, row, got", [
+        ([18.0], [10.0], 1, "s_ac=10.0 s_ab=18.0"),
+        ([10.0, 18.0], [18.0, 10.0], 2, "s_ac=10.0 s_ab=18.0"),
+        ([10.0], [10.0], 1, "s_ac=10.0 s_ab=10.0"),
+    ])
+    def test_unordered_pair_rejected(self, s_ab, s_ac, row, got):
+        with pytest.raises(MalformedRowError) as excinfo:
+            LegPairs(s_ab, s_ac)
+        assert (excinfo.value.row_index, excinfo.value.column) == (row, "s_ac")
+        assert str(excinfo.value) == f"row {row}, column 's_ac': require s_ac > s_ab, got {got}"
 
 
 class TestLoadSeries:
@@ -657,6 +675,21 @@ class TestDifferentialLoading:
         with pytest.raises(MalformedRowError) as excinfo:
             dataset.load_differential_pairs(p)
         assert str(excinfo.value) == f"row 2, column {column!r}: must be finite, got {value}"
+
+    def test_reversed_nominal_pair_names_its_row(self, tmp_path):
+        p = tmp_path / "reversed.csv"
+        p.write_text("s_ab,s_ac,s2,s1\n10,18,10.1,18.1\n12,21,12.1,21.1\n"
+                     "30,22,22.1,30.1\n14,23,14.1,23.1\n")
+        with pytest.raises(MalformedRowError) as excinfo:
+            dataset.load_differential_pairs(p)
+        assert str(excinfo.value) == (
+            "row 3, column 's_ac': require s_ac > s_ab, got s_ac=22.0 s_ab=30.0")
+
+    def test_reversed_pair_before_a_bad_cell_is_reported_first(self, tmp_path):
+        p = tmp_path / "reversed.csv"
+        p.write_text("s_ab,s_ac,s2,s1\n18,10,10.1,18.1\n10,x,10.1,18.1\n")
+        with pytest.raises(MalformedRowError, match=r"^row 1, column 's_ac': require"):
+            dataset.load_differential_pairs(p)
 
     def test_leg_named_twice_is_refused(self, tmp_path):
         # Only the loader that reads s1 refuses the file.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errorkit.dataset import DifferentialRow, ErrorSample, to_error_samples
+from errorkit.dataset import DifferentialRow, ErrorSample, MalformedRowError, to_error_samples
 from errorkit.linsolve import NormalEquations, SingularSystemError
 from errorkit.regression import (
     InsufficientDataError,
@@ -400,6 +400,25 @@ class TestFitCycleDifferential:
         assert report["amplitude_unit"] == "m"
         assert report["coefficients"]["offset_s0"] == pytest.approx(8.0, abs=1e-3)
         json.dumps(report)
+
+
+# Each list's 4th record is bad.
+@pytest.mark.parametrize("fit, records, error, message", [
+    (lambda items: fit_polynomial(items, degree=3),
+     [ErrorSample(float(t), math.nan if t == 3 else float(t)) for t in range(8)],
+     ValueError, "row 4: error must be finite, got nan"),
+    (lambda items: fit_cycle_direct(items, wavelength=20.0),
+     [ErrorSample(float(s), -math.inf if s == 3 else 1.0) for s in range(8)],
+     ValueError, "row 4: error must be finite, got -inf"),
+    (lambda items: fit_cycle_differential(items, wavelength=20.0),
+     [DifferentialRow(s + (0.0 if s == 9.0 else 8.0), s)
+      for s in (10.0, 12.5, 17.0, 9.0, 31.0)],
+     MalformedRowError, "row 4, column 's1': require s1 > s2, got s1=9.0 s2=9.0"),
+], ids=["polynomial", "cycle", "cycle-differential"])
+def test_a_bad_record_is_refused_by_its_columnar_type(fit, records, error, message):
+    with pytest.raises(ValueError) as excinfo:
+        fit(records)
+    assert (excinfo.type, str(excinfo.value)) == (error, message)
 
 
 class TestReport:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from errorkit import simulate
 from errorkit.regression import fit_cycle_differential
 from errorkit.simulate import (
     DEFAULT_EPS_ABS_MM,
@@ -98,6 +99,25 @@ class TestErrorSource:
         with pytest.raises(ValueError, match="sigma"):
             ErrorSource(name="x", kind="gaussian-noise", sigma_mm=-1.0)
 
+    def test_infinite_wavelength_is_refused(self):
+        # Every contribution would be zero: a silent non-effect.
+        with pytest.raises(ValueError) as excinfo:
+            ErrorSource.cycle(amplitude_mm=5.0, wavelength_m=math.inf)
+        assert str(excinfo.value) == "source 'cycle': wavelength_m must be finite, got inf"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "c_mm", "r_ppm", "amplitude_mm", "wavelength_m", "phase_rad", "sigma_mm"])
+    def test_nonfinite_parameter_names_the_source_and_field(self, field, value):
+        with pytest.raises(ValueError) as excinfo:
+            ErrorSource(name="src", kind="cycle", depends_on="distance", **{field: value})
+        assert str(excinfo.value) == f"source 'src': {field} must be finite, got {value!r}"
+
+    def test_nonfinite_coefficient_names_its_index(self):
+        with pytest.raises(ValueError) as excinfo:
+            ErrorSource.temperature_polynomial(iter([1.0, 2.0, math.nan]), name="oven")
+        assert str(excinfo.value) == "source 'oven': coeffs_ppm[2] must be finite, got nan"
+
     def test_constructor_defaults(self):
         constant = ErrorSource.additive_constant(1.2)
         assert (constant.name, constant.kind) == ("constant", "additive-constant")
@@ -123,6 +143,23 @@ class TestErrorSource:
             coeffs_ppm=[1.0, 2.0],
         )
         assert source.coeffs_ppm == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda sources: simulate_repeated(
+        sources, ConditionSchedule.constant(3, distance=10.0), true_value=10.0),
+    lambda sources: simulate_differential(sources[0], TABLE3_PAIRS, sources[1:]),
+], ids=["repeated", "differential"])
+def test_duplicate_name_is_refused_before_any_source_is_evaluated(monkeypatch, run):
+    evaluated = []
+    monkeypatch.setattr(simulate, "_contribution_mm",
+                        lambda source, *args: evaluated.append(source.name))
+    sources = [campaign_cycle(), ErrorSource.additive_constant(1.0, name="x"),
+               ErrorSource.temperature_polynomial([1.0], name="x")]
+    with pytest.raises(ConfigurationError) as excinfo:
+        run(sources)
+    assert str(excinfo.value) == "duplicate source name 'x'"
+    assert evaluated == []
 
 
 class TestConditionSchedule:
@@ -338,15 +375,6 @@ class TestSimulateDifferential:
         )
         # 5 ppm over an 8 m difference leaves 0.04 mm in every pair
         assert np.all(np.abs(run.diff_contributions["scale"]) > 0.01)
-
-    def test_unordered_pair_rejected(self):
-        with pytest.raises(ConfigurationError, match="s_ac must exceed s_ab"):
-            simulate_differential(campaign_cycle(), LegPairs([18.0], [10.0]))
-
-    def test_unordered_leg_pair_columns_rejected(self):
-        pairs = LegPairs([10.0, 18.0], [18.0, 10.0])
-        with pytest.raises(ConfigurationError, match=r"pair 1: .*\(18.0, 10.0\)"):
-            simulate_differential(campaign_cycle(), pairs)
 
     def test_driver_must_be_a_cycle(self):
         with pytest.raises(ConfigurationError, match="must be a cycle"):
