@@ -25,9 +25,10 @@ are skipped.  numpy's C reader parses a clean file in one pass: a data
 block of ``_PATH_FEED_CHARS`` (48 000) characters or more it reads
 from the file itself, by path, so that no Python string is built per
 line; a smaller one, for which opening the file again costs more than
-it saves, from its list of lines.  A blank or NaN cell in the optional
-reference column costs one more C pass, with a converter on that
-column only.  A file with a quote among its data lines, or one the C
+it saves, from its list of lines.  A blank, omitted or NaN cell in the
+optional reference column costs one more C pass, with a converter on
+that column only; a line that leaves the cell out is given a blank one
+for it.  A file with a quote among its data lines, or one the C
 reader still refuses, is read cell by cell with Python's ``float()``,
 every column of it; that reader alone locates errors.  The first bad
 row, in file order, is reported as a :class:`MalformedRowError` naming
@@ -163,6 +164,8 @@ class MeasurementSeries:
     The series is three read-only float64 columns, ``columns.condition``,
     ``columns.observed`` and ``columns.reference`` (NaN where a reading
     has no reference).  :meth:`from_columns` builds and checks one.
+    ``conditions`` and ``observed`` are the first two columns themselves,
+    not copies.
     """
 
     columns: SeriesColumns
@@ -243,12 +246,12 @@ class MeasurementSeries:
                      (cond + 0.0).tobytes(), (obs + 0.0).tobytes()))
 
     @property
-    def conditions(self) -> tuple[float, ...]:
-        return tuple(self.columns.condition.tolist())
+    def conditions(self) -> np.ndarray:
+        return self.columns.condition
 
     @property
-    def observed(self) -> tuple[float, ...]:
-        return tuple(self.columns.observed.tolist())
+    def observed(self) -> np.ndarray:
+        return self.columns.observed
 
 
 class _Records(Sequence):
@@ -579,16 +582,51 @@ def _loadtxt(source, positions: list[int], converters=None,
         return None
 
 
-def _c_columns(source, specs, skiprows=0) -> np.ndarray | None:
+def _c_columns(source, specs, skiprows=0, plain=True,
+               converted=True) -> np.ndarray | None:
     """The columns ``specs`` of ``source`` from numpy's C reader, as
-    :func:`_read_columns` describes, or None if it refuses the block."""
+    :func:`_read_columns` describes, or None if it refuses the block.
+
+    ``plain`` and ``converted`` choose the passes to make: without
+    converters, then with them.  A list of lines is padded by
+    :func:`_padded` before the pass with converters.
+    """
     positions = [pos for pos, _, _ in specs]
     optional = [i for i, (_, _, opt) in enumerate(specs) if opt]
-    columns = _loadtxt(source, positions, skiprows=skiprows)
-    if optional and (columns is None or np.isnan(columns[optional]).any()):
+    columns = _loadtxt(source, positions, skiprows=skiprows) if plain else None
+    if columns is None or optional and np.isnan(columns[optional]).any():
+        if not (converted and optional):
+            return None
+        if isinstance(source, list):
+            source = _padded(source, specs)
         columns = _loadtxt(source, positions,
                            {specs[i][0]: _optional_cell for i in optional}, skiprows)
     return columns
+
+
+def _padded(lines: list[str], specs) -> list[str]:
+    """``lines``, each line too short to reach the last column of
+    ``specs`` given blank cells up to it.  Empty lines, which numpy's
+    reader skips, stay empty.
+
+    A blank optional cell reads as NaN, as an omitted one does, and a
+    padded line that omits a required cell is still refused.
+    """
+    commas = max(pos for pos, _, _ in specs)
+    short = [i for i, line in enumerate(lines) if line and line.count(",") < commas]
+    if short:
+        lines = list(lines)
+        for i in short:
+            lines[i] += "," * (commas - lines[i].count(","))
+    return lines
+
+
+def _may_be_short(block: _Block, specs) -> bool:
+    """Whether the data text holds fewer commas than its ``\\n``-ended
+    lines need to reach the last column of ``specs``: then some line is
+    short, or empty."""
+    commas = max(pos for pos, _, _ in specs)
+    return block.text.count(",", block.start) < commas * block.text.count("\n", block.start)
 
 
 def _read_columns(
@@ -603,28 +641,35 @@ def _read_columns(
     block in one pass: from the file itself when the block may take the
     path feed, else from its lines.  If it refuses a line or reads a NaN
     in an optional column, it parses the block once more with
-    :func:`_optional_cell` on the optional positions.  A block it still
-    refuses (whitespace-only lines, short rows, bad cells, spellings
-    such as ``1_0`` that only ``float()`` accepts) is read cell by cell,
-    after the lines that are not data are dropped.  The file is read
-    twice on the path feed, so if it changed after its text was read,
-    the text is parsed from its lines instead.
+    :func:`_optional_cell` on the optional positions, from its lines
+    with each short line padded with blank cells, so that an omitted
+    optional cell reads as a blank one.  The path feed makes that pass
+    from the file unless the text has too few commas for its lines.  A
+    block it still refuses (whitespace-only lines, short required cells,
+    bad cells, spellings such as ``1_0`` that only ``float()`` accepts)
+    is read cell by cell, after the lines that are not data are dropped.
+    The file is read twice on the path feed, so if it changed after its
+    text was read, the text is parsed from its lines instead.
     """
-    c_reader = not block.quoted
+    c_reader, plain = not block.quoted, True
     if block.file is not None:
         path, skip, key = block.file
         try:
-            columns = _c_columns(path, specs, skip)
+            columns = _c_columns(path, specs, skip, converted=False)
+            short = columns is None and _may_be_short(block, specs)
+            if columns is None and not short:
+                columns = _c_columns(path, specs, skip, plain=False)
             unchanged = _file_key(os.stat(path)) == key
         except OSError:
             unchanged = False
         if unchanged:
             if columns is not None:
                 return [(values, None) for values in columns]
-            c_reader = False  # its lines hold what the C reader refused
+            # Its lines hold what the C reader refused, unless padded.
+            c_reader, plain = short, False
     lines = block.lines()
     if c_reader:
-        columns = _c_columns(lines, specs)
+        columns = _c_columns(lines, specs, plain=plain)
         if columns is not None:
             return [(values, None) for values in columns]
     rows = [row for row in csv.reader(io.StringIO("\n".join(_content(lines)))) if row]

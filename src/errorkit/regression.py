@@ -162,9 +162,12 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
             workflow, but any degree with n > degree + 1 works).
 
     Raises:
+        ValueError: a degree that is not a non-negative int.
         InsufficientDataError: fewer than degree + 2 samples.
         SingularSystemError: degenerate conditions (e.g. all equal).
     """
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be a non-negative int, got {degree!r}")
     t, r = _columns(samples, ErrorSamples)
     n = len(t)
     if n <= degree + 1:
@@ -173,18 +176,24 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
         )
 
     # The normal matrix over the monomial basis is the Hankel matrix of
-    # condition power sums, so tabulate t^0 .. t^(2*degree) once and
-    # index into the sums; this keeps the matrix symmetric bit for bit.
-    all_powers = np.vander(t, 2 * degree + 1, increasing=True)
-    power_sums = all_powers.sum(axis=0)
+    # condition power sums, so tabulate t^0 .. t^(2*degree) once, one
+    # contiguous row per power, each the row before times t (the powers
+    # np.vander makes, bit for bit), and index into the row sums; this
+    # keeps the matrix symmetric bit for bit.  numpy sums a contiguous
+    # row pairwise, which is more accurate than a strided column sum.
+    all_powers = np.empty((2 * degree + 1, n))
+    all_powers[0] = 1.0
+    for prev, row in zip(all_powers, all_powers[1:]):
+        np.multiply(prev, t, out=row)
+    power_sums = all_powers.sum(axis=1)
     k = degree + 1
     matrix = np.array([[power_sums[i + j] for j in range(k)] for i in range(k)])
-    powers = all_powers[:, :k]
-    rhs = powers.T @ r
+    powers = all_powers[:k]
+    rhs = (powers * r).sum(axis=1)
     eq = NormalEquations(matrix=matrix, rhs=rhs)
     coeffs = solve(eq)
 
-    residuals = r - powers @ coeffs
+    residuals = r - coeffs @ powers
     dof = n - (degree + 1)
     residual_std = float(np.sqrt((residuals**2).sum() / dof))
     return PolynomialErrorModel(

@@ -94,8 +94,9 @@ _GRID = float(2**30)
 
 class ConfigurationError(ValueError):
     """A run's sources do not fit it: two share a name, one depends on a
-    condition the run does not provide, or the differential driver is
-    not a cycle."""
+    condition the run does not provide, the differential driver is not
+    a cycle, or a cycle's wavelength puts its phase beyond the double
+    range at a distance the run measures."""
 
 
 class ScenarioError(ValueError):
@@ -331,9 +332,16 @@ def _contribution_mm(
     if source.kind == "multiplicative":
         return source.r_ppm * s * 1e-3
     if source.kind == "cycle":
-        return source.amplitude_mm * np.sin(
-            2.0 * math.pi * s / source.wavelength_m + source.phase_rad
-        )
+        with np.errstate(over="ignore"):
+            theta = 2.0 * math.pi * s / source.wavelength_m
+        bad = np.flatnonzero(~np.isfinite(theta))
+        if bad.size:
+            raise ConfigurationError(
+                f"source {source.name!r}: wavelength_m {source.wavelength_m!r} puts the "
+                f"phase 2*pi*s/wavelength_m beyond the double range at "
+                f"s = {float(s.flat[bad[0]])!r}"
+            )
+        return source.amplitude_mm * np.sin(theta + source.phase_rad)
     if source.kind == "temperature-polynomial":
         r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])
         return r_ppm * nominal_m * 1e-3

@@ -613,6 +613,29 @@ class TestSimulate:
         assert "cycle: systematic" in result.output
         assert "offset: systematic" in result.output
 
+    @pytest.mark.parametrize("form", ["differential", "repeated"])
+    def test_cycle_phase_beyond_the_double_range_names_the_source(
+            self, runner, tmp_path, form):
+        # The schema admits any positive wavelength; at 1e-320 m the phase
+        # 2*pi*s/wavelength_m overflows at every distance the run measures.
+        if form == "differential":
+            payload = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+            payload["sources"][0]["wavelength_m"] = 1e-320
+        else:
+            payload = {
+                "true_value": 15.0,
+                "sources": [{"name": "cycle", "kind": "cycle", "amplitude_mm": 5.0,
+                             "wavelength_m": 1e-320}],
+                "schedule": {"repeats": 10, "generator": "constant",
+                             "conditions": {"distance": 15.0}},
+            }
+        result = runner.invoke(main, ["simulate", write_scenario(tmp_path, payload)])
+        assert result.exit_code == 2
+        s = {"differential": "10.0", "repeated": "15.0"}[form]
+        assert result.stderr == (
+            "error: source 'cycle': wavelength_m 1e-320 puts the phase "
+            f"2*pi*s/wavelength_m beyond the double range at s = {s}\n")
+
     def test_varying_distance_classifies_random(self, runner, tmp_path):
         scenario = write_scenario(
             tmp_path,

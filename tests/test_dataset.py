@@ -97,8 +97,8 @@ class TestLoadSeries:
         assert table1_series.condition_unit == "degC"
         assert table1_series.value_unit == "MHz"
         assert table1_series.label == "table1"
-        assert table1_series.conditions == ref.TABLE1_TEMPS
-        assert table1_series.observed == ref.TABLE1_FREQS
+        assert np.array_equal(table1_series.conditions, ref.TABLE1_TEMPS)
+        assert np.array_equal(table1_series.observed, ref.TABLE1_FREQS)
 
     def test_bundled_calibration_table(self, table2_series):
         assert len(table2_series) == 21
@@ -198,7 +198,7 @@ class TestLoadSeries:
     def test_column_not_read_may_be_named_twice(self, tmp_path):
         p = tmp_path / "extra.csv"
         p.write_text("note,condition,observed,note\na,1,5.0,b\n")
-        assert dataset.load_series(p).observed == (5.0,)
+        assert np.array_equal(dataset.load_series(p).observed, [5.0])
 
     def test_bare_units_token_applies_to_all_columns(self, tmp_path):
         p = tmp_path / "bare_units.csv"
@@ -369,6 +369,47 @@ class TestFastPathHandover:
         assert columns.condition.tolist() == [float(r[0]) for r in rows]
         assert columns.observed.tolist() == [float(r[1]) for r in rows]
         assert _outcome(dataset.load_series, p) == want
+
+    @pytest.mark.parametrize("row", [1, 9_998, 9_999], ids=["row 2", "row 9999", "last row"])
+    def test_omitted_reference_cell(self, tmp_path, monkeypatch, row):
+        rows = _scale_rows()
+        twin = [list(r) for r in rows]
+        twin[row][2] = ""
+        del rows[row][2]
+        p = _write_rows(tmp_path / "omitted.csv", "condition,observed,reference", rows)
+        want = dataset.load_series(
+            _write_rows(tmp_path / "blank.csv", "condition,observed,reference", twin)).columns
+        # The line short of its reference is padded with a blank cell: the
+        # C reader's pass by path refuses it, its pass with converters
+        # reads the padded lines, and no cell is read by float().
+        sources, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda source, *a, **k: (
+            sources.append(type(source)) or loadtxt(source, *a, **k)))
+        monkeypatch.setattr(dataset, "_read_column", None)
+        columns = dataset.load_series(p).columns
+        monkeypatch.undo()
+        assert sources == [str, list]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(columns, want))
+
+    @pytest.mark.parametrize("cells, column, detail", [
+        (["90.00"], "observed", "row has only 1 cells"),
+        (["90.00", "5.0x"], "observed", "not a number: '5.0x'"),
+        (["90.00", "5.009", "nan"], "reference", "must be finite, got nan"),
+        (["90.00", "5.009", "9.0"], "reference",
+         "reference 9.0 is implausibly far from observed 5.009"),
+    ])
+    def test_refusal_after_an_omitted_reference_cell(self, tmp_path, cells, column, detail):
+        # Padding gets only an omitted optional cell past the C reader;
+        # the cell reader still reports any other fault.
+        rows = _scale_rows()
+        del rows[5][2]
+        rows[9_000] = cells
+        p = _write_rows(tmp_path / "bad.csv", "condition,observed,reference", rows)
+        with pytest.raises(MalformedRowError) as excinfo:
+            dataset.load_series(p)
+        err = excinfo.value
+        assert (err.row_index, err.column, err.detail) == (9_001, column, detail)
+        assert _outcome(dataset.load_series, p) == _reference_outcome(dataset.load_series, p)
 
     @pytest.mark.parametrize("row, cell, column", [
         (1, 1, "observed"), (9_999, 1, "observed"), (1, 0, "condition"),
@@ -541,6 +582,20 @@ class TestPathFeed:
             17, "observed", "row 17, column 'observed': not a number: '5.0x'")
         assert outcome["non-UTF-8 byte"][3].endswith("not UTF-8 text at line 19 (byte 0xff)")
 
+    @pytest.mark.parametrize("chars", [0, 10**12], ids=["path feed", "list feed"])
+    def test_omitted_reference_reads_as_a_blank_one(self, tmp_path, monkeypatch, chars):
+        # On either feed numpy's reader takes the line padded with a blank
+        # reference cell; no cell is read by float().
+        paths = {}
+        for name in ("blank reference", "omitted reference"):
+            paths[name] = tmp_path / name.split()[0] / "f.csv"
+            paths[name].parent.mkdir()
+            paths[name].write_bytes(BRANCH_FIXTURES[name][0])
+        want = _outcome(dataset.load_series, paths["blank reference"])
+        monkeypatch.setattr(dataset, "_PATH_FEED_CHARS", chars)
+        monkeypatch.setattr(dataset, "_read_column", None)
+        assert _outcome(dataset.load_series, paths["omitted reference"]) == want
+
     def test_large_file_takes_the_path_feed_unpatched(self, tmp_path):
         rows = _scale_rows(3_000)
         p = _write_rows(tmp_path / "s.csv", "condition,observed,reference", rows)
@@ -636,8 +691,8 @@ class TestRoundTrip:
         out = tmp_path / "loop.csv"
         dataset.write_series_csv(series, out)
         back = dataset.load_series(out)
-        assert back.conditions == series.conditions
-        assert back.observed == series.observed
+        assert np.array_equal(back.conditions, series.conditions)
+        assert np.array_equal(back.observed, series.observed)
 
 
 class TestDifferentialLoading:
@@ -834,7 +889,8 @@ def test_only_a_hash_among_the_data_lines_filters_them(tmp_path, br):
 def csv_files(draw):
     """The bytes of a CSV file: blank, whitespace-only and comment lines
     before, among and after the data, mixed line breaks, an optional
-    byte-order mark, and now and then a bad, blank, quoted or short cell."""
+    byte-order mark, and now and then a bad, blank, quoted or short cell,
+    a line short of its last one or two cells, or one with an extra cell."""
     header = draw(st.sampled_from(HEADERS))
     lines = draw(st.lists(st.sampled_from(NOT_DATA), max_size=3))
     if draw(st.integers(0, 9)):
@@ -843,7 +899,7 @@ def csv_files(draw):
         if draw(st.integers(0, 3)) == 0:
             lines.append(draw(st.sampled_from(NOT_DATA)))
             continue
-        n = header.count(",") + draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+        n = header.count(",") + draw(st.sampled_from([1, 1, 1, 1, 0, -1, 2]))
         cells = []
         for good in GOOD[:n]:
             spellings = [good, f" {good} ", f"\t{good}", good + "0"]

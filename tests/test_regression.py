@@ -1,13 +1,20 @@
 import json
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errorkit.dataset import DifferentialRow, ErrorSample, MalformedRowError, to_error_samples
+from errorkit.dataset import (
+    DifferentialRow,
+    ErrorSample,
+    ErrorSamples,
+    MalformedRowError,
+    to_error_samples,
+)
 from errorkit.linsolve import NormalEquations, SingularSystemError
 from errorkit.regression import (
     InsufficientDataError,
@@ -153,6 +160,59 @@ class TestFitPolynomial:
         assert len(report["coefficients"]) == 4
         assert report["dof"] == 11
         json.dumps(report)
+
+    @pytest.mark.parametrize("degree", [-1, 2.5, True, False, "3", None, np.int64(3)])
+    def test_degree_must_be_a_non_negative_int(self, integer_ppm_samples, degree):
+        with pytest.raises(ValueError) as excinfo:
+            fit_polynomial(integer_ppm_samples, degree=degree)
+        assert str(excinfo.value) == f"degree must be a non-negative int, got {degree!r}"
+        # The degree is checked before the samples are read.
+        with pytest.raises(ValueError, match="degree must be"):
+            fit_polynomial(None, degree=degree)
+
+    def test_degree_zero_fits_the_mean(self):
+        model = fit_polynomial(ErrorSamples([1.0, 2.0, 4.0], [3.0, 5.0, 10.0]), degree=0)
+        assert model.coeffs == (6.0,)
+        assert model.dof == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_cubic_is_near_the_exact_least_squares_fit(self, seed):
+        # 2000 conditions over -40...100 degC to 0.01 degC, a cubic
+        # in ppm plus noise.  The exact least-squares coefficients of the
+        # float data come from rational arithmetic.  Power sums and
+        # right-hand sides summed pairwise along contiguous rows land
+        # within 44-308 ulp of them on these seeds; the strided column
+        # sums of a Vandermonde table were 2243-7264 ulp off.
+        rng = np.random.default_rng(seed)
+        t = np.round(rng.uniform(-40.0, 100.0, 2000), 2)
+        r = 10.0 - 0.02 * t - 0.02 * t**2 + 2e-4 * t**3 + rng.normal(0.0, 0.5, t.size)
+        got = fit_polynomial(ErrorSamples(t, r), degree=3).coeffs
+        exact = exact_least_squares(t.tolist(), r.tolist(), degree=3)
+        ulps = [abs(Fraction(g) - w) / Fraction(math.ulp(float(w))) for g, w in zip(got, exact)]
+        assert max(ulps) <= 600
+
+
+def exact_least_squares(t, r, degree):
+    """The least-squares polynomial coefficients of the points ``(t, r)``,
+    taken as exact rationals: normal equations solved by elimination."""
+    t = [Fraction(v) for v in t]
+    r = [Fraction(v) for v in r]
+    powers = [[Fraction(1)] * len(t)]
+    for _ in range(2 * degree):
+        powers.append([p * v for p, v in zip(powers[-1], t)])
+    sums = [sum(row) for row in powers]
+    k = degree + 1
+    m = [[sums[i + j] for j in range(k)] + [sum(p * v for p, v in zip(powers[i], r))]
+         for i in range(k)]
+    for c in range(k):
+        for row in m[c + 1:]:
+            f = row[c] / m[c][c]
+            for j in range(c, k + 1):
+                row[j] -= f * m[c][j]
+    x = [Fraction(0)] * k
+    for c in reversed(range(k)):
+        x[c] = (m[c][k] - sum(m[c][j] * x[j] for j in range(c + 1, k))) / m[c][c]
+    return x
 
 
 class TestPredictFrequency:

@@ -235,8 +235,7 @@ class TestSimulateRepeated:
         schedule = ConditionSchedule.constant(6, distance=15.0)
         run = simulate_repeated(sources, schedule, true_value=15.0)
         total_mm = sum(run.contributions[s.name] for s in sources)
-        observed = np.array(run.series.observed)
-        assert np.array_equal(observed, 15.0 + total_mm * 1e-3)
+        assert np.array_equal(run.series.observed, 15.0 + total_mm * 1e-3)
 
     def test_constant_schedule_freezes_every_source(self):
         sources = [campaign_cycle(), ErrorSource.multiplicative(3.0)]
@@ -294,8 +293,8 @@ class TestSimulateRepeated:
         a = simulate_repeated(sources, schedule, 10.0, noise_seed=4)
         b = simulate_repeated(sources, schedule, 10.0, noise_seed=4)
         c = simulate_repeated(sources, schedule, 10.0, noise_seed=5)
-        assert a.series.observed == b.series.observed
-        assert a.series.observed != c.series.observed
+        assert np.array_equal(a.series.observed, b.series.observed)
+        assert not np.array_equal(a.series.observed, c.series.observed)
 
     @pytest.mark.parametrize("seed", [0, 4, 11, 2**32 + 5, 2**63])
     def test_a_noise_stream_is_the_spawned_child(self, seed):
@@ -319,7 +318,7 @@ class TestSimulateRepeated:
             [ErrorSource.temperature_polynomial([1.0])], schedule, true_value=10.0
         )
         assert run.series.condition_unit == "degC"
-        assert run.series.conditions == (18.0, 20.0, 22.0)
+        assert np.array_equal(run.series.conditions, [18.0, 20.0, 22.0])
         assert run.series.value_unit == "m"
 
     def test_two_conditions_fall_back_to_an_index_axis(self):
@@ -331,7 +330,7 @@ class TestSimulateRepeated:
         sources = [campaign_cycle(), ErrorSource.temperature_polynomial([1.0])]
         run = simulate_repeated(sources, schedule, true_value=10.0)
         assert run.series.condition_unit == "n"
-        assert run.series.conditions == (1.0, 2.0, 3.0)
+        assert np.array_equal(run.series.conditions, [1.0, 2.0, 3.0])
 
     def test_label_passthrough(self):
         schedule = ConditionSchedule.constant(2, distance=10.0)
