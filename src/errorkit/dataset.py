@@ -157,6 +157,23 @@ def _first_false(ok: np.ndarray) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
 
+def _cycle_phase(s: np.ndarray, wavelength: float) -> np.ndarray:
+    """The phase ``2*pi*s/wavelength`` of a cycle at each distance ``s``.
+
+    Raises ValueError naming the first ``s`` whose phase leaves the
+    double range.
+    """
+    with np.errstate(over="ignore"):
+        theta = 2.0 * math.pi * s / wavelength
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(
+            f"wavelength {wavelength!r} puts the phase 2*pi*s/wavelength beyond "
+            f"the double range at s = {float(s.flat[bad[0]])!r}"
+        )
+    return theta
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class MeasurementSeries:
     """An ordered, immutable series of readings sharing unit tags.
@@ -582,51 +599,37 @@ def _loadtxt(source, positions: list[int], converters=None,
         return None
 
 
-def _c_columns(source, specs, skiprows=0, plain=True,
-               converted=True) -> np.ndarray | None:
+def _c_columns(source, specs, skiprows=0) -> np.ndarray | None:
     """The columns ``specs`` of ``source`` from numpy's C reader, as
-    :func:`_read_columns` describes, or None if it refuses the block.
-
-    ``plain`` and ``converted`` choose the passes to make: without
-    converters, then with them.  A list of lines is padded by
-    :func:`_padded` before the pass with converters.
-    """
+    :func:`_read_columns` describes, or None if it refuses the block."""
     positions = [pos for pos, _, _ in specs]
     optional = [i for i, (_, _, opt) in enumerate(specs) if opt]
-    columns = _loadtxt(source, positions, skiprows=skiprows) if plain else None
-    if columns is None or optional and np.isnan(columns[optional]).any():
-        if not (converted and optional):
-            return None
-        if isinstance(source, list):
-            source = _padded(source, specs)
+    columns = _loadtxt(source, positions, skiprows=skiprows)
+    if optional and (columns is None or np.isnan(columns[optional]).any()):
         columns = _loadtxt(source, positions,
                            {specs[i][0]: _optional_cell for i in optional}, skiprows)
     return columns
 
 
-def _padded(lines: list[str], specs) -> list[str]:
+def _padded(lines: list[str], specs) -> list[str] | None:
     """``lines``, each line too short to reach the last column of
-    ``specs`` given blank cells up to it.  Empty lines, which numpy's
+    ``specs`` given blank cells up to it; or None if ``specs`` has no
+    optional column or no line is short.  Empty lines, which numpy's
     reader skips, stay empty.
 
     A blank optional cell reads as NaN, as an omitted one does, and a
     padded line that omits a required cell is still refused.
     """
+    if not any(opt for _, _, opt in specs):
+        return None
     commas = max(pos for pos, _, _ in specs)
     short = [i for i, line in enumerate(lines) if line and line.count(",") < commas]
-    if short:
-        lines = list(lines)
-        for i in short:
-            lines[i] += "," * (commas - lines[i].count(","))
+    if not short:
+        return None
+    lines = list(lines)
+    for i in short:
+        lines[i] += "," * (commas - lines[i].count(","))
     return lines
-
-
-def _may_be_short(block: _Block, specs) -> bool:
-    """Whether the data text holds fewer commas than its ``\\n``-ended
-    lines need to reach the last column of ``specs``: then some line is
-    short, or empty."""
-    commas = max(pos for pos, _, _ in specs)
-    return block.text.count(",", block.start) < commas * block.text.count("\n", block.start)
 
 
 def _read_columns(
@@ -641,37 +644,36 @@ def _read_columns(
     block in one pass: from the file itself when the block may take the
     path feed, else from its lines.  If it refuses a line or reads a NaN
     in an optional column, it parses the block once more with
-    :func:`_optional_cell` on the optional positions, from its lines
-    with each short line padded with blank cells, so that an omitted
-    optional cell reads as a blank one.  The path feed makes that pass
-    from the file unless the text has too few commas for its lines.  A
-    block it still refuses (whitespace-only lines, short required cells,
-    bad cells, spellings such as ``1_0`` that only ``float()`` accepts)
-    is read cell by cell, after the lines that are not data are dropped.
-    The file is read twice on the path feed, so if it changed after its
-    text was read, the text is parsed from its lines instead.
+    :func:`_optional_cell` on the optional positions.  If it still
+    refuses the block and a line leaves out cells, it reads the lines
+    once more with those lines padded by :func:`_padded`, so that an
+    omitted optional cell reads as a blank one.  A block it refuses even
+    then (whitespace-only lines, short required cells, bad cells,
+    spellings such as ``1_0`` that only ``float()`` accepts) is read
+    cell by cell, after the lines that are not data are dropped.  The
+    file is read twice on the path feed, so if it changed after its text
+    was read, the text is parsed from its lines instead.
     """
-    c_reader, plain = not block.quoted, True
+    c_reader = not block.quoted
     if block.file is not None:
         path, skip, key = block.file
         try:
-            columns = _c_columns(path, specs, skip, converted=False)
-            short = columns is None and _may_be_short(block, specs)
-            if columns is None and not short:
-                columns = _c_columns(path, specs, skip, plain=False)
+            columns = _c_columns(path, specs, skip)
             unchanged = _file_key(os.stat(path)) == key
         except OSError:
             unchanged = False
         if unchanged:
             if columns is not None:
                 return [(values, None) for values in columns]
-            # Its lines hold what the C reader refused, unless padded.
-            c_reader, plain = short, False
+            c_reader = False  # its lines hold what the C reader refused
     lines = block.lines()
-    if c_reader:
-        columns = _c_columns(lines, specs, plain=plain)
-        if columns is not None:
-            return [(values, None) for values in columns]
+    columns = _c_columns(lines, specs) if c_reader else None
+    padded = None if columns is not None or block.quoted else _padded(lines, specs)
+    if padded is not None:
+        columns = _loadtxt(padded, [pos for pos, _, _ in specs],
+                           {pos: _optional_cell for pos, _, opt in specs if opt})
+    if columns is not None:
+        return [(values, None) for values in columns]
     rows = [row for row in csv.reader(io.StringIO("\n".join(_content(lines)))) if row]
     return [_read_column(rows, pos, column, optional=optional)
             for pos, column, optional in specs]

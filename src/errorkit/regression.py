@@ -23,12 +23,13 @@ Each sinusoidal model carries an explicit ``amplitude_unit`` tag.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DifferentialRows, ErrorSamples
+from .dataset import DifferentialRows, ErrorSamples, _cycle_phase
 from .linsolve import NormalEquations, SingularSystemError, solve
 
 __all__ = [
@@ -162,12 +163,18 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
             workflow, but any degree with n > degree + 1 works).
 
     Raises:
-        ValueError: a degree that is not a non-negative int.
+        ValueError: a degree that is not a non-negative integer (an
+            ``int`` or a numpy integer; bool is refused).
         InsufficientDataError: fewer than degree + 2 samples.
         SingularSystemError: degenerate conditions (e.g. all equal).
     """
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+    try:
+        index = operator.index(degree)
+    except TypeError:
+        index = -1
+    if index < 0 or isinstance(degree, bool):
         raise ValueError(f"degree must be a non-negative int, got {degree!r}")
+    degree = index
     t, r = _columns(samples, ErrorSamples)
     n = len(t)
     if n <= degree + 1:
@@ -237,14 +244,7 @@ def _cycle_basis(s: np.ndarray, wavelength: float):
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     if not math.isfinite(wavelength):
         raise ValueError(f"wavelength must be finite, got {wavelength!r}")
-    with np.errstate(over="ignore"):
-        theta = TWO_PI * s / wavelength
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        raise ValueError(
-            f"wavelength {wavelength!r} puts the phase 2*pi*s/wavelength beyond "
-            f"the double range at s = {float(s[bad[0]])!r}"
-        )
+    theta = _cycle_phase(s, wavelength)
     return np.sin(theta), np.cos(theta)
 
 

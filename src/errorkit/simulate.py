@@ -48,7 +48,7 @@ import numpy as np
 
 from ._jsonfile import gc_paused, read_json, shorten
 from .dataset import (DifferentialRows, LegPairs, MalformedRowError, MeasurementSeries,
-                      _first_false)
+                      _cycle_phase, _first_false)
 
 __all__ = [
     "ConfigurationError",
@@ -332,15 +332,10 @@ def _contribution_mm(
     if source.kind == "multiplicative":
         return source.r_ppm * s * 1e-3
     if source.kind == "cycle":
-        with np.errstate(over="ignore"):
-            theta = 2.0 * math.pi * s / source.wavelength_m
-        bad = np.flatnonzero(~np.isfinite(theta))
-        if bad.size:
-            raise ConfigurationError(
-                f"source {source.name!r}: wavelength_m {source.wavelength_m!r} puts the "
-                f"phase 2*pi*s/wavelength_m beyond the double range at "
-                f"s = {float(s.flat[bad[0]])!r}"
-            )
+        try:
+            theta = _cycle_phase(s, source.wavelength_m)
+        except ValueError as exc:
+            raise ConfigurationError(f"source {source.name!r}: {exc}") from None
         return source.amplitude_mm * np.sin(theta + source.phase_rad)
     if source.kind == "temperature-polynomial":
         r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])

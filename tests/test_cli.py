@@ -633,8 +633,8 @@ class TestSimulate:
         assert result.exit_code == 2
         s = {"differential": "10.0", "repeated": "15.0"}[form]
         assert result.stderr == (
-            "error: source 'cycle': wavelength_m 1e-320 puts the phase "
-            f"2*pi*s/wavelength_m beyond the double range at s = {s}\n")
+            "error: source 'cycle': wavelength 1e-320 puts the phase "
+            f"2*pi*s/wavelength beyond the double range at s = {s}\n")
 
     def test_varying_distance_classifies_random(self, runner, tmp_path):
         scenario = write_scenario(

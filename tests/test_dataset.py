@@ -380,7 +380,7 @@ class TestFastPathHandover:
         want = dataset.load_series(
             _write_rows(tmp_path / "blank.csv", "condition,observed,reference", twin)).columns
         # The line short of its reference is padded with a blank cell: the
-        # C reader's pass by path refuses it, its pass with converters
+        # C reader's two passes by path refuse it, a pass with converters
         # reads the padded lines, and no cell is read by float().
         sources, loadtxt = [], np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda source, *a, **k: (
@@ -388,7 +388,7 @@ class TestFastPathHandover:
         monkeypatch.setattr(dataset, "_read_column", None)
         columns = dataset.load_series(p).columns
         monkeypatch.undo()
-        assert sources == [str, list]
+        assert sources == [str, str, list]
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(columns, want))
 
     @pytest.mark.parametrize("cells, column, detail", [

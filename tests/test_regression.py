@@ -161,7 +161,7 @@ class TestFitPolynomial:
         assert report["dof"] == 11
         json.dumps(report)
 
-    @pytest.mark.parametrize("degree", [-1, 2.5, True, False, "3", None, np.int64(3)])
+    @pytest.mark.parametrize("degree", [-1, 2.5, True, False, "3", None, np.int64(-1)])
     def test_degree_must_be_a_non_negative_int(self, integer_ppm_samples, degree):
         with pytest.raises(ValueError) as excinfo:
             fit_polynomial(integer_ppm_samples, degree=degree)
@@ -169,6 +169,10 @@ class TestFitPolynomial:
         # The degree is checked before the samples are read.
         with pytest.raises(ValueError, match="degree must be"):
             fit_polynomial(None, degree=degree)
+
+    def test_numpy_integer_degree_is_an_int(self, integer_ppm_samples):
+        report = to_report(fit_polynomial(integer_ppm_samples, degree=np.int64(3)))
+        assert report == to_report(fit_polynomial(integer_ppm_samples, degree=3))
 
     def test_degree_zero_fits_the_mean(self):
         model = fit_polynomial(ErrorSamples([1.0, 2.0, 4.0], [3.0, 5.0, 10.0]), degree=0)
