@@ -25,12 +25,13 @@ are skipped.  numpy's C reader parses a clean file in one pass: a data
 block of ``_PATH_FEED_CHARS`` (48 000) characters or more it reads
 from the file itself, by path, so that no Python string is built per
 line; a smaller one, for which opening the file again costs more than
-it saves, from its list of lines.  A blank, omitted or NaN cell in the
-optional reference column costs one more C pass, with a converter on
-that column only; a line that leaves the cell out is given a blank one
-for it.  A file with a quote among its data lines, or one the C
-reader still refuses, is read cell by cell with Python's ``float()``,
-every column of it; that reader alone locates errors.  The first bad
+it saves, from its list of lines.  A blank or NaN cell in the optional
+reference column costs one more C pass, with a converter on that
+column only; a line that leaves the cell out costs one more again, over
+the lines with a blank cell added to each short one.  A file with a
+quote among its data lines, or one the C reader still refuses, is read
+cell by cell with Python's ``float()``, every column of it; that
+reader alone locates errors.  The first bad
 row, in file order, is reported as a :class:`MalformedRowError` naming
 its 1-based row and its column.  A leading UTF-8 byte-order mark is
 ignored; any other byte that is not UTF-8 is reported with its line.

@@ -170,12 +170,9 @@ class TestFitPolynomial:
         with pytest.raises(ValueError, match="degree must be"):
             fit_polynomial(None, degree=degree)
 
-    def test_numpy_integer_degree_is_an_int(self, integer_ppm_samples):
-        report = to_report(fit_polynomial(integer_ppm_samples, degree=np.int64(3)))
-        assert report == to_report(fit_polynomial(integer_ppm_samples, degree=3))
-
-    def test_degree_zero_fits_the_mean(self):
-        model = fit_polynomial(ErrorSamples([1.0, 2.0, 4.0], [3.0, 5.0, 10.0]), degree=0)
+    @pytest.mark.parametrize("degree", [0, np.int64(0)])
+    def test_degree_zero_fits_the_mean(self, degree):
+        model = fit_polynomial(ErrorSamples([1.0, 2.0, 4.0], [3.0, 5.0, 10.0]), degree=degree)
         assert model.coeffs == (6.0,)
         assert model.dof == 2
 
