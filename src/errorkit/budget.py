@@ -101,18 +101,21 @@ class UnitResolutionError(BudgetError):
 class BudgetComponent:
     """One independent error component.
 
-    ``sensitivity`` is "constant" (coefficient 1), "proportional"
-    (coefficient equals the operating point, ppm units only), or a
-    custom numeric coefficient applied to a mm-valued std.
+    ``sensitivity`` is "proportional" (coefficient equals the operating
+    point) for a ppm std, and "constant" (coefficient 1) or a custom
+    numeric coefficient for a mm std; left out, it follows the unit.
+    ``std`` is stored as a float.  Any other pair of unit and
+    sensitivity raises UnitResolutionError when the component is built.
     """
 
     name: str
     std: float
     unit: str = "mm"
-    sensitivity: str | float = "constant"
+    sensitivity: str | float | None = None
     shape: str = "gaussian"
 
     def __post_init__(self):
+        object.__setattr__(self, "std", float(self.std))
         if self.std < 0:
             raise BudgetError(f"component {self.name!r}: std must be >= 0")
         if self.unit not in ("mm", "ppm"):
@@ -122,6 +125,9 @@ class BudgetComponent:
                 f"component {self.name!r}: unknown shape {self.shape!r}; "
                 f"expected one of {SHAPES}"
             )
+        if self.sensitivity is None:
+            object.__setattr__(self, "sensitivity",
+                               "proportional" if self.unit == "ppm" else "constant")
         if isinstance(self.sensitivity, str) and self.sensitivity not in (
             "constant",
             "proportional",
@@ -133,11 +139,18 @@ class BudgetComponent:
             float(self.sensitivity)
         ):
             raise BudgetError(f"component {self.name!r}: sensitivity must be finite")
+        if (self.unit == "ppm") != (self.sensitivity == "proportional"):
+            raise UnitResolutionError(self.name, (
+                "proportional sensitivity requires a ppm std" if self.unit == "mm"
+                else "a ppm std is only meaningful through the operating point; "
+                "use sensitivity 'proportional'" if self.sensitivity == "constant"
+                else "ppm components take no custom coefficient"))
 
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """A set of independent components at one operating point (m)."""
+    """A set of independent components at one operating point (m), which
+    must be positive when any component is in ppm."""
 
     components: tuple[BudgetComponent, ...]
     operating_point_m: float = 0.0
@@ -146,40 +159,18 @@ class ErrorBudget:
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise BudgetError(f"component names must be unique, got {names}")
-        needs_op = any(_is_proportional(c) for c in self.components)
-        if needs_op and not self.operating_point_m > 0:
+        if any(c.unit == "ppm" for c in self.components) and not self.operating_point_m > 0:
             raise BudgetError(
                 "operating_point_m must be positive when any component is "
                 "proportional to it"
             )
 
 
-def _is_proportional(c: BudgetComponent) -> bool:
-    return c.sensitivity == "proportional" or c.unit == "ppm"
-
-
 def _coefficient_mm(c: BudgetComponent, operating_point_m: float) -> float:
     """Coefficient turning the component's native std into mm."""
-    if c.unit == "ppm":
-        if c.sensitivity not in ("proportional", "constant"):
-            raise UnitResolutionError(
-                c.name, "ppm components take no custom coefficient"
-            )
-        if c.sensitivity == "constant":
-            raise UnitResolutionError(
-                c.name,
-                "a ppm std is only meaningful through the operating point; "
-                "use sensitivity 'proportional'",
-            )
-        # 1 ppm of 1 m is 1e-3 mm
-        return operating_point_m * 1e-3
-    if c.sensitivity == "constant":
-        return 1.0
     if c.sensitivity == "proportional":
-        raise UnitResolutionError(
-            c.name, "proportional sensitivity requires a ppm std"
-        )
-    return float(c.sensitivity)
+        return operating_point_m * 1e-3  # 1 ppm of 1 m is 1e-3 mm
+    return 1.0 if c.sensitivity == "constant" else float(c.sensitivity)
 
 
 def total_std(budget: ErrorBudget) -> float:
@@ -283,22 +274,11 @@ def monte_carlo_std(budget: ErrorBudget, n: int, seed: int) -> float:
 
 @gc_paused
 def load_budget(path) -> ErrorBudget:
-    """Load and validate a budget JSON file."""
+    """Load and validate a budget JSON file.  Each component object is
+    passed to :class:`BudgetComponent` as written, which supplies its
+    defaults (the sensitivity follows the unit) and checks its unit rule."""
     raw = read_json(path, BUDGET_SCHEMA, BudgetError)
-    components = tuple(
-        BudgetComponent(
-            name=c["name"],
-            std=float(c["std"]),
-            unit=c["unit"],
-            sensitivity=c.get(
-                "sensitivity",
-                "proportional" if c["unit"] == "ppm" else "constant",
-            ),
-            shape=c.get("shape", "gaussian"),
-        )
-        for c in raw["components"]
-    )
     return ErrorBudget(
-        components=components,
+        components=tuple(BudgetComponent(**c) for c in raw["components"]),
         operating_point_m=float(raw.get("operating_point_m", 0.0)),
     )

@@ -317,8 +317,9 @@ class ErrorSamples(_Records):
     """(condition, error) samples as columns; items are :class:`ErrorSample`.
 
     Raises:
-        ValueError: some error is not finite; the message names the
-            first such 1-based row.
+        ValueError: some condition or error is not finite; the message
+            names the first such 1-based row and, in column order, the
+            first such value in it.
     """
 
     _record = ErrorSample
@@ -326,12 +327,12 @@ class ErrorSamples(_Records):
 
     def __init__(self, conditions, errors):
         super().__init__(conditions, errors)
-        bad = _first_false(np.isfinite(self.columns.error))
+        condition, error = self.columns
+        bad = _first_false(np.isfinite(condition) & np.isfinite(error))
         if bad is not None:
-            raise ValueError(
-                f"row {bad + 1}: error must be finite, "
-                f"got {float(self.columns.error[bad])!r}"
-            )
+            column = "error" if math.isfinite(condition[bad]) else "condition"
+            value = float(getattr(self.columns, column)[bad])
+            raise ValueError(f"row {bad + 1}: {column} must be finite, got {value!r}")
 
 
 def _check_ordered_legs(columns, long: str, short: str) -> None:

@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 # The conditions each source kind may depend on; the first is the one a
-# scenario file's source gets when it names none.
+# source gets when it names none.
 _KIND_CONDITIONS = {
     "additive-constant": ("none",),
     "multiplicative": ("distance", "none"),
@@ -95,8 +95,9 @@ _GRID = float(2**30)
 class ConfigurationError(ValueError):
     """A run's sources do not fit it: two share a name, one depends on a
     condition the run does not provide, the differential driver is not
-    a cycle, or a cycle's wavelength puts its phase beyond the double
-    range at a distance the run measures."""
+    a cycle, a cycle's wavelength puts its phase beyond the double
+    range at a distance the run measures, or a source's contribution
+    to some reading is not finite."""
 
 
 class ScenarioError(ValueError):
@@ -110,13 +111,16 @@ class ErrorSource:
     The per-kind parameter fields double as documentation of the five
     supported mechanisms; unused fields stay at their zero defaults.
     ``depends_on`` names the schedule condition that drives the
-    source, or "none" for condition-free sources.  Every parameter
-    must be finite.
+    source, or "none" for condition-free sources; left out, it follows
+    the kind: "distance" for multiplicative and cycle sources,
+    "temperature" for a temperature polynomial, "none" for the rest
+    ("none" freezes a multiplicative or cycle source at the true
+    value).  Every parameter must be finite.
     """
 
     name: str
     kind: str
-    depends_on: str = "none"
+    depends_on: str | None = None
     c_mm: float = 0.0
     r_ppm: float = 0.0
     amplitude_mm: float = 0.0
@@ -131,6 +135,8 @@ class ErrorSource:
                 f"source {self.name!r}: unknown kind {self.kind!r}; "
                 f"expected one of {SOURCE_KINDS}"
             )
+        if self.depends_on is None:
+            object.__setattr__(self, "depends_on", _KIND_CONDITIONS[self.kind][0])
         if self.depends_on not in CONDITION_NAMES:
             raise ValueError(
                 f"source {self.name!r}: unknown condition {self.depends_on!r}"
@@ -159,7 +165,7 @@ class ErrorSource:
 
     @classmethod
     def multiplicative(
-        cls, r_ppm: float, name: str = "scale", depends_on: str = "distance"
+        cls, r_ppm: float, name: str = "scale", depends_on: str | None = None
     ):
         return cls(name=name, kind="multiplicative", r_ppm=r_ppm, depends_on=depends_on)
 
@@ -170,7 +176,7 @@ class ErrorSource:
         wavelength_m: float = 20.0,
         phase_rad: float = 0.0,
         name: str = "cycle",
-        depends_on: str = "distance",
+        depends_on: str | None = None,
     ):
         return cls(
             name=name,
@@ -185,12 +191,7 @@ class ErrorSource:
     def temperature_polynomial(
         cls, coeffs_ppm: Sequence[float], name: str = "temperature"
     ):
-        return cls(
-            name=name,
-            kind="temperature-polynomial",
-            coeffs_ppm=tuple(coeffs_ppm),
-            depends_on="temperature",
-        )
+        return cls(name=name, kind="temperature-polynomial", coeffs_ppm=coeffs_ppm)
 
     @classmethod
     def gaussian_noise(cls, sigma_mm: float, name: str = "noise"):
@@ -319,7 +320,8 @@ def _contribution_mm(
     shape; the conditions and the result have the same shape. A noise
     source draws from the child of ``noise_seed`` at ``position``, as
     ``spawn`` makes it, built only here: a noise-free run never loads
-    ``numpy.random``.
+    ``numpy.random``.  A contribution that is not finite is a
+    ConfigurationError naming its 1-based row (repeat or pair).
     """
     if source.depends_on != "none" and source.depends_on not in conditions:
         raise ConfigurationError(
@@ -329,20 +331,28 @@ def _contribution_mm(
     if source.kind == "additive-constant":
         return np.full(nominal_m.shape, source.c_mm)
     s = conditions["distance"] if source.depends_on == "distance" else nominal_m
-    if source.kind == "multiplicative":
-        return source.r_ppm * s * 1e-3
     if source.kind == "cycle":
         try:
             theta = _cycle_phase(s, source.wavelength_m)
         except ValueError as exc:
             raise ConfigurationError(f"source {source.name!r}: {exc}") from None
         return source.amplitude_mm * np.sin(theta + source.phase_rad)
-    if source.kind == "temperature-polynomial":
-        r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])
-        return r_ppm * nominal_m * 1e-3
-    # gaussian-noise: a fresh draw per reading
-    seed = np.random.SeedSequence(noise_seed, spawn_key=(position,))
-    return np.random.default_rng(seed).normal(0.0, source.sigma_mm, nominal_m.shape)
+    # Only these kinds can leave the double range; that is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if source.kind == "multiplicative":
+            c = source.r_ppm * s * 1e-3
+        elif source.kind == "temperature-polynomial":
+            r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])
+            c = r_ppm * nominal_m * 1e-3
+        else:  # gaussian-noise: a fresh draw per reading
+            seed = np.random.SeedSequence(noise_seed, spawn_key=(position,))
+            c = np.random.default_rng(seed).normal(0.0, source.sigma_mm, nominal_m.shape)
+    bad = _first_false(np.isfinite(c))  # a flat index: argmin flattens
+    if bad is not None:
+        raise ConfigurationError(
+            f"source {source.name!r}: row {np.unravel_index(bad, c.shape)[0] + 1}: "
+            f"contribution must be finite, got {float(c.flat[bad])!r}")
+    return c
 
 
 def _check_unique_names(sources: Sequence[ErrorSource]) -> None:
@@ -683,10 +693,7 @@ def load_scenario(path) -> Scenario:
     """
     raw = read_json(path, SCENARIO_SCHEMA, ScenarioError)
 
-    sources = tuple(
-        ErrorSource(**{"depends_on": _KIND_CONDITIONS[s["kind"]][0], **s})
-        for s in raw["sources"]
-    )
+    sources = tuple(ErrorSource(**s) for s in raw["sources"])
 
     has_schedule = "schedule" in raw
     has_differential = "differential" in raw

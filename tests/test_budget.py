@@ -72,6 +72,29 @@ class TestComponentValidation:
         with pytest.raises(BudgetError, match="finite"):
             BudgetComponent(name="x", std=1.0, sensitivity=math.inf)
 
+    def test_ppm_with_constant_sensitivity_is_unresolvable(self):
+        with pytest.raises(UnitResolutionError, match="operating point") as excinfo:
+            BudgetComponent(name="scale", std=2.0, unit="ppm", sensitivity="constant")
+        assert excinfo.value.component == "scale"
+
+    def test_ppm_with_custom_coefficient_is_unresolvable(self):
+        with pytest.raises(UnitResolutionError, match="no custom coefficient"):
+            BudgetComponent(name="scale", std=2.0, unit="ppm", sensitivity=2.0)
+
+    def test_mm_with_proportional_sensitivity_is_unresolvable(self):
+        with pytest.raises(UnitResolutionError, match="requires a ppm std"):
+            BudgetComponent(name="x", std=1.0, unit="mm", sensitivity="proportional")
+
+    @pytest.mark.parametrize("unit, sensitivity", [
+        ("ppm", "proportional"), ("mm", "constant")])
+    def test_sensitivity_defaults_to_the_units_rule(self, unit, sensitivity):
+        assert BudgetComponent("s", 2.0, unit=unit).sensitivity == sensitivity
+
+    def test_std_is_stored_as_a_float(self):
+        component = BudgetComponent("s", 2, sensitivity=3)
+        assert type(component.std) is float
+        assert (component.std, component.sensitivity) == (2.0, 3)
+
 
 class TestBudgetValidation:
     def test_duplicate_names(self):
@@ -121,41 +144,6 @@ class TestTotalStd:
             operating_point_m=500.0,
         )
         assert total_std(budget) == pytest.approx(1.0, rel=1e-14)
-
-    def test_ppm_with_constant_sensitivity_is_unresolvable(self):
-        budget = ErrorBudget(
-            components=(
-                BudgetComponent(
-                    name="scale", std=2.0, unit="ppm", sensitivity="constant"
-                ),
-            ),
-            operating_point_m=1000.0,
-        )
-        with pytest.raises(UnitResolutionError, match="operating point") as excinfo:
-            total_std(budget)
-        assert excinfo.value.component == "scale"
-
-    def test_ppm_with_custom_coefficient_is_unresolvable(self):
-        budget = ErrorBudget(
-            components=(
-                BudgetComponent(name="scale", std=2.0, unit="ppm", sensitivity=2.0),
-            ),
-            operating_point_m=1000.0,
-        )
-        with pytest.raises(UnitResolutionError, match="no custom coefficient"):
-            total_std(budget)
-
-    def test_mm_with_proportional_sensitivity_is_unresolvable(self):
-        budget = ErrorBudget(
-            components=(
-                BudgetComponent(
-                    name="x", std=1.0, unit="mm", sensitivity="proportional"
-                ),
-            ),
-            operating_point_m=1000.0,
-        )
-        with pytest.raises(UnitResolutionError, match="requires a ppm std"):
-            total_std(budget)
 
     @settings(max_examples=50)
     @given(
@@ -513,6 +501,28 @@ class TestLoadBudget:
             "at /components/0/sensitivity: 'quadratic' is not valid under any "
             "of the given schemas"
         )
+
+    def test_components_are_built_as_written(self, tmp_path):
+        doc = {"operating_point_m": 250.0, "components": [
+            {"name": "a", "std": 1, "unit": "mm"},
+            {"name": "b", "std": 2.5, "unit": "ppm", "shape": "arcsine"},
+            {"name": "c", "std": 0.5, "unit": "mm", "sensitivity": 3},
+            {"name": "d", "std": 4.0, "unit": "ppm", "sensitivity": "proportional"},
+        ]}
+        p = tmp_path / "budget.json"
+        p.write_text(json.dumps(doc))
+        assert load_budget(p) == ErrorBudget(
+            components=tuple(BudgetComponent(**c) for c in doc["components"]),
+            operating_point_m=250.0)
+
+    def test_unit_rule_is_reported_before_the_operating_point(self, tmp_path):
+        p = tmp_path / "budget.json"
+        p.write_text(json.dumps({"components": [
+            {"name": "a", "std": 1.0, "unit": "mm", "sensitivity": "proportional"}]}))
+        with pytest.raises(UnitResolutionError) as raised:
+            load_budget(p)
+        assert str(raised.value) == (
+            "component 'a': proportional sensitivity requires a ppm std")
 
     def test_custom_numeric_sensitivity_accepted(self, tmp_path):
         p = tmp_path / "budget.json"

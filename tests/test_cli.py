@@ -636,6 +636,27 @@ class TestSimulate:
             "error: source 'cycle': wavelength 1e-320 puts the phase "
             f"2*pi*s/wavelength beyond the double range at s = {s}\n")
 
+    @pytest.mark.parametrize("form", ["multiplicative", "temperature-polynomial",
+                                      "differential"])
+    def test_overflowing_source_names_the_source(self, runner, tmp_path, form):
+        # Finite parameters whose contribution leaves the double range.
+        scale = {"name": "scale", "kind": "multiplicative", "r_ppm": 1e308}
+        if form == "differential":
+            payload = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+            payload["sources"].append(scale)
+        else:
+            conditions = {"distance": 15.0}
+            if form == "temperature-polynomial":
+                scale = {"name": "scale", "kind": form, "coeffs_ppm": [0, 0, 0, 1e300]}
+                conditions = {"temperature": 1e5}
+            payload = {"true_value": 15.0, "sources": [scale],
+                       "schedule": {"repeats": 10, "generator": "constant",
+                                    "conditions": conditions}}
+        result = runner.invoke(main, ["simulate", write_scenario(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: source 'scale': row 1: contribution must be finite, got inf\n")
+
     def test_varying_distance_classifies_random(self, runner, tmp_path):
         scenario = write_scenario(
             tmp_path,

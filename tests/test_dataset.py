@@ -79,6 +79,15 @@ class TestRowInvariants:
         with pytest.raises(ValueError, match=r"^row 1: error must be finite, got inf$"):
             ErrorSamples([0.0], [math.inf])
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_condition_rejected(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            ErrorSamples([1.0, value, 2.0], [math.nan, 0.0, 1.0])
+        assert str(excinfo.value) == "row 1: error must be finite, got nan"
+        with pytest.raises(ValueError) as excinfo:
+            ErrorSamples([1.0, value, 2.0], [0.0, math.inf, 1.0])
+        assert str(excinfo.value) == f"row 2: condition must be finite, got {value!r}"
+
     @pytest.mark.parametrize("s_ab, s_ac, row, got", [
         ([18.0], [10.0], 1, "s_ac=10.0 s_ab=18.0"),
         ([10.0, 18.0], [18.0, 10.0], 2, "s_ac=10.0 s_ab=18.0"),
@@ -123,6 +132,23 @@ class TestLoadSeries:
         p.write_text("# units: m\ncondition,observed\n")
         with pytest.raises(EmptyInputError, match="header only"):
             dataset.load_series(p)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("lead", ["#" + "x" * 400, "\n" * 300],
+                             ids=["long comment", "blank lines"])
+    def test_a_long_lead_before_the_header_is_skipped(self, tmp_path, newline, lead):
+        # The first 256 characters hold no header and data line, so the
+        # prefix searched for them has to grow.
+        text = dataset.bundled_path("table2.csv").read_text()
+        lines = lead.split("\n") + text.splitlines()
+        p = tmp_path / "lead.csv"
+        p.write_text(newline.join(lines) + newline, newline="")
+        series, plain = dataset.load_series(p), dataset.load_series(
+            dataset.bundled_path("table2.csv"))
+        assert (series.condition_unit, series.value_unit) == (
+            plain.condition_unit, plain.value_unit)
+        for got, want in zip(series.columns, plain.columns):
+            assert np.array_equal(got, want)
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -683,6 +709,16 @@ class TestRoundTrip:
         dataset.write_differential_csv(pairs, rows, out)
         assert out.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("pairs, readings", [
+        (([10.0, 12.0], [18.0, 20.0]), ([18.1], [10.1])),
+        (([10.0], [18.0]), ([18.1, 20.1], [10.1, 12.1])),
+    ], ids=["fewer rows", "more rows"])
+    def test_differential_writer_refuses_unequal_lengths(self, tmp_path, pairs, readings):
+        out = tmp_path / "t3.csv"
+        with pytest.raises(ValueError, match="^pairs and rows must have equal length$"):
+            dataset.write_differential_csv(LegPairs(*pairs), DifferentialRows(*readings), out)
+        assert not out.exists()
+
     def test_written_series_reloads_identically(self, tmp_path):
         series = MeasurementSeries.from_columns(
             [float(i) for i in range(4)], [5.0 + i * 0.25 for i in range(4)],
@@ -824,6 +860,11 @@ class TestToErrorSamples:
         mean = sum(obs.tolist()) / len(obs)
         samples = dataset.to_error_samples(table1_series, "mean-reference")
         assert [s.error for s in samples] == [(o - mean) / mean * 1e6 for o in obs.tolist()]
+
+    def test_mean_reference_of_an_empty_series(self):
+        series = MeasurementSeries.from_columns([], [], condition_unit="", value_unit="")
+        with pytest.raises(EmptyInputError, match="^cannot take the mean of an empty series$"):
+            dataset.to_error_samples(series, "mean-reference")
 
     def test_unknown_rule(self, table1_series):
         with pytest.raises(DatasetError, match="unknown reference rule"):

@@ -482,6 +482,22 @@ def test_a_bad_record_is_refused_by_its_columnar_type(fit, records, error, messa
     assert (excinfo.type, str(excinfo.value)) == (error, message)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda samples: fit_polynomial(samples, degree=3),
+    lambda samples: fit_cycle_direct(samples, wavelength=20.0),
+], ids=["polynomial", "cycle"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_nonfinite_condition_is_refused_before_the_fit(fit, value):
+    # Without the check the polynomial fit ends in SingularSystemError and
+    # the cycle fit blames the wavelength.
+    records = [ErrorSample(c, e) for c, e in
+               zip([value, 1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.0, -0.5, 0.25, 2.0, 1.5])]
+    with pytest.raises(ValueError) as excinfo:
+        fit(records)
+    assert (excinfo.type, str(excinfo.value)) == (
+        ValueError, f"row 1: condition must be finite, got {value!r}")
+
+
 class TestReport:
     def test_unknown_model_type(self):
         with pytest.raises(TypeError, match="no report form"):

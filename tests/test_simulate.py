@@ -137,6 +137,21 @@ class TestErrorSource:
         noise = ErrorSource.gaussian_noise(0.5)
         assert noise.sigma_mm == 0.5
 
+    @pytest.mark.parametrize("kind, depends_on", [
+        ("additive-constant", "none"), ("multiplicative", "distance"),
+        ("cycle", "distance"), ("temperature-polynomial", "temperature"),
+        ("gaussian-noise", "none")])
+    def test_depends_on_follows_the_kind(self, kind, depends_on):
+        assert ErrorSource(name="x", kind=kind).depends_on == depends_on
+
+    def test_temperature_polynomial_needs_no_condition_named(self):
+        source = ErrorSource(name="t", kind="temperature-polynomial", coeffs_ppm=[1.0])
+        assert (source.depends_on, source.coeffs_ppm) == ("temperature", (1.0,))
+
+    @pytest.mark.parametrize("make", [ErrorSource.multiplicative, ErrorSource.cycle])
+    def test_a_frozen_condition_stays_available(self, make):
+        assert make(1.0, depends_on="none").depends_on == "none"
+
     def test_coefficients_are_stored_as_a_tuple(self):
         source = ErrorSource(
             name="x", kind="temperature-polynomial", depends_on="temperature",
@@ -277,6 +292,18 @@ class TestSimulateRepeated:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="observed must be finite, got inf"):
                 simulate_repeated([source], schedule, true_value=1.797e308)
+
+    @pytest.mark.parametrize("source, conditions", [
+        (ErrorSource.multiplicative(1e308), {"distance": 15.0}),
+        (ErrorSource.temperature_polynomial([0, 0, 0, 1e300], name="scale"),
+         {"temperature": 1e5}),
+    ], ids=["multiplicative", "temperature-polynomial"])
+    def test_overflowing_contribution_names_the_source(self, source, conditions):
+        schedule = ConditionSchedule.constant(3, **conditions)
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_repeated([source], schedule, true_value=15.0)
+        assert str(excinfo.value) == (
+            "source 'scale': row 1: contribution must be finite, got inf")
 
     def test_duplicate_source_names(self):
         sources = [
@@ -426,6 +453,13 @@ class TestSimulateDifferential:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="observed must be finite, got inf"):
                 simulate_repeated([source], schedule, true_value=1.797e308)
+
+    def test_overflowing_contribution_names_the_source(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_differential(
+                campaign_cycle(), TABLE3_PAIRS, [ErrorSource.multiplicative(1e308)])
+        assert str(excinfo.value) == (
+            "source 'scale': row 1: contribution must be finite, got inf")
 
     def test_duplicate_source_names(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -621,6 +655,31 @@ class TestLoadScenario:
         scenario = load_scenario(p)
         assert scenario.sources[0].depends_on == "temperature"
         assert scenario.sources[1].depends_on == "distance"
+
+    @pytest.mark.parametrize("name", ["table3_scenario.json", "schedule"])
+    def test_sources_are_built_as_written(self, tmp_path, name):
+        if name == "schedule":
+            doc = {
+                "true_value": 10.0,
+                "sources": [
+                    {"name": "c", "kind": "cycle", "amplitude_mm": 2.0,
+                     "depends_on": "none", "phase_rad": 0.5},
+                    {"name": "t", "kind": "temperature-polynomial",
+                     "coeffs_ppm": [1, -0.5]},
+                    {"name": "s", "kind": "multiplicative", "r_ppm": 2},
+                    {"name": "k", "kind": "additive-constant", "c_mm": 0.25},
+                    {"name": "n", "kind": "gaussian-noise", "sigma_mm": 0.1},
+                ],
+                "schedule": {"repeats": 2, "generator": "constant",
+                             "conditions": {"temperature": 20.0, "distance": 10.0}},
+            }
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+        else:
+            path = bundled_path(name)
+            doc = json.loads(path.read_text())
+        scenario = load_scenario(path)
+        assert scenario.sources == tuple(ErrorSource(**s) for s in doc["sources"])
 
     def test_both_modes_rejected(self, tmp_path):
         p = tmp_path / "scenario.json"
