@@ -116,6 +116,9 @@ class BudgetComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "std", float(self.std))
+        if not math.isfinite(self.std):
+            raise BudgetError(
+                f"component {self.name!r}: std must be finite, got {self.std!r}")
         if self.std < 0:
             raise BudgetError(f"component {self.name!r}: std must be >= 0")
         if self.unit not in ("mm", "ppm"):
@@ -150,7 +153,7 @@ class BudgetComponent:
 @dataclass(frozen=True)
 class ErrorBudget:
     """A set of independent components at one operating point (m), which
-    must be positive when any component is in ppm."""
+    must be finite, and positive when any component is in ppm."""
 
     components: tuple[BudgetComponent, ...]
     operating_point_m: float = 0.0
@@ -159,6 +162,9 @@ class ErrorBudget:
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise BudgetError(f"component names must be unique, got {names}")
+        if not math.isfinite(self.operating_point_m):
+            raise BudgetError(
+                f"operating_point_m must be finite, got {self.operating_point_m!r}")
         if any(c.unit == "ppm" for c in self.components) and not self.operating_point_m > 0:
             raise BudgetError(
                 "operating_point_m must be positive when any component is "

@@ -245,11 +245,11 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"dof {model.dof}")
             if emit_series:
                 _refuse_nonfinite(report_body)
-                grid = np.arange(0.0, wavelength, wavelength / 200.0).tolist()
+                grid = np.arange(0.0, wavelength, wavelength / 200.0)
                 dataset.write_table(
                     emit_series, "condition=m fitted=m", "condition,fitted",
                     ["%.2f,%.6f"] * len(grid),
-                    [(s, regression.evaluate_sinusoid(model, s)) for s in grid],
+                    np.column_stack((grid, model(grid))),
                 )
         if emit_matrix:
             lines.append("normal matrix:")

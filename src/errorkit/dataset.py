@@ -166,6 +166,11 @@ def _cycle_phase(s: np.ndarray, wavelength: float) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         theta = 2.0 * math.pi * s / wavelength
+        finite = np.isfinite(theta)
+        if finite.all():
+            return theta
+        # 2*pi*s can overflow where the phase does not.
+        theta = np.where(finite, theta, 2.0 * math.pi * (s / wavelength))
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(
@@ -173,6 +178,22 @@ def _cycle_phase(s: np.ndarray, wavelength: float) -> np.ndarray:
             f"the double range at s = {float(s.flat[bad[0]])!r}"
         )
     return theta
+
+
+def _sinusoid(amplitude: float, wavelength: float, phase: float, s) -> np.ndarray:
+    """The cycle ``amplitude * sin(2*pi*s/wavelength + phase)`` at each
+    distance ``s``, a number or an array; ValueError as :func:`_cycle_phase`."""
+    return amplitude * np.sin(_cycle_phase(np.asarray(s, dtype=float), wavelength) + phase)
+
+
+def _polynomial(coeffs, t) -> np.ndarray:
+    """The polynomial ``sum(coeffs[k] * t**k)`` at each ``t``, a number or
+    an array, by Horner's rule."""
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros_like(t)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -805,12 +826,12 @@ def write_fit_points(path, series, samples, model, condition_format, error_unit)
     """Write each sample with the model's fitted value and the residual
     (``fit --emit-series``)."""
     condition, error = samples.columns
-    fitted = [model(c) for c in condition.tolist()]
+    fitted = model(condition)
     write_table(
         path,
         f"condition={series.condition_unit} observed={error_unit}",
         "condition,observed,fitted,residual",
-        [condition_format + ",%g,%.6f,%.6f"] * len(fitted),
+        [condition_format + ",%g,%.6f,%.6f"] * len(condition),
         np.column_stack((condition, error, fitted, error - fitted)),
     )
 

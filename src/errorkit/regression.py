@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DifferentialRows, ErrorSamples, _cycle_phase
+from .dataset import (DifferentialRows, ErrorSamples, _cycle_phase, _polynomial,
+                      _sinusoid)
 from .linsolve import NormalEquations, SingularSystemError, solve
 
 __all__ = [
@@ -37,14 +38,10 @@ __all__ = [
     "RandomModelEstimate",
     "PolynomialErrorModel",
     "SinusoidalErrorModel",
-    "Prediction",
     "random_model",
     "fit_polynomial",
-    "evaluate_polynomial",
-    "predict_frequency",
     "fit_cycle_direct",
     "fit_cycle_differential",
-    "evaluate_sinusoid",
     "to_report",
 ]
 
@@ -76,8 +73,9 @@ class PolynomialErrorModel:
     """Error as a polynomial in the condition, coefficients in ppm.
 
     ``coeffs[k]`` multiplies ``T**k``: the basis is the raw monomials.
-    ``domain`` is the fitted condition range; evaluating outside it is
-    allowed but flagged by :func:`predict_frequency`.
+    ``domain`` is the fitted condition range; the model evaluates
+    outside it too.  Calling the model evaluates it at a condition or
+    an array of them.
     """
 
     coeffs: tuple[float, ...]
@@ -86,8 +84,8 @@ class PolynomialErrorModel:
     dof: int
     normal: NormalEquations
 
-    def __call__(self, t: float) -> float:
-        return evaluate_polynomial(self, t)
+    def __call__(self, t):
+        return _polynomial(self.coeffs, t)
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,7 @@ class SinusoidalErrorModel:
     estimates the underlying constant difference.  ``amplitude_unit``
     records whether amplitude and residuals are in mm (direct fit on
     mm-scale errors) or m (differential fit on metre readings).
+    Calling the model evaluates it at a reading or an array of them.
     """
 
     amplitude: float
@@ -110,16 +109,8 @@ class SinusoidalErrorModel:
     amplitude_unit: str = "mm"
     offset_s0: float | None = None
 
-    def __call__(self, s: float) -> float:
-        return evaluate_sinusoid(self, s)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A corrected value plus a flag for out-of-domain extrapolation."""
-
-    value: float
-    in_domain: bool
+    def __call__(self, s):
+        return _sinusoid(self.amplitude, self.wavelength, self.phase, s)
 
 
 def _columns(items, kind):
@@ -211,27 +202,6 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
         dof=dof,
         normal=eq,
     )
-
-
-def evaluate_polynomial(model: PolynomialErrorModel, t: float) -> float:
-    """Evaluate the fitted polynomial (Horner) at condition t, in ppm."""
-    acc = 0.0
-    for c in reversed(model.coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def predict_frequency(model: PolynomialErrorModel, f0: float, t: float) -> Prediction:
-    """Corrected frequency ``f0 * (1 + R(T) * 1e-6)``.
-
-    Total over finite T; out-of-domain evaluation is flagged on the
-    result rather than rejected.
-    """
-    if not f0 > 0:
-        raise ValueError(f"f0 must be positive, got {f0!r}")
-    r_ppm = evaluate_polynomial(model, t)
-    lo, hi = model.domain
-    return Prediction(value=f0 * (1.0 + r_ppm * 1e-6), in_domain=lo <= t <= hi)
 
 
 def _cycle_basis(s: np.ndarray, wavelength: float):
@@ -353,11 +323,6 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
         amplitude_unit="m",
         offset_s0=s0,
     )
-
-
-def evaluate_sinusoid(model: SinusoidalErrorModel, s: float) -> float:
-    """Cycle error at reading s, in the model's amplitude unit."""
-    return model.amplitude * math.sin(TWO_PI * s / model.wavelength + model.phase)
 
 
 def to_report(model) -> dict:

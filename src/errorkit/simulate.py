@@ -48,7 +48,7 @@ import numpy as np
 
 from ._jsonfile import gc_paused, read_json, shorten
 from .dataset import (DifferentialRows, LegPairs, MalformedRowError, MeasurementSeries,
-                      _cycle_phase, _first_false)
+                      _first_false, _polynomial, _sinusoid)
 
 __all__ = [
     "ConfigurationError",
@@ -300,13 +300,6 @@ class DifferentialRun:
     diff_contributions: dict[str, np.ndarray]
 
 
-def _polynomial_ppm(coeffs: Sequence[float], t: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(np.asarray(t, dtype=float))
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 def _contribution_mm(
     source: ErrorSource,
     conditions: Mapping[str, np.ndarray],
@@ -333,26 +326,31 @@ def _contribution_mm(
     s = conditions["distance"] if source.depends_on == "distance" else nominal_m
     if source.kind == "cycle":
         try:
-            theta = _cycle_phase(s, source.wavelength_m)
+            return _sinusoid(source.amplitude_mm, source.wavelength_m, source.phase_rad, s)
         except ValueError as exc:
             raise ConfigurationError(f"source {source.name!r}: {exc}") from None
-        return source.amplitude_mm * np.sin(theta + source.phase_rad)
     # Only these kinds can leave the double range; that is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         if source.kind == "multiplicative":
             c = source.r_ppm * s * 1e-3
         elif source.kind == "temperature-polynomial":
-            r_ppm = _polynomial_ppm(source.coeffs_ppm, conditions["temperature"])
+            r_ppm = _polynomial(source.coeffs_ppm, conditions["temperature"])
             c = r_ppm * nominal_m * 1e-3
         else:  # gaussian-noise: a fresh draw per reading
             seed = np.random.SeedSequence(noise_seed, spawn_key=(position,))
             c = np.random.default_rng(seed).normal(0.0, source.sigma_mm, nominal_m.shape)
-    bad = _first_false(np.isfinite(c))  # a flat index: argmin flattens
+    _check_finite(source, "contribution", c)
+    return c
+
+
+def _check_finite(source: ErrorSource, what: str, values: np.ndarray) -> None:
+    """A ConfigurationError naming the source and the 1-based row (repeat
+    or pair) of the first of ``values`` that is not finite."""
+    bad = _first_false(np.isfinite(values))  # a flat index: argmin flattens
     if bad is not None:
         raise ConfigurationError(
-            f"source {source.name!r}: row {np.unravel_index(bad, c.shape)[0] + 1}: "
-            f"contribution must be finite, got {float(c.flat[bad])!r}")
-    return c
+            f"source {source.name!r}: row {np.unravel_index(bad, values.shape)[0] + 1}: "
+            f"{what} must be finite, got {float(values.flat[bad])!r}")
 
 
 def _check_unique_names(sources: Sequence[ErrorSource]) -> None:
@@ -405,14 +403,12 @@ def simulate_repeated(
     return RepeatedRun(series=series, contributions=contributions)
 
 
-def _snap(x: np.ndarray) -> np.ndarray:
-    """Quantize to the binary leg grid (2**-30 m)."""
-    return np.floor(x * _GRID + 0.5) / _GRID
-
-
-def _round_tenth_mm(x: np.ndarray) -> np.ndarray:
-    """Round half up to 0.1 mm, the instrument readout grid."""
-    return np.floor(x * 1e4 + 0.5) / 1e4
+def _round_half_up(x: np.ndarray, per_m: float) -> np.ndarray:
+    """Round half up to the grid of ``1/per_m`` m.  A value too large to
+    scale by ``per_m`` is a whole number of metres and is kept."""
+    with np.errstate(over="ignore"):
+        scaled = x * per_m
+    return np.where(np.isfinite(scaled), np.floor(scaled + 0.5) / per_m, x)
 
 
 def simulate_differential(
@@ -442,7 +438,9 @@ def simulate_differential(
     exactly, not approximately.
 
     A reading that is not finite, or ``s1 <= s2``, raises
-    ``MalformedRowError`` (a ``ValueError``) naming the 1-based row.
+    ``MalformedRowError`` (a ``ValueError``) naming the 1-based row; a
+    source whose two legs' contributions differ by more than the
+    double range, ConfigurationError naming it and the row.
     """
     if cycle.kind != "cycle":
         raise ConfigurationError(
@@ -458,15 +456,17 @@ def simulate_differential(
     diff_mm = np.zeros(len(legs))
     for position, source in enumerate(sources):
         c = _contribution_mm(source, conditions, legs, noise_seed, position)
-        dc = c[:, 1] - c[:, 0]
+        with np.errstate(over="ignore"):
+            dc = c[:, 1] - c[:, 0]
+        _check_finite(source, "contribution difference", dc)
         diff_contributions[source.name] = dc
         total2_mm = total2_mm + c[:, 0]
         diff_mm = diff_mm + dc
-    s2 = _snap(legs[:, 0] + total2_mm * 1e-3)
-    s1 = s2 + _snap((legs[:, 1] - legs[:, 0]) + diff_mm * 1e-3)
-    if round_readings:
-        s2 = _round_tenth_mm(s2)
-        s1 = _round_tenth_mm(s1)
+    s2 = _round_half_up(legs[:, 0] + total2_mm * 1e-3, _GRID)
+    s1 = s2 + _round_half_up((legs[:, 1] - legs[:, 0]) + diff_mm * 1e-3, _GRID)
+    if round_readings:  # to the 0.1 mm readout grid
+        s2 = _round_half_up(s2, 1e4)
+        s1 = _round_half_up(s1, 1e4)
     return DifferentialRun(
         rows=DifferentialRows(s1, s2), diff_contributions=diff_contributions
     )

@@ -56,6 +56,12 @@ class TestComponentValidation:
         with pytest.raises(BudgetError, match="std must be >= 0"):
             BudgetComponent(name="x", std=-1.0)
 
+    @pytest.mark.parametrize("std", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_std(self, std):
+        with pytest.raises(BudgetError) as raised:
+            BudgetComponent(name="x", std=std)
+        assert str(raised.value) == f"component 'x': std must be finite, got {std!r}"
+
     def test_unknown_unit(self):
         with pytest.raises(BudgetError, match="unknown unit"):
             BudgetComponent(name="x", std=1.0, unit="furlong")
@@ -109,6 +115,16 @@ class TestBudgetValidation:
         parts = (BudgetComponent(name="scale", std=2.0, unit="ppm"),)
         with pytest.raises(BudgetError, match="operating_point_m"):
             ErrorBudget(components=parts)
+
+    @pytest.mark.parametrize("unit", ["ppm", "mm"])
+    @pytest.mark.parametrize("point", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_operating_point(self, unit, point):
+        # Refused with or without a component that scales by it, so
+        # total_std never returns inf or nan from one.
+        parts = (BudgetComponent(name="scale", std=2.0, unit=unit),)
+        with pytest.raises(BudgetError) as raised:
+            ErrorBudget(components=parts, operating_point_m=point)
+        assert str(raised.value) == f"operating_point_m must be finite, got {point!r}"
 
     def test_operating_point_optional_without_proportional_parts(self):
         budget = ErrorBudget(components=(BudgetComponent(name="x", std=1.0),))

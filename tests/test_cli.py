@@ -636,6 +636,45 @@ class TestSimulate:
             "error: source 'cycle': wavelength 1e-320 puts the phase "
             f"2*pi*s/wavelength beyond the double range at s = {s}\n")
 
+    def test_legs_near_the_top_of_the_double_range(self, runner, tmp_path):
+        # Past s = 2.9e307 m, 2*pi*s overflows though the phase is about
+        # 2e7; past 1.7e299 m a leg cannot be scaled to the 2**-30 m or
+        # 0.1 mm grid, on which it lies already.  The legs differ by
+        # 2**1020 m exactly, so s1 - s2 has a finite std.
+        payload = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+        payload["sources"][0]["wavelength_m"] = 1e300
+        payload["differential"]["pairs"] = [
+            [k * 2.0**1016, k * 2.0**1016 + 2.0**1020] for k in range(1, 31, 2)]
+        out = tmp_path / "legs.csv"
+        result = runner.invoke(main, ["simulate", write_scenario(tmp_path, payload),
+                                      "--classify", "--emit-series", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "std  s1-s2 0 m" in result.output
+        s1, s2 = dataset.load_differential(out).columns
+        assert (s2.tolist(), (s1 - s2).tolist()) == (
+            [ab for ab, _ in payload["differential"]["pairs"]], [2.0**1020] * 15)
+
+    def test_phase_beyond_the_double_range_in_either_order(self, runner, tmp_path):
+        # s/wavelength_m overflows as well as 2*pi*s.
+        payload = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+        payload["sources"][0]["wavelength_m"] = 0.5
+        payload["differential"]["pairs"] = [[1.0, 2.0], [3.0, 1.7e308]]
+        result = runner.invoke(main, ["simulate", write_scenario(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: source 'cycle': wavelength 0.5 puts the phase "
+            "2*pi*s/wavelength beyond the double range at s = 1.7e+308\n")
+
+    def test_overflowing_cycle_difference_names_the_source(self, runner, tmp_path):
+        # Each leg's contribution is finite; their difference at row 3,
+        # about 1.9e308 mm, is not.
+        payload = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+        payload["sources"][0]["amplitude_mm"] = 1e308
+        result = runner.invoke(main, ["simulate", write_scenario(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: source 'cycle': row 3: contribution "
+                                 "difference must be finite, got inf\n")
+
     @pytest.mark.parametrize("form", ["multiplicative", "temperature-polynomial",
                                       "differential"])
     def test_overflowing_source_names_the_source(self, runner, tmp_path, form):

@@ -973,3 +973,12 @@ def test_path_feed_matches_the_line_filtering_reader(tmp_path_factory, data):
     with mock.patch.object(dataset, "_PATH_FEED_CHARS", 0):
         got = [_outcome(load, path) for load in LOADERS]
     assert got == [_reference_outcome(load, path) for load in LOADERS]
+
+
+def test_cycle_phase_where_2_pi_s_overflows():
+    # Where 2*pi*s is finite the phase is (2*pi*s)/wavelength as before;
+    # past it, 2*pi*(s/wavelength).
+    s = np.array([1.0, 2.8e307, 3e307, 1.7e308])
+    assert dataset._cycle_phase(s, 1e300).tolist() == [
+        2 * math.pi * 1.0 / 1e300, 2 * math.pi * 2.8e307 / 1e300,
+        2 * math.pi * (3e307 / 1e300), 2 * math.pi * (1.7e308 / 1e300)]

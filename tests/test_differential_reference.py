@@ -148,9 +148,12 @@ def test_emitted_table3_is_the_bundled_file(tmp_path):
     assert out.read_bytes() == dataset.bundled_path("table3.csv").read_bytes()
 
 
+# The long leg is finite, but s1 = s2 + (s_ac - s_ab) is not: s2 carries
+# the 1e305 m offset, which the difference cancels.
 OVERFLOWING_SCENARIO = (
-    '{"sources": [{"name": "cycle", "kind": "cycle", "amplitude_mm": 5.0}],'
-    ' "differential": {"pairs": [[1e300, 2e300]]}}'
+    '{"sources": [{"name": "cycle", "kind": "cycle", "amplitude_mm": 5.0},'
+    ' {"name": "offset", "kind": "additive-constant", "c_mm": 1e308}],'
+    ' "differential": {"pairs": [[1.0, 1.797e308]]}}'
 )
 
 
@@ -167,7 +170,8 @@ def test_overflowing_legs_raise_a_located_value_error():
     cycle = ErrorSource.cycle(5.0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="row 1, column 's1'"):
-            simulate_differential(cycle, LegPairs([1e300], [2e300]))
+            simulate_differential(cycle, LegPairs([1.0], [1.797e308]),
+                                  [ErrorSource.additive_constant(1e308)])
 
 
 def test_temperature_source_is_refused():

@@ -25,10 +25,9 @@ OWNERS = {
     ],
     "linsolve": ["NormalEquations", "SingularSystemError", "solve"],
     "regression": [
-        "InsufficientDataError", "PolynomialErrorModel", "Prediction",
-        "RandomModelEstimate", "SinusoidalErrorModel", "evaluate_polynomial",
-        "evaluate_sinusoid", "fit_cycle_differential", "fit_cycle_direct",
-        "fit_polynomial", "predict_frequency", "random_model", "to_report",
+        "InsufficientDataError", "PolynomialErrorModel", "RandomModelEstimate",
+        "SinusoidalErrorModel", "fit_cycle_differential", "fit_cycle_direct",
+        "fit_polynomial", "random_model", "to_report",
     ],
     "distributions": ["ArcsineDistribution", "pdf", "cdf", "std", "sample"],
     "budget": [

@@ -13,6 +13,8 @@ from errorkit.dataset import (
     ErrorSample,
     ErrorSamples,
     MalformedRowError,
+    bundled_path,
+    load_series,
     to_error_samples,
 )
 from errorkit.linsolve import NormalEquations, SingularSystemError
@@ -20,12 +22,9 @@ from errorkit.regression import (
     InsufficientDataError,
     PolynomialErrorModel,
     RandomModelEstimate,
-    evaluate_polynomial,
-    evaluate_sinusoid,
     fit_cycle_differential,
     fit_cycle_direct,
     fit_polynomial,
-    predict_frequency,
     random_model,
     to_report,
 )
@@ -216,19 +215,7 @@ def exact_least_squares(t, r, degree):
     return x
 
 
-class TestPredictFrequency:
-    def test_identity_for_zero_polynomial(self):
-        model = PolynomialErrorModel(
-            coeffs=(0.0, 0.0),
-            domain=(-40.0, 100.0),
-            residual_std=0.0,
-            dof=1,
-            normal=NormalEquations(np.eye(2), np.zeros(2)),
-        )
-        prediction = predict_frequency(model, 5e6, 25.0)
-        assert prediction.value == 5e6
-        assert prediction.in_domain
-
+class TestPolynomialModelCall:
     def test_published_coefficients_at_zero(self):
         model = PolynomialErrorModel(
             coeffs=ref.CUBIC_COEFFS,
@@ -237,8 +224,7 @@ class TestPredictFrequency:
             dof=11,
             normal=NormalEquations(np.eye(4), np.zeros(4)),
         )
-        prediction = predict_frequency(model, 5e6, 0.0)
-        assert prediction.value == 5e6 * (1.0 + 9.983251e-6)
+        assert model(0.0) == ref.CUBIC_COEFFS[0]
 
     def test_cold_end_prediction_matches_measurement(self, table1_series):
         # fit the unrounded relative errors, then reconstruct the
@@ -246,34 +232,7 @@ class TestPredictFrequency:
         samples = to_error_samples(table1_series, "mean-reference")
         model = fit_polynomial(samples, degree=3)
         f0 = random_model(table1_series.observed).mean
-        prediction = predict_frequency(model, f0, -40.0)
-        assert prediction.in_domain
-        assert prediction.value == pytest.approx(4.999900, rel=3e-6)
-
-    def test_out_of_domain_flag(self):
-        model = PolynomialErrorModel(
-            coeffs=(1.0,),
-            domain=(-40.0, 100.0),
-            residual_std=0.0,
-            dof=1,
-            normal=NormalEquations(np.eye(1), np.zeros(1)),
-        )
-        assert predict_frequency(model, 1.0, -40.0).in_domain
-        assert predict_frequency(model, 1.0, 100.0).in_domain
-        assert not predict_frequency(model, 1.0, -40.1).in_domain
-        assert not predict_frequency(model, 1.0, 101.0).in_domain
-
-    @pytest.mark.parametrize("f0", [0.0, -5.0])
-    def test_nonpositive_base_frequency(self, f0):
-        model = PolynomialErrorModel(
-            coeffs=(1.0,),
-            domain=(0.0, 1.0),
-            residual_std=0.0,
-            dof=1,
-            normal=NormalEquations(np.eye(1), np.zeros(1)),
-        )
-        with pytest.raises(ValueError, match="f0"):
-            predict_frequency(model, f0, 0.5)
+        assert f0 * (1.0 + model(-40.0) * 1e-6) == pytest.approx(4.999900, rel=3e-6)
 
 
 class TestFitCycleDirect:
@@ -354,12 +313,10 @@ class TestFitCycleDirect:
         with pytest.raises(SingularSystemError):
             fit_cycle_direct(samples, wavelength=20.0)
 
-    def test_evaluate_sinusoid_roundtrip(self, calibration_samples):
+    def test_call_is_the_scalar_formula(self, calibration_samples):
         model = fit_cycle_direct(calibration_samples, wavelength=20.0)
-        assert model(3.0) == evaluate_sinusoid(model, 3.0)
-        assert model(3.0) == pytest.approx(
-            model.amplitude * math.sin(TWO_PI * 3.0 / 20.0 + model.phase)
-        )
+        want = model.amplitude * math.sin(TWO_PI * 3.0 / 20.0 + model.phase)
+        assert float(model(3.0)).hex() == want.hex()
 
     @settings(max_examples=60)
     @given(
@@ -496,6 +453,21 @@ def test_a_nonfinite_condition_is_refused_before_the_fit(fit, value):
         fit(records)
     assert (excinfo.type, str(excinfo.value)) == (
         ValueError, f"row 1: condition must be finite, got {value!r}")
+
+
+@pytest.mark.parametrize("table, fit, conditions", [
+    ("table1.csv",
+     lambda series: fit_polynomial(to_error_samples(series, "mean-reference"), degree=3),
+     np.linspace(-45.0, 105.0, 301)),
+    ("table2.csv",
+     lambda series: fit_cycle_direct(
+         to_error_samples(series, "explicit-reference"), wavelength=20.0),
+     np.linspace(-30.0, 90.0, 301)),
+], ids=["polynomial", "cycle"])
+def test_a_model_called_on_an_array_is_its_calls_on_each_element(table, fit, conditions):
+    model = fit(load_series(bundled_path(table)))
+    each = [float(model(c)).hex() for c in conditions.tolist()]
+    assert [v.hex() for v in model(conditions).tolist()] == each
 
 
 class TestReport:

@@ -15,6 +15,8 @@ a writer's traced memory stays a few column copies.
 ``fit --emit-series`` writers as they were when the command line wrote
 its CSV with the ``csv`` module, one sample at a time; their ``\r\n``
 row endings are mapped to the ``\n`` every other errorkit file uses.
+They compute each fitted value in scalar Python (``reference_fitted``),
+so the files also check the models' array evaluators.
 """
 
 import csv
@@ -81,10 +83,21 @@ def reference_plot_series(path, header_units, rows):
         writer.writerows(rows[1:])
 
 
+def reference_fitted(model, x):
+    """The model at one condition, in scalar Python: Horner's rule over
+    the coefficients, or the cycle formula with ``math.sin``."""
+    if isinstance(model, regression.PolynomialErrorModel):
+        acc = 0.0
+        for c in reversed(model.coeffs):
+            acc = acc * x + c
+        return acc
+    return model.amplitude * math.sin(2 * math.pi * x / model.wavelength + model.phase)
+
+
 def reference_fit_points(path, series, samples, model, condition_format, error_unit):
     rows = [("condition", "observed", "fitted", "residual")]
     for s in samples:
-        fitted = model(s.condition)
+        fitted = reference_fitted(model, s.condition)
         rows.append((condition_format % s.condition, "%g" % s.error,
                      "%.6f" % fitted, "%.6f" % (s.error - fitted)))
     reference_plot_series(
@@ -94,8 +107,8 @@ def reference_fit_points(path, series, samples, model, condition_format, error_u
 
 def reference_sinusoid_points(path, model, wavelength):
     rows = [("condition", "fitted")]
-    for s in np.arange(0.0, wavelength, wavelength / 200.0):
-        rows.append(("%.2f" % s, "%.6f" % regression.evaluate_sinusoid(model, s)))
+    for s in np.arange(0.0, wavelength, wavelength / 200.0).tolist():
+        rows.append(("%.2f" % s, "%.6f" % reference_fitted(model, s)))
     reference_plot_series(path, "condition=m fitted=m", rows)
 
 
