@@ -7,7 +7,9 @@ budget synthesis). Every command is deterministic given its inputs,
 flags, and seed; reports embed a digest of the input file so reruns
 are verifiable. Exit codes are stable: 0 success, 2 input or
 configuration error, 3 numerical failure. Each command imports what
-it runs, so ``--version`` and a closed-form ``propagate`` load no numpy.
+it runs, so ``--version``, a closed-form ``propagate``, a missing input
+and a scenario that ``simulate`` refuses at its schema, source or mode
+checks load no numpy.
 """
 
 from __future__ import annotations
@@ -129,10 +131,11 @@ def main():
 @_json_option
 def cmd_random_model(input_csv, column, data_dir, as_json):
     """Mean, spread, and relative spread of repeated observations."""
+    with _exit_on_failure():
+        path = _resolve_input(input_csv, data_dir)
     from . import dataset, regression
 
     with _exit_on_failure(), _quiet_numpy():
-        path = _resolve_input(input_csv, data_dir)
         if column == "diff":
             columns = dataset.load_differential(path).columns
             values = columns.s1 - columns.s2
@@ -195,12 +198,13 @@ def cmd_random_model(input_csv, column, data_dir, as_json):
 def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             raw_errors, data_dir, as_json):
     """Fit an error model to a series and report its coefficients."""
+    with _exit_on_failure():
+        path = _resolve_input(input_csv, data_dir)
     import numpy as np
 
     from . import dataset, regression
 
     with _exit_on_failure(), _quiet_numpy():
-        path = _resolve_input(input_csv, data_dir)
         lines = []
         if model_name == "poly3":
             series = dataset.load_series(path)
@@ -296,12 +300,15 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
 def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                  eps_abs, data_dir, as_json):
     """Run a scenario file and summarize the generated readings."""
-    from . import dataset
     from . import simulate as simulate_mod
 
-    with _exit_on_failure(), _quiet_numpy():
+    # The loader needs no numpy until the file passes its own checks.
+    with _exit_on_failure():
         path = _resolve_input(scenario_json, data_dir)
         scenario = simulate_mod.load_scenario(path)
+    from . import dataset
+
+    with _exit_on_failure(), _quiet_numpy():
         lines: list[str] = []
         if scenario.is_differential:
             run = simulate_mod.simulate_differential(

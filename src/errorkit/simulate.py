@@ -33,6 +33,11 @@ Design notes:
   float noise.
 * Readout rounding to 0.1 mm (half up) is opt-in via
   ``round_readings`` so analytic tests can stay unrounded.
+* numpy and ``dataset`` are imported by each function that uses them,
+  not with the module: ``load_scenario`` reads the file, walks its
+  schema, builds its sources and checks its mode with the standard
+  library alone, so a file it refuses there costs no numpy import,
+  which is most of a command's time.
 """
 
 from __future__ import annotations
@@ -44,11 +49,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ._jsonfile import gc_paused, read_json, shorten
-from .dataset import (DifferentialRows, LegPairs, MalformedRowError, MeasurementSeries,
-                      _first_false, _polynomial, _sinusoid)
 
 __all__ = [
     "ConfigurationError",
@@ -97,7 +98,8 @@ class ConfigurationError(ValueError):
     condition the run does not provide, the differential driver is not
     a cycle, a cycle's wavelength puts its phase beyond the double
     range at a distance the run measures, or a source's contribution
-    to some reading is not finite."""
+    to some reading, or the sum of contributions it leaves, is not
+    finite."""
 
 
 class ScenarioError(ValueError):
@@ -217,6 +219,8 @@ class ConditionSchedule:
     seed: int | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.generator not in ("constant", "listed", "uniform-random"):
@@ -263,6 +267,8 @@ class ConditionSchedule:
 
     def resolve(self) -> dict[str, np.ndarray]:
         """Per-condition value vectors, each of length ``repeats``."""
+        import numpy as np
+
         n = self.repeats
         if self.generator == "constant":
             return {
@@ -316,6 +322,10 @@ def _contribution_mm(
     ``numpy.random``.  A contribution that is not finite is a
     ConfigurationError naming its 1-based row (repeat or pair).
     """
+    import numpy as np
+
+    from .dataset import _polynomial, _sinusoid
+
     if source.depends_on != "none" and source.depends_on not in conditions:
         raise ConfigurationError(
             f"source {source.name!r} depends on condition "
@@ -346,6 +356,10 @@ def _contribution_mm(
 def _check_finite(source: ErrorSource, what: str, values: np.ndarray) -> None:
     """A ConfigurationError naming the source and the 1-based row (repeat
     or pair) of the first of ``values`` that is not finite."""
+    import numpy as np
+
+    from .dataset import _first_false
+
     bad = _first_false(np.isfinite(values))  # a flat index: argmin flattens
     if bad is not None:
         raise ConfigurationError(
@@ -376,8 +390,14 @@ def simulate_repeated(
     vectors are retained for classification.
 
     Noise sources draw from substreams spawned off ``noise_seed`` (one
-    per source position), so runs are reproducible per seed.
+    per source position), so runs are reproducible per seed. A source
+    whose contribution takes the running sum beyond the double range is
+    a ConfigurationError naming it and the repeat.
     """
+    import numpy as np
+
+    from .dataset import MeasurementSeries
+
     _check_unique_names(sources)
     conditions = schedule.resolve()
     n = schedule.repeats
@@ -387,7 +407,9 @@ def simulate_repeated(
     for position, source in enumerate(sources):
         c = _contribution_mm(source, conditions, nominal_m, noise_seed, position)
         contributions[source.name] = c
-        total_mm = total_mm + c
+        with np.errstate(over="ignore"):
+            total_mm = total_mm + c
+        _check_finite(source, "sum of contributions", total_mm)
     observed = true_value + total_mm * 1e-3
 
     if len(conditions) == 1:
@@ -406,6 +428,8 @@ def simulate_repeated(
 def _round_half_up(x: np.ndarray, per_m: float) -> np.ndarray:
     """Round half up to the grid of ``1/per_m`` m.  A value too large to
     scale by ``per_m`` is a whole number of metres and is kept."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         scaled = x * per_m
     return np.where(np.isfinite(scaled), np.floor(scaled + 0.5) / per_m, x)
@@ -440,8 +464,13 @@ def simulate_differential(
     A reading that is not finite, or ``s1 <= s2``, raises
     ``MalformedRowError`` (a ``ValueError``) naming the 1-based row; a
     source whose two legs' contributions differ by more than the
-    double range, ConfigurationError naming it and the row.
+    double range, or whose contribution takes a running sum beyond it,
+    ConfigurationError naming it and the row.
     """
+    import numpy as np
+
+    from .dataset import DifferentialRows
+
     if cycle.kind != "cycle":
         raise ConfigurationError(
             f"differential driver must be a cycle source, got {cycle.kind!r}"
@@ -460,8 +489,11 @@ def simulate_differential(
             dc = c[:, 1] - c[:, 0]
         _check_finite(source, "contribution difference", dc)
         diff_contributions[source.name] = dc
-        total2_mm = total2_mm + c[:, 0]
-        diff_mm = diff_mm + dc
+        with np.errstate(over="ignore"):
+            total2_mm = total2_mm + c[:, 0]
+            diff_mm = diff_mm + dc
+        _check_finite(source, "sum of contributions", total2_mm)
+        _check_finite(source, "sum of contribution differences", diff_mm)
     s2 = _round_half_up(legs[:, 0] + total2_mm * 1e-3, _GRID)
     s1 = s2 + _round_half_up((legs[:, 1] - legs[:, 0]) + diff_mm * 1e-3, _GRID)
     if round_readings:  # to the 0.1 mm readout grid
@@ -510,6 +542,10 @@ def classify_effects(
     threshold-relative. ``eps_abs`` must be positive and finite, and
     so must every contribution: a ValueError names the first that is not.
     """
+    import numpy as np
+
+    from .dataset import _first_false
+
     if not 0 < eps_abs < math.inf:
         raise ValueError(f"eps_abs must be positive and finite, got {eps_abs}")
     effects = []
@@ -626,6 +662,10 @@ def _leg_pairs(pairs: list) -> LegPairs:
     pairs are read one at a time to find the first bad one, which raises
     ScenarioError naming its index.
     """
+    import numpy as np
+
+    from .dataset import LegPairs, MalformedRowError
+
     # type() rather than isinstance: a bool is not a JSON number.
     # read_json has already rejected numbers that are not finite.
     if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}

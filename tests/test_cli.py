@@ -1085,13 +1085,18 @@ class TestFreshInterpreter:
                         for n in "ab"],
             "schedule": {"repeats": 2, "generator": "constant",
                          "conditions": {"distance": 5.0}}}),
-         2, "row 1, column 'observed': observed must be finite, got inf"),
+         2, "source 'b': row 1: sum of contributions must be finite, got inf"),
+        (["simulate"], json.dumps({
+            "sources": [{"name": "cycle", "kind": "cycle", "amplitude_mm": 1.0}]
+            + [{"name": n, "kind": "additive-constant", "c_mm": 1.5e308} for n in "ab"],
+            "differential": {"pairs": [[10.0, 18.0], [12.0, 21.0]]}}),
+         2, "source 'b': row 1: sum of contributions must be finite, got inf"),
         # The arcsine draws overflow to inf and nan before the total is refused.
         (["propagate", "--monte-carlo", "10000"], json.dumps({"components": [
             {"name": "a", "std": 1.5e308, "unit": "mm", "shape": "arcsine"}]}),
          3, "result /total_std_mm is inf: the computation left the range of double "
             "precision"),
-    ], ids=["random-model", "fit", "simulate", "propagate"])
+    ], ids=["random-model", "fit", "simulate", "simulate-differential", "propagate"])
     def test_an_overflow_prints_only_its_error_line(self, tmp_path, argv, text, code,
                                                      message):
         p = tmp_path / "input"

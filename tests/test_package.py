@@ -88,6 +88,16 @@ class TestImports:
     def test_bare_import_loads_no_submodule(self):
         assert loaded_after("import errorkit") == set()
 
+    def test_the_simulator_module_loads_no_numpy(self):
+        # The scenario loader runs on the standard library until a file
+        # passes its own checks.
+        assert run_python(
+            "import sys\n"
+            "import errorkit.simulate\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith('errorkit.') or m.split('.')[0] == 'numpy'))\n"
+        ) == "errorkit._jsonfile errorkit.simulate\n"
+
     def test_cli_imports_only_what_its_start_up_needs(self):
         # Each command imports the modules it runs; _jsonfile imports only
         # the standard library.
@@ -114,6 +124,7 @@ class TestImports:
             "('wobble_mm' was unexpected)\n",
         )
         assert "jsonschema" not in modules
+        assert "numpy" not in modules
 
     @pytest.mark.parametrize("argv", [
         ["--version"], ["--help"], ["propagate", "--help"],
@@ -138,6 +149,37 @@ class TestImports:
         path.write_text(text)
         code, stderr, modules = cli_run("propagate", str(path), "--monte-carlo", "10000")
         assert (code, stderr) == (2, f"error: {message}\n")
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"sources": [}', "scenario.json: line 1 column 14: Expecting value"),
+        ('{"sources": []}', "at /sources: [] should be non-empty"),
+        ('{"true_value": 1e999, "sources": [{"name": "c", "kind": "additive-constant"}], '
+         '"schedule": {"repeats": 2, "generator": "constant"}}',
+         "scenario.json: at /true_value: 1e999 is not a finite number"),
+        ('{"true_value": 5.0, "sources": [{"name": "c", "kind": "additive-constant", '
+         '"depends_on": "distance"}], "schedule": {"repeats": 2, "generator": "constant"}}',
+         "source 'c': kind 'additive-constant' cannot depend on 'distance'"),
+        ('{"sources": [{"name": "c", "kind": "additive-constant"}]}',
+         "a scenario must define exactly one of 'schedule' or 'differential'"),
+    ], ids=["syntax", "schema", "non-finite", "source", "mode"])
+    def test_a_rejected_scenario_loads_no_numpy(self, tmp_path, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, stderr, modules = cli_run("simulate", str(path))
+        assert (code, stderr) == (2, f"error: {message}\n")
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "missing.csv", "--model", "poly3"],
+        ["random-model", "missing.csv"],
+        ["simulate", "missing.json"],
+        ["propagate", "missing.json", "--monte-carlo", "10000"],
+    ], ids=["fit", "random-model", "simulate", "propagate"])
+    def test_a_missing_input_loads_no_numpy(self, tmp_path, argv):
+        argv = [argv[0], str(tmp_path / argv[1]), *argv[2:]]
+        code, stderr, modules = cli_run(*argv)
+        assert (code, stderr) == (2, f"error: no such input: {argv[1]}\n")
         assert "numpy" not in modules
 
     def test_a_noise_free_run_loads_no_numpy_random(self):

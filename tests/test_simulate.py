@@ -305,6 +305,17 @@ class TestSimulateRepeated:
         assert str(excinfo.value) == (
             "source 'scale': row 1: contribution must be finite, got inf")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_names_the_source(self):
+        # Each contribution is finite; the second takes the sum past the
+        # double range, with no numpy warning on the way.
+        sources = [ErrorSource.additive_constant(1.5e308, name=n) for n in ("a", "b")]
+        schedule = ConditionSchedule.constant(3, distance=10.0)
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_repeated(sources, schedule, true_value=10.0)
+        assert str(excinfo.value) == (
+            "source 'b': row 1: sum of contributions must be finite, got inf")
+
     def test_duplicate_source_names(self):
         sources = [
             ErrorSource.additive_constant(1.0, name="x"),
@@ -460,6 +471,26 @@ class TestSimulateDifferential:
                 campaign_cycle(), TABLE3_PAIRS, [ErrorSource.multiplicative(1e308)])
         assert str(excinfo.value) == (
             "source 'scale': row 1: contribution must be finite, got inf")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_names_the_source(self):
+        # The constants cancel in s1 - s2, but their sum on each leg leaves
+        # the double range at the second, with no numpy warning on the way.
+        extra = [ErrorSource.additive_constant(1.5e308, name=n) for n in ("a", "b")]
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_differential(campaign_cycle(), TABLE3_PAIRS, extra)
+        assert str(excinfo.value) == (
+            "source 'b': row 1: sum of contributions must be finite, got inf")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_of_differences_names_the_source(self):
+        # Each cycle is +6e307 mm on the short leg and -6e307 mm on the
+        # long one: the legs' sums stay finite, the differences' do not.
+        cycles = [ErrorSource.cycle(6e307, name=n) for n in ("a", "b")]
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_differential(cycles[0], LegPairs([5.0], [15.0]), cycles[1:])
+        assert str(excinfo.value) == (
+            "source 'b': row 1: sum of contribution differences must be finite, got -inf")
 
     def test_duplicate_source_names(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
