@@ -249,7 +249,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(f"dof {model.dof}")
             if emit_series:
                 _refuse_nonfinite(report_body)
-                grid = np.arange(0.0, wavelength, wavelength / 200.0)
+                grid = np.arange(200) * (wavelength / 200.0)
                 dataset.write_table(
                     emit_series, "condition=m fitted=m", "condition,fitted",
                     ["%.2f,%.6f"] * len(grid),

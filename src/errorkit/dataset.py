@@ -19,23 +19,21 @@ decimals are not supported.
 
 Series, error samples and differential readings are stored as
 read-only float64 columns, one per field; a missing reference is NaN.
-The loaders read all the columns of a file with one reader and check
-each whole column at once; empty, whitespace-only and comment lines
-are skipped.  numpy's C reader parses a clean file in one pass: a data
-block of ``_PATH_FEED_CHARS`` (48 000) characters or more it reads
-from the file itself, by path, so that no Python string is built per
-line; a smaller one, for which opening the file again costs more than
-it saves, from its list of lines.  A blank or NaN cell in the optional
-reference column costs one more C pass, with a converter on that
-column only; a line that leaves the cell out costs one more again, over
-the lines with a blank cell added to each short one.  A file with a
-quote among its data lines, or one the C reader still refuses, is read
-cell by cell with Python's ``float()``, every column of it; that
-reader alone locates errors.  The first bad
-row, in file order, is reported as a :class:`MalformedRowError` naming
-its 1-based row and its column.  A leading UTF-8 byte-order mark is
-ignored; any other byte that is not UTF-8 is reported with its line.
-A series is only its columns, and
+The loaders read all the columns of a file with one of two readers and
+check each whole column at once; empty, whitespace-only and comment
+lines are skipped.  numpy's C reader parses a clean file, one with no
+quote and no ``#`` among its data lines, in one pass: a data block of
+``_PATH_FEED_CHARS`` (48 000) characters or more it reads from the
+file itself, by path, so that no Python string is built per line; a
+smaller one, for which opening the file again costs more than it
+saves, from its list of lines.  Every other file, and every file the C
+reader refuses or in whose optional reference column it reads a NaN (a
+blank, left-out or ``nan`` cell), is read cell by cell with Python's
+``float()``, every column of it; that reader alone locates errors.
+The first bad row, in file order, is reported as a
+:class:`MalformedRowError` naming its 1-based row and its column.  A
+leading UTF-8 byte-order mark is ignored; any other byte that is not
+UTF-8 is reported with its line.  A series is only its columns, and
 :meth:`MeasurementSeries.from_columns` is its one checked constructor.
 Error samples (:class:`ErrorSamples`), differential readings
 (:class:`DifferentialRows`) and the nominal leg pairs of a
@@ -465,16 +463,8 @@ class _Block(NamedTuple):
 
     text: str  # the file's text
     start: int  # where the first data line starts in it
-    filtered: list[str] | None  # the data lines filtered, if a "#" is among them
-    quoted: bool  # whether a data line holds a quote
+    clean: bool  # whether no data line holds a quote or a "#"
     file: tuple | None  # (path, lines before the data, file key) for the path feed
-
-    def lines(self) -> list[str]:
-        """The data lines; unless filtered, blank and whitespace-only
-        lines may be among them."""
-        if self.filtered is not None:
-            return self.filtered
-        return self.text[self.start:].splitlines()
 
 
 def _head_lines(text: str) -> list[str]:
@@ -498,17 +488,15 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], _Block]:
 
     Empty, whitespace-only and comment lines (``#`` first) are skipped,
     and a leading byte-order mark is ignored.  The header is the first
-    line not skipped, and the last ``# units:`` line gives the units.
-    Unless a data line holds a ``#``, the data lines are neither split
-    nor filtered here: numpy's C reader skips empty lines and refuses
-    whitespace-only ones, and :func:`_read_columns` drops both before it
-    reads cell by cell.  The C reader may read a data block of
-    :data:`_PATH_FEED_CHARS` characters or more from the file itself, so
-    only a large clean file gets no per-line Python pass at all; a
-    smaller one is split into lines.  The path feed needs a regular file whose name
-    has no compressed suffix, no quote or ``#`` in a data line, and no
-    line break in the text but ``\\n``, ``\\r\\n`` and ``\\r``, the ones
-    both readers know.
+    line not skipped, and the last ``# units:`` line, among the data
+    lines too, gives the units.  The data lines are neither split nor
+    filtered here.  The block is clean when no data line holds a quote
+    or a ``#``; only a clean block goes to numpy's C reader, which may
+    read one of :data:`_PATH_FEED_CHARS` characters or more from the
+    file itself, so that a large clean file gets no per-line Python
+    pass at all.  The path feed needs a regular file whose name has no
+    compressed suffix, and no line break in the text but ``\\n``,
+    ``\\r\\n`` and ``\\r``, the ones both readers know.
     """
     with open(path, "rb") as file:
         st = os.fstat(file.fileno())
@@ -530,12 +518,11 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], _Block]:
     start = 0  # where the data lines start: a line break is 1 character, "\r\n" 2
     for line in head:
         start += len(line) + 1 + text.startswith("\r\n", start + len(line))
-    quoted, filtered, file = text.find('"', start) >= 0, None, None
-    if text.find("#", start) >= 0:  # a comment or units line among the data
-        data = text[start:].splitlines()
-        head, filtered = head + data, _content(data)
-        quoted = quoted and '"' in "\n".join(filtered)
-    elif (len(text) - start >= _PATH_FEED_CHARS and not quoted
+    hashed, file = text.find("#", start) >= 0, None
+    clean = not hashed and text.find('"', start) < 0
+    if hashed:  # a comment or units line among the data
+        head = head + text[start:].splitlines()
+    elif (clean and len(text) - start >= _PATH_FEED_CHARS
           and stat.S_ISREG(st.st_mode) and st.st_size == len(raw)
           and not os.fspath(path).endswith(_COMPRESSED)
           and not any(br in text for br in _ODD_BREAKS)):
@@ -544,7 +531,7 @@ def _read_csv(path) -> tuple[dict[str, str], list[str], _Block]:
     units_lines = [line for line in head if line.startswith("# units:")]
     units = _parse_units_line(units_lines[-1]) if units_lines else {}
     header = [h.strip() for h in next(csv.reader([lines[header_at]]))]
-    return units, header, _Block(text, start, filtered, quoted, file)
+    return units, header, _Block(text, start, clean, file)
 
 
 def _specs(path, header: list[str], required, optional=()) -> list[tuple[int, str, bool]]:
@@ -596,63 +583,40 @@ def _read_column(
     return np.array(values), None
 
 
-def _optional_cell(cell: str) -> float:
-    """An optional cell as :func:`_read_column` reads it: blank is NaN,
-    and a cell that parses to NaN is refused."""
-    if not cell.strip():
-        return math.nan
-    value = float(cell)
-    if math.isnan(value):
-        raise ValueError(f"NaN cell {cell!r}")
-    return value
-
-
-def _loadtxt(source, positions: list[int], converters=None,
-             skiprows: int = 0) -> np.ndarray | None:
-    """The columns ``positions`` of ``source``, a list of lines or the
-    path of a UTF-8 file, as parsed by numpy's C reader, one row each,
-    past the first ``skiprows`` lines; or None if it refuses a line."""
+def _c_columns(source, specs, skiprows: int = 0) -> np.ndarray | None:
+    """The columns ``specs`` of ``source``, a list of lines or the path of
+    a UTF-8 file, as parsed by numpy's C reader, one row each, past the
+    first ``skiprows`` lines; or None if it refuses a line or reads a NaN
+    in an optional column, where only the cell reader tells a blank cell
+    from a ``nan`` one."""
     try:
-        # An explicit encoding: the file's, and converters get str, where
-        # numpy 1.x's default gives bytes.
-        return np.loadtxt(source, delimiter=",", comments=None, quotechar=None,
-                          ndmin=2, usecols=positions, converters=converters,
-                          skiprows=skiprows, encoding="utf-8").T
+        # An explicit encoding: the file's.
+        columns = np.loadtxt(source, delimiter=",", comments=None, quotechar=None,
+                             ndmin=2, usecols=[pos for pos, _, _ in specs],
+                             skiprows=skiprows, encoding="utf-8").T
     except ValueError:
         return None
-
-
-def _c_columns(source, specs, skiprows=0) -> np.ndarray | None:
-    """The columns ``specs`` of ``source`` from numpy's C reader, as
-    :func:`_read_columns` describes, or None if it refuses the block."""
-    positions = [pos for pos, _, _ in specs]
     optional = [i for i, (_, _, opt) in enumerate(specs) if opt]
-    columns = _loadtxt(source, positions, skiprows=skiprows)
-    if optional and (columns is None or np.isnan(columns[optional]).any()):
-        columns = _loadtxt(source, positions,
-                           {specs[i][0]: _optional_cell for i in optional}, skiprows)
+    if optional and np.isnan(columns[optional]).any():
+        return None
     return columns
 
 
-def _padded(lines: list[str], specs) -> list[str] | None:
-    """``lines``, each line too short to reach the last column of
-    ``specs`` given blank cells up to it; or None if ``specs`` has no
-    optional column or no line is short.  Empty lines, which numpy's
-    reader skips, stay empty.
-
-    A blank optional cell reads as NaN, as an omitted one does, and a
-    padded line that omits a required cell is still refused.
-    """
-    if not any(opt for _, _, opt in specs):
-        return None
-    commas = max(pos for pos, _, _ in specs)
-    short = [i for i, line in enumerate(lines) if line and line.count(",") < commas]
-    if not short:
-        return None
-    lines = list(lines)
-    for i in short:
-        lines[i] += "," * (commas - lines[i].count(","))
-    return lines
+def _c_read(block: _Block, specs) -> np.ndarray | None:
+    """The columns ``specs`` of a clean block from numpy's C reader, in one
+    pass: from the file itself when the block may take the path feed,
+    else from its lines; or None as :func:`_c_columns`.  The file is read
+    twice on the path feed, so if it changed after its text was read,
+    the text is parsed from its lines instead."""
+    if block.file is not None:
+        path, skip, key = block.file
+        try:
+            columns = _c_columns(path, specs, skip)
+            if _file_key(os.stat(path)) == key:
+                return columns
+        except OSError:
+            pass
+    return _c_columns(block.text[block.start:].splitlines(), specs)
 
 
 def _read_columns(
@@ -662,42 +626,20 @@ def _read_columns(
 
     Each spec is ``(position, column name, optional)``.  Returns one
     ``(values, error)`` pair per spec, as :func:`_read_column` does, and
-    every column from one reader.  Unless a data line holds a quote
-    (which may hide a comma or span lines), numpy's C reader parses the
-    block in one pass: from the file itself when the block may take the
-    path feed, else from its lines.  If it refuses a line or reads a NaN
-    in an optional column, it parses the block once more with
-    :func:`_optional_cell` on the optional positions.  If it still
-    refuses the block and a line leaves out cells, it reads the lines
-    once more with those lines padded by :func:`_padded`, so that an
-    omitted optional cell reads as a blank one.  A block it refuses even
-    then (whitespace-only lines, short required cells, bad cells,
-    spellings such as ``1_0`` that only ``float()`` accepts) is read
-    cell by cell, after the lines that are not data are dropped.  The
-    file is read twice on the path feed, so if it changed after its text
-    was read, the text is parsed from its lines instead.
+    every column from one of two readers.  numpy's C reader parses a
+    clean block in one pass (:func:`_c_read`).  Every other block is read
+    cell by cell, after the lines that are not data are dropped: one
+    with a quote or a ``#`` among its data lines, one the C reader
+    refuses (whitespace-only lines, short required cells, bad cells,
+    spellings such as ``1_0`` that only ``float()`` accepts), and one in
+    whose optional column it reads a NaN (a blank, left-out or ``nan``
+    cell).
     """
-    c_reader = not block.quoted
-    if block.file is not None:
-        path, skip, key = block.file
-        try:
-            columns = _c_columns(path, specs, skip)
-            unchanged = _file_key(os.stat(path)) == key
-        except OSError:
-            unchanged = False
-        if unchanged:
-            if columns is not None:
-                return [(values, None) for values in columns]
-            c_reader = False  # its lines hold what the C reader refused
-    lines = block.lines()
-    columns = _c_columns(lines, specs) if c_reader else None
-    padded = None if columns is not None or block.quoted else _padded(lines, specs)
-    if padded is not None:
-        columns = _loadtxt(padded, [pos for pos, _, _ in specs],
-                           {pos: _optional_cell for pos, _, opt in specs if opt})
+    columns = _c_read(block, specs) if block.clean else None
     if columns is not None:
         return [(values, None) for values in columns]
-    rows = [row for row in csv.reader(io.StringIO("\n".join(_content(lines)))) if row]
+    lines = _content(block.text[block.start:].splitlines())
+    rows = [row for row in csv.reader(io.StringIO("\n".join(lines))) if row]
     return [_read_column(rows, pos, column, optional=optional)
             for pos, column, optional in specs]
 

@@ -200,6 +200,16 @@ class ErrorSource:
         return cls(name=name, kind="gaussian-noise", sigma_mm=sigma_mm)
 
 
+def _ndim(values) -> int:
+    """``np.ndim(values)`` of a number, an array, or a list or tuple of
+    them, without importing numpy: 0 for a number, 1 for a flat list."""
+    if hasattr(values, "ndim"):
+        return values.ndim
+    if isinstance(values, (list, tuple)):
+        return 1 + max(map(_ndim, values), default=0)
+    return 0
+
+
 @dataclass(frozen=True)
 class ConditionSchedule:
     """How the measurement conditions move across ``repeats`` repeats.
@@ -219,8 +229,6 @@ class ConditionSchedule:
     seed: int | None = None
 
     def __post_init__(self):
-        import numpy as np
-
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.generator not in ("constant", "listed", "uniform-random"):
@@ -237,7 +245,7 @@ class ConditionSchedule:
             # A number per constant condition, a list per listed one.
             listed = self.generator == "listed"
             for name, values in self.conditions.items():
-                if np.ndim(values) != listed:
+                if _ndim(values) != listed:
                     raise ValueError(
                         f"{self.generator} schedule for {name!r} needs "
                         f"{'a list' if listed else 'a number'}, got {values!r}"

@@ -510,6 +510,29 @@ class TestFitCycle:
         assert lines[1] == "condition,fitted"
         assert len(lines) == 202
 
+    @pytest.mark.parametrize("wavelength", ["939.1552478622327", "422.17436392515907"])
+    def test_differential_emit_series_has_200_steps(self, runner, tmp_path, wavelength):
+        # Steps of wavelength/200 summed up to the wavelength may fall
+        # short of it and add a 201st.
+        out = tmp_path / "cycle.csv"
+        result = runner.invoke(main, ["fit", "table3.csv", "--model", "cycle-diff",
+                                      "--wavelength", wavelength, "--emit-series", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 202
+
+    def test_differential_emit_series_at_the_least_wavelength(self, runner, tmp_path):
+        # wavelength / 200 is 0.0: the grid is 200 zeros, not a division by 0.
+        p = tmp_path / "subnormal.csv"
+        p.write_text("# units: m\ns2,s1\n1e-323,3e-323\n1.5e-323,4e-323\n2e-323,6e-323\n"
+                     "3e-323,7e-323\n5e-323,9e-323\n")
+        out = tmp_path / "cycle.csv"
+        result = runner.invoke(main, ["fit", str(p), "--model", "cycle-diff",
+                                      "--wavelength", "5e-324", "--emit-series", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert len(lines) == 202
+        assert {line.split(",")[0] for line in lines[2:]} == {"0.00"}
+
     def test_degenerate_layout_is_a_numerical_failure(self, runner, tmp_path):
         p = tmp_path / "collinear.csv"
         p.write_text("# units: m\ns2,s1\n10,18\n30,38\n50,58\n70,78\n")

@@ -376,20 +376,12 @@ class TestFastPathHandover:
             assert len(calls) == 1, load
 
     @pytest.mark.parametrize("row", [1, 9_998, 9_999], ids=["row 2", "row 9999", "last row"])
-    def test_blank_reference_cell(self, tmp_path, monkeypatch, row):
+    def test_blank_reference_cell(self, tmp_path, row):
         rows = _scale_rows()
         rows[row][2] = ""
         p = _write_rows(tmp_path / "blank.csv", "condition,observed,reference", rows)
         want = _reference_outcome(dataset.load_series, p)
-        # Every column comes from the C reader's second pass, which reads
-        # the gappy optional column through a converter; none is read
-        # cell by cell.
-        calls, loadtxt = [], np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
-        monkeypatch.setattr(dataset, "_read_column", None)
         columns = dataset.load_series(p).columns
-        monkeypatch.undo()
-        assert len(calls) == 2
         expected = [float(r[2]) if r[2] else math.nan for r in rows]
         assert np.array_equal(columns.reference, expected, equal_nan=True)
         assert columns.condition.tolist() == [float(r[0]) for r in rows]
@@ -397,7 +389,8 @@ class TestFastPathHandover:
         assert _outcome(dataset.load_series, p) == want
 
     @pytest.mark.parametrize("row", [1, 9_998, 9_999], ids=["row 2", "row 9999", "last row"])
-    def test_omitted_reference_cell(self, tmp_path, monkeypatch, row):
+    def test_omitted_reference_cell(self, tmp_path, row):
+        # A line short of its reference reads as its twin with a blank one.
         rows = _scale_rows()
         twin = [list(r) for r in rows]
         twin[row][2] = ""
@@ -405,16 +398,7 @@ class TestFastPathHandover:
         p = _write_rows(tmp_path / "omitted.csv", "condition,observed,reference", rows)
         want = dataset.load_series(
             _write_rows(tmp_path / "blank.csv", "condition,observed,reference", twin)).columns
-        # The line short of its reference is padded with a blank cell: the
-        # C reader's two passes by path refuse it, a pass with converters
-        # reads the padded lines, and no cell is read by float().
-        sources, loadtxt = [], np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda source, *a, **k: (
-            sources.append(type(source)) or loadtxt(source, *a, **k)))
-        monkeypatch.setattr(dataset, "_read_column", None)
         columns = dataset.load_series(p).columns
-        monkeypatch.undo()
-        assert sources == [str, str, list]
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(columns, want))
 
     @pytest.mark.parametrize("cells, column, detail", [
@@ -425,8 +409,8 @@ class TestFastPathHandover:
          "reference 9.0 is implausibly far from observed 5.009"),
     ])
     def test_refusal_after_an_omitted_reference_cell(self, tmp_path, cells, column, detail):
-        # Padding gets only an omitted optional cell past the C reader;
-        # the cell reader still reports any other fault.
+        # An omitted optional cell reads as a blank one; any other fault
+        # is still reported.
         rows = _scale_rows()
         del rows[5][2]
         rows[9_000] = cells
@@ -610,8 +594,6 @@ class TestPathFeed:
 
     @pytest.mark.parametrize("chars", [0, 10**12], ids=["path feed", "list feed"])
     def test_omitted_reference_reads_as_a_blank_one(self, tmp_path, monkeypatch, chars):
-        # On either feed numpy's reader takes the line padded with a blank
-        # reference cell; no cell is read by float().
         paths = {}
         for name in ("blank reference", "omitted reference"):
             paths[name] = tmp_path / name.split()[0] / "f.csv"
@@ -619,8 +601,27 @@ class TestPathFeed:
             paths[name].write_bytes(BRANCH_FIXTURES[name][0])
         want = _outcome(dataset.load_series, paths["blank reference"])
         monkeypatch.setattr(dataset, "_PATH_FEED_CHARS", chars)
-        monkeypatch.setattr(dataset, "_read_column", None)
         assert _outcome(dataset.load_series, paths["omitted reference"]) == want
+
+    @pytest.mark.parametrize("chars", [0, 10**12], ids=["path feed", "list feed"])
+    @pytest.mark.parametrize("name", ["blank reference", "omitted reference",
+                                      "nan reference"])
+    def test_a_reference_gap_costs_one_c_pass(self, tmp_path, chars, name):
+        # numpy's reader hands such a file to the cell reader after its
+        # first pass, and no pass passes converters.
+        path = tmp_path / "f.csv"
+        path.write_bytes(BRANCH_FIXTURES[name][0])
+        calls, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            calls.append((isinstance(source, list), "converters" in kwargs))
+            return loadtxt(source, *args, **kwargs)
+
+        with mock.patch.object(dataset, "_PATH_FEED_CHARS", chars), \
+                mock.patch.object(np, "loadtxt", spy):
+            outcome = _outcome(dataset.load_series, path)
+        assert calls == [(chars != 0, False)]
+        assert outcome == _reference_outcome(dataset.load_series, path)
 
     def test_large_file_takes_the_path_feed_unpatched(self, tmp_path):
         rows = _scale_rows(3_000)
@@ -916,14 +917,18 @@ LOADERS = [dataset._read_csv, dataset.load_series, dataset.load_differential,
 @pytest.mark.parametrize("br", BREAKS, ids=repr)
 def test_only_a_hash_among_the_data_lines_filters_them(tmp_path, br):
     # The "#" search starts at the first data line, found from the
-    # widths of the line breaks before it.
+    # widths of the line breaks before it: the head's "#" lines leave
+    # the block clean.
     path = tmp_path / "f.csv"
-    head = ["# units: m", "", "condition"]
-    path.write_text(br.join([*head, "5", "", "6"]) + br, encoding="utf-8", newline="")
-    assert dataset._read_csv(path)[2].lines() == ["5", "", "6"]
-    path.write_text(br.join([*head, "5", "# note", "6"]) + br, encoding="utf-8",
+    head = ["# units: m", "", "condition,observed"]
+    path.write_text(br.join([*head, "5,5", "", "6,6"]) + br, encoding="utf-8", newline="")
+    assert dataset._read_csv(path)[2].clean
+    twin = _outcome(dataset.load_series, path)
+    path.write_text(br.join([*head, "5,5", "# note", "", "6,6"]) + br, encoding="utf-8",
                     newline="")
-    assert dataset._read_csv(path)[2].lines() == ["5", "6"]
+    assert not dataset._read_csv(path)[2].clean
+    assert _outcome(dataset.load_series, path) == twin
+    assert len(twin[1][0]) == 2 * 8
 
 
 @st.composite

@@ -162,7 +162,11 @@ class TestImports:
          "source 'c': kind 'additive-constant' cannot depend on 'distance'"),
         ('{"sources": [{"name": "c", "kind": "additive-constant"}]}',
          "a scenario must define exactly one of 'schedule' or 'differential'"),
-    ], ids=["syntax", "schema", "non-finite", "source", "mode"])
+        ('{"true_value": 5.0, "sources": [{"name": "c", "kind": "additive-constant"}], '
+         '"schedule": {"repeats": 2, "generator": "constant", '
+         '"conditions": {"distance": [1, 2]}}}',
+         "constant schedule for 'distance' needs a number, got [1, 2]"),
+    ], ids=["syntax", "schema", "non-finite", "source", "mode", "schedule shape"])
     def test_a_rejected_scenario_loads_no_numpy(self, tmp_path, text, message):
         path = tmp_path / "scenario.json"
         path.write_text(text)

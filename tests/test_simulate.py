@@ -196,8 +196,19 @@ class TestConditionSchedule:
                 repeats=3, generator="listed", conditions={"distance": [1.0, 2.0]}
             )
 
+    @pytest.mark.parametrize("generator, value", [
+        ("constant", 1), ("constant", 1.5), ("constant", True),
+        ("constant", np.float64(2.0)), ("constant", np.array(3.0)),
+        ("listed", [1.0, 2.0]), ("listed", (1.0, 2.0)), ("listed", np.array([1.0, 2.0]))])
+    def test_condition_shapes_taken(self, generator, value):
+        # A number or 0-d array per constant condition, a flat list, tuple
+        # or 1-D array per listed one, as np.ndim tells them apart.
+        ConditionSchedule(repeats=2, generator=generator, conditions={"distance": value})
+
     @pytest.mark.parametrize("generator, value, needs", [
-        ("listed", 1.0, "a list"), ("constant", [1.0, 2.0], "a number")])
+        ("listed", 1.0, "a list"), ("constant", [1.0, 2.0], "a number"),
+        ("listed", [[1.0], [2.0]], "a list"), ("listed", np.ones((2, 1)), "a list"),
+        ("constant", np.array([1.0, 2.0]), "a number"), ("constant", [[1.0]], "a number")])
     def test_condition_shape_follows_the_generator(self, generator, value, needs):
         with pytest.raises(ValueError) as raised:
             ConditionSchedule(repeats=2, generator=generator,

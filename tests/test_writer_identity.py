@@ -107,7 +107,7 @@ def reference_fit_points(path, series, samples, model, condition_format, error_u
 
 def reference_sinusoid_points(path, model, wavelength):
     rows = [("condition", "fitted")]
-    for s in np.arange(0.0, wavelength, wavelength / 200.0).tolist():
+    for s in (np.arange(200) * (wavelength / 200.0)).tolist():
         rows.append(("%.2f" % s, "%.6f" % reference_fitted(model, s)))
     reference_plot_series(path, "condition=m fitted=m", rows)
 
