@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from ._jsonfile import gc_paused, read_json, shorten
 
@@ -201,11 +201,11 @@ class ErrorSource:
 
 
 def _ndim(values) -> int:
-    """``np.ndim(values)`` of a number, an array, or a list or tuple of
-    them, without importing numpy: 0 for a number, 1 for a flat list."""
+    """``np.ndim(values)`` without importing numpy: an array's ``ndim``,
+    1 more than its deepest item's for a sequence but a string, else 0."""
     if hasattr(values, "ndim"):
         return values.ndim
-    if isinstance(values, (list, tuple)):
+    if isinstance(values, Sequence) and not isinstance(values, (str, bytes)):
         return 1 + max(map(_ndim, values), default=0)
     return 0
 

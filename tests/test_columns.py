@@ -220,9 +220,9 @@ def test_good_series_match_rows_and_fits(tmp_path_factory, case):
     assert len(series) == len(rows)
     assert same_columns(series, reference_series_columns(csv_cells(rows), has_ref))
     if not any(FLOAT_ONLY.intersection(cell) for row in rows for cell in row) and (
-            not np.isnan(series.columns.reference).any()):
-        # numpy's reader takes every such file with no gap in the
-        # reference column: no cell is read by float().
+            not has_ref or not np.isnan(series.columns.reference).any()):
+        # numpy's reader takes every such file without a reference column,
+        # or with no gap in it: no cell is read by float().
         with mock.patch.object(dataset, "_read_column", None):
             assert same_columns(dataset.load_series(path), series.columns)
 

@@ -1,3 +1,5 @@
+import array
+import collections
 import dataclasses
 import json
 import math
@@ -199,16 +201,19 @@ class TestConditionSchedule:
     @pytest.mark.parametrize("generator, value", [
         ("constant", 1), ("constant", 1.5), ("constant", True),
         ("constant", np.float64(2.0)), ("constant", np.array(3.0)),
-        ("listed", [1.0, 2.0]), ("listed", (1.0, 2.0)), ("listed", np.array([1.0, 2.0]))])
+        ("listed", [1.0, 2.0]), ("listed", (1.0, 2.0)), ("listed", np.array([1.0, 2.0])),
+        ("listed", range(2)), ("listed", array.array("d", [1.0, 2.0])),
+        ("listed", collections.deque([1.0, 2.0]))])
     def test_condition_shapes_taken(self, generator, value):
-        # A number or 0-d array per constant condition, a flat list, tuple
+        # A number or 0-d array per constant condition, a flat sequence
         # or 1-D array per listed one, as np.ndim tells them apart.
         ConditionSchedule(repeats=2, generator=generator, conditions={"distance": value})
 
     @pytest.mark.parametrize("generator, value, needs", [
         ("listed", 1.0, "a list"), ("constant", [1.0, 2.0], "a number"),
         ("listed", [[1.0], [2.0]], "a list"), ("listed", np.ones((2, 1)), "a list"),
-        ("constant", np.array([1.0, 2.0]), "a number"), ("constant", [[1.0]], "a number")])
+        ("constant", np.array([1.0, 2.0]), "a number"), ("constant", [[1.0]], "a number"),
+        ("constant", range(2), "a number"), ("listed", "ab", "a list")])
     def test_condition_shape_follows_the_generator(self, generator, value, needs):
         with pytest.raises(ValueError) as raised:
             ConditionSchedule(repeats=2, generator=generator,
