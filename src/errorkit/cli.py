@@ -83,6 +83,17 @@ def _refuse_nonfinite(results: dict):
         sys.exit(EXIT_NUMERICAL_ERROR)
 
 
+def _distinct_decimals(grid: list[float]) -> int:
+    """The fewest decimals, at least two, at which the values of an
+    increasing grid print as distinct; two if none do (a step of 0)."""
+    if grid[0] == grid[1]:
+        return 2
+    decimals = 2
+    while len({"%.*f" % (decimals, v) for v in grid}) < len(grid):
+        decimals += 1
+    return decimals
+
+
 def _emit(command: str, path: Path, results: dict, as_json: bool,
           lines: list[str], warnings=()):
     """Print the lines and warnings, or the ``--json`` report; exit 3
@@ -250,9 +261,10 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             if emit_series:
                 _refuse_nonfinite(report_body)
                 grid = np.arange(200) * (wavelength / 200.0)
+                row = f"%.{_distinct_decimals(grid.tolist())}f,%.6f"
                 dataset.write_table(
                     emit_series, "condition=m fitted=m", "condition,fitted",
-                    ["%.2f,%.6f"] * len(grid),
+                    [row] * len(grid),
                     np.column_stack((grid, model(grid))),
                 )
         if emit_matrix:
@@ -311,6 +323,16 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
     with _exit_on_failure(), _quiet_numpy():
         lines: list[str] = []
         if scenario.is_differential:
+            if regen_table3:
+                fixture = dataset.load_differential(
+                    _resolve_input("table3.csv", data_dir)
+                )
+                pairs = len(scenario.differential_pairs)
+                if pairs != len(fixture):
+                    raise simulate_mod.ScenarioError(
+                        f"--regen-table3 compares pair by pair: the scenario has "
+                        f"{pairs} pairs, table3.csv has {len(fixture)}"
+                    )
             run = simulate_mod.simulate_differential(
                 scenario.sources[0],
                 scenario.differential_pairs,
@@ -330,9 +352,6 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
             lines.append(f"mean s1-s2 {diffs.mean():.6f} m")
             lines.append(f"std  s1-s2 {results['std_difference_m']:.6g} m")
             if regen_table3:
-                fixture = dataset.load_differential(
-                    _resolve_input("table3.csv", data_dir)
-                )
                 total = 2 * len(fixture)
                 matches = sum(
                     "%.4f" % got == "%.4f" % want

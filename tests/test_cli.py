@@ -533,6 +533,16 @@ class TestFitCycle:
         assert len(lines) == 202
         assert {line.split(",")[0] for line in lines[2:]} == {"0.00"}
 
+    def test_differential_emit_series_conditions_print_apart(self, runner, tmp_path):
+        # A 2.5 mm step printed to two decimals repeated 50 of 200 conditions.
+        out = tmp_path / "cycle.csv"
+        result = runner.invoke(main, ["fit", "table3.csv", "--model", "cycle-diff",
+                                      "--wavelength", "0.5", "--emit-series", str(out)])
+        assert result.exit_code == 0, result.output
+        conditions = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+        assert len(set(conditions)) == len(conditions) == 200
+        assert conditions[:3] == ["0.000", "0.003", "0.005"]
+
     def test_degenerate_layout_is_a_numerical_failure(self, runner, tmp_path):
         p = tmp_path / "collinear.csv"
         p.write_text("# units: m\ns2,s1\n10,18\n30,38\n50,58\n70,78\n")
@@ -595,6 +605,20 @@ class TestSimulate:
         )
         assert result.exit_code == 0
         assert "30/30 values match" in result.output
+
+    @pytest.mark.parametrize("pairs", [16, 10])
+    def test_regen_needs_the_table_pair_count(self, runner, tmp_path, pairs):
+        # Pairing the values by zip compared only the shorter side.
+        doc = json.loads(dataset.bundled_path("table3_scenario.json").read_text())
+        doc["differential"]["pairs"] = (doc["differential"]["pairs"] + [[44.0, 52.0]])[:pairs]
+        scenario = write_scenario(tmp_path, doc)
+        result = runner.invoke(main, ["simulate", scenario, "--regen-table3"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: --regen-table3 compares pair by pair: the scenario has "
+            f"{pairs} pairs, table3.csv has 15\n"
+        )
+        assert "values match" not in result.output
 
     def test_regen_flag_needs_a_differential_scenario(self, runner, tmp_path):
         scenario = write_scenario(
