@@ -261,11 +261,10 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             if emit_series:
                 _refuse_nonfinite(report_body)
                 grid = np.arange(200) * (wavelength / 200.0)
-                row = f"%.{_distinct_decimals(grid.tolist())}f,%.6f"
                 dataset.write_table(
                     emit_series, "condition=m fitted=m", "condition,fitted",
-                    [row] * len(grid),
-                    np.column_stack((grid, model(grid))),
+                    [f"%.{_distinct_decimals(grid.tolist())}f", "%.6f"],
+                    [grid, model(grid)],
                 )
         if emit_matrix:
             lines.append("normal matrix:")

@@ -44,9 +44,11 @@ check nothing and are built from the columns only when a caller reads
 them.  Every CSV errorkit writes, the command
 line's ``--emit-series`` files included, goes through
 :func:`write_table`: a ``# units:`` line, the header, and a body
-written in blocks of lines, each formatted with one ``%`` over its
-cells of the interleaved columns, its format string made of one line
-template per row.
+written in blocks of lines from one format per column (``%g`` or
+``%.Nf``), a NaN cell empty.  The exact numpy cell formatter of
+:mod:`errorkit._cellformat`, loaded on the first write, formats a block
+byte for byte as ``%`` would; a block with a cell outside its window
+is formatted by one ``%`` over its cells.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,7 +104,7 @@ _UNIT_FORMATS = {
     "ppm": "%g",
 }
 # write_table formats and writes the body _BLOCK_LINES lines at a time.
-_BLOCK_LINES = 2048
+_BLOCK_LINES = 3584
 
 
 class DatasetError(ValueError):
@@ -714,44 +715,63 @@ def load_differential_pairs(path) -> LegPairs:
                            _read_columns(block, _specs(path, header, ("s_ab", "s_ac"))))
 
 
-def write_table(path, units: str, header: str, templates, values) -> None:
-    """Write a CSV in errorkit's layout: the ``# units:`` line, the
-    header, then one body line per template, each ended by a newline.
+def _percent_lines(formats, columns) -> bytes:
+    """The lines of a block by one ``%`` over its cells, the format
+    string made of one line template per row, a NaN cell given none:
+    the path for a block with a cell outside the exact window."""
+    cells = np.column_stack(columns)
+    blank = np.isnan(cells)
+    # Each row's blank cells as the bits of one int, which picks its template.
+    codes = blank @ (1 << np.arange(len(formats)))
+    templates = {code: ",".join("" if code >> i & 1 else f for i, f in enumerate(formats))
+                 for code in set(codes.tolist())}
+    text = "\n".join(map(templates.__getitem__, codes.tolist())) + "\n"
+    return (text % tuple(cells[~blank].tolist())).encode()
 
-    ``np.ravel(values)`` holds the cells of every line in file order.
-    The body is formatted and written ``_BLOCK_LINES`` lines at a time,
-    one ``%`` per block, so the text held does not grow with the line
-    count.
+
+def write_table(path, units: str, header: str, formats, columns) -> None:
+    """Write a CSV in errorkit's layout: the ``# units:`` line, the
+    header, then one body line per row of ``columns``, each ended by a
+    newline.
+
+    ``formats`` holds one ``%g`` or ``%.Nf`` per column, and a NaN cell
+    is written empty.  The body is formatted and written
+    ``_BLOCK_LINES`` lines at a time, so the memory held does not grow
+    with the line count.  A block is formatted by the exact numpy cell
+    formatter, :func:`errorkit._cellformat.format_block`, which writes
+    what ``%`` writes; a block that holds a cell outside its window (a
+    ``%g`` cell in exponent form, ``|x| * 10**N`` of 2**52 or more or
+    ``N > 11`` for ``%.Nf``, an infinite cell) is formatted by ``%``
+    itself.
     """
-    cells, templates = np.ravel(values), iter(templates)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"# units: {units}\n{header}\n")
-        at = 0
-        while block := "\n".join(islice(templates, _BLOCK_LINES)):
-            n = block.count("%")
-            out.write(block % tuple(cells[at:at + n].tolist()) + "\n")
-            at += n
+    from ._cellformat import format_block
+
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "wb") as out:
+        out.write(f"# units: {units}\n{header}\n".encode())
+        for at in range(0, len(columns[0]), _BLOCK_LINES):
+            block = [c[at:at + _BLOCK_LINES] for c in columns]
+            lines = format_block(formats, block)
+            out.write(_percent_lines(formats, block) if lines is None else lines)
 
 
 def write_series_csv(series: MeasurementSeries, path) -> None:
     """Write a series in the canonical layout; inverse of load_series."""
-    has = ~np.isnan(series.columns.reference)
-    has_ref = bool(has.any())
+    condition, observed, reference = series.columns
     units = f"condition={series.condition_unit} observed={series.value_unit}"
     header = "condition,observed"
-    if has_ref:
+    value_fmt = _UNIT_FORMATS.get(series.value_unit, "%g")
+    formats = [_UNIT_FORMATS.get(series.condition_unit, "%g"), value_fmt]
+    columns = [condition, observed]
+    # A missing reference is NaN, written as an empty cell: "cond,obs,"
+    # when the file has the column, which it has if any row has one
+    # (fmin skips NaN, so it gives NaN only if every row lacks one).
+    if len(reference) and not math.isnan(np.fmin.reduce(reference)):
         units += f" reference={series.value_unit}"
         header += ",reference"
-    value_fmt = _UNIT_FORMATS.get(series.value_unit, "%g")
-    row_fmt = _UNIT_FORMATS.get(series.condition_unit, "%g") + "," + value_fmt
-    # A row without a reference has no slot for it: "cond,obs," when
-    # the file has the column, "cond,obs" when it has not.
-    templates = [row_fmt + ("," if has_ref else ""), row_fmt + "," + value_fmt]
-    # Condition and observed are finite, so the NaN cells are the
-    # missing references, which have no slot.
-    values = np.column_stack(series.columns).ravel()
-    values = values[~np.isnan(values)]
-    write_table(path, units, header, map(templates.__getitem__, has.tolist()), values)
+        formats.append(value_fmt)
+        columns.append(reference)
+    write_table(path, units, header, formats, columns)
 
 
 def write_differential_csv(pairs: LegPairs, rows: DifferentialRows, path) -> None:
@@ -760,8 +780,8 @@ def write_differential_csv(pairs: LegPairs, rows: DifferentialRows, path) -> Non
     simulator return them."""
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
-    write_table(path, "m", "s_ab,s_ac,s2,s1", ["%g,%g,%.4f,%.4f"] * len(rows),
-                np.column_stack((*pairs.columns, rows.columns.s2, rows.columns.s1)))
+    write_table(path, "m", "s_ab,s_ac,s2,s1", ["%g", "%g", "%.4f", "%.4f"],
+                [*pairs.columns, rows.columns.s2, rows.columns.s1])
 
 
 def write_fit_points(path, series, samples, model, condition_format, error_unit):
@@ -773,8 +793,8 @@ def write_fit_points(path, series, samples, model, condition_format, error_unit)
         path,
         f"condition={series.condition_unit} observed={error_unit}",
         "condition,observed,fitted,residual",
-        [condition_format + ",%g,%.6f,%.6f"] * len(condition),
-        np.column_stack((condition, error, fitted, error - fitted)),
+        [condition_format, "%g", "%.6f", "%.6f"],
+        [condition, error, fitted, error - fitted],
     )
 
 

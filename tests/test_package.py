@@ -98,6 +98,12 @@ class TestImports:
             "              if m.startswith('errorkit.') or m.split('.')[0] == 'numpy'))\n"
         ) == "errorkit._jsonfile errorkit.simulate\n"
 
+    def test_the_dataset_module_builds_no_digit_table(self):
+        # The cell formatter's module, which builds its digit tables,
+        # loads on the first write, so that a command that writes no CSV
+        # pays nothing for it.
+        assert "errorkit._cellformat" not in loaded_after("import errorkit.dataset")
+
     def test_cli_imports_only_what_its_start_up_needs(self):
         # Each command imports the modules it runs; _jsonfile imports only
         # the standard library.

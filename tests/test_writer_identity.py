@@ -8,8 +8,10 @@ the stored columns and must give the same file, byte for byte, for
 every size from an empty body up.
 
 The writers format and write the body ``dataset._BLOCK_LINES`` lines at
-a time; the files are the same on either side of a block boundary, and
-a writer's traced memory stays a few column copies.
+a time; the files are the same on either side of a block boundary, a
+block with a cell outside the exact formatter's window is written by
+``%`` and its neighbours are not, and a writer's traced memory is that
+of one block, whatever the row count.
 
 ``reference_plot_series`` and the two writers over it are the
 ``fit --emit-series`` writers as they were when the command line wrote
@@ -106,9 +108,14 @@ def reference_fit_points(path, series, samples, model, condition_format, error_u
 
 
 def reference_sinusoid_points(path, model, wavelength):
+    grid = (np.arange(200) * (wavelength / 200.0)).tolist()
+    # The fewest decimals, at least two, at which the grid prints distinct.
+    decimals = 2
+    while len({"%.*f" % (decimals, s) for s in grid}) < len(grid):
+        decimals += 1
     rows = [("condition", "fitted")]
-    for s in (np.arange(200) * (wavelength / 200.0)).tolist():
-        rows.append(("%.2f" % s, "%.6f" % reference_fitted(model, s)))
+    for s in grid:
+        rows.append(("%.*f" % (decimals, s), "%.6f" % reference_fitted(model, s)))
     reference_plot_series(path, "condition=m fitted=m", rows)
 
 
@@ -325,6 +332,53 @@ def test_writer_memory_does_not_grow_with_the_rows(tmp_path, writer):
     assert peak <= 64 * n
 
 
+@pytest.mark.parametrize("writer", ["series full", "series partly blank", "differential"])
+def test_writer_memory_is_one_block(tmp_path, writer):
+    # The formatter's module and tables load on the first write.
+    out = tmp_path / "out.csv"
+    dataset.write_differential_csv(*_campaign(1), out)
+    for n in (10_000, 200_000):
+        if writer == "differential":
+            peak = _traced_peak(dataset.write_differential_csv, *_campaign(n), out)
+        else:
+            peak = _traced_peak(dataset.write_series_csv,
+                                _series(n, writer.removeprefix("series ")), out)
+        assert peak <= 1 << 20, n
+
+
+def _percent_blocks(monkeypatch):
+    """The blocks, as their columns, that write_table formats with ``%``."""
+    starts = []
+    percent_lines = dataset._percent_lines
+
+    def spy(formats, columns):
+        starts.append(columns)
+        return percent_lines(formats, columns)
+
+    monkeypatch.setattr(dataset, "_percent_lines", spy)
+    return starts
+
+
+@pytest.mark.parametrize("row", [B - 1, B, 2 * B + 1])
+@pytest.mark.parametrize("legs, value", [("pairs", 1e7), ("rows", 1e300)])
+def test_an_out_of_window_cell_sends_its_block_to_percent(tmp_path, monkeypatch, row,
+                                                           legs, value):
+    # %g prints 1e7 as "1e+07"; %.4f of 1e300 has more than 2**52 units.
+    pairs, rows = _campaign(2 * B + 2)
+    if legs == "pairs":
+        s_ab, s_ac = (c.copy() for c in pairs.columns)
+        s_ab[row], s_ac[row] = value, 2 * value
+        pairs = LegPairs(s_ab, s_ac)
+    else:
+        s1, s2 = (c.copy() for c in rows.columns)
+        s2[row], s1[row] = value, 2 * value
+        rows = DifferentialRows(s1, s2)
+    blocks = _percent_blocks(monkeypatch)
+    _same_file(tmp_path, dataset.write_differential_csv, reference_differential_csv,
+               pairs, rows)
+    assert [len(b[0]) for b in blocks] == [B if row < 2 * B else 2]
+
+
 def test_contributions_are_the_same_python_floats():
     run = simulate.simulate_repeated(
         [ErrorSource.additive_constant(1.5), ErrorSource.gaussian_noise(0.2)],
@@ -349,6 +403,7 @@ FITS = {
     "cycle-diff": ("table3.csv", "cycle-diff", {}),
     "cycle-diff at 7.3 m": ("table3.csv", "cycle-diff", {"wavelength": 7.3}),
     "cycle-diff at 123.4 m": ("table3.csv", "cycle-diff", {"wavelength": 123.4}),
+    "cycle-diff at 2e-11 m": ("table3.csv", "cycle-diff", {"wavelength": 2e-11}),
 }
 
 
@@ -361,14 +416,26 @@ def _fit_args(table, model_name, options):
     return args
 
 
-@pytest.mark.parametrize("table, model_name, options", FITS.values(), ids=FITS)
-def test_fit_series_is_the_csv_module_file(tmp_path, table, model_name, options):
+def _same_fit_series(tmp_path, table, model_name, options):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     result = CliRunner().invoke(
         cli.main, [*_fit_args(table, model_name, options), "--emit-series", str(got)])
     assert result.exit_code == 0, result.output
     reference_fit_series(want, table, model_name, **options)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("table, model_name, options", FITS.values(), ids=FITS)
+def test_fit_series_is_the_csv_module_file(tmp_path, table, model_name, options):
+    _same_fit_series(tmp_path, table, model_name, options)
+
+
+def test_a_13_decimal_grid_is_written_by_percent(tmp_path, monkeypatch):
+    # At a 2e-11 m wavelength the cycle-diff grid needs 13 decimals,
+    # past the exact formatter's 11.
+    blocks = _percent_blocks(monkeypatch)
+    _same_fit_series(tmp_path, *FITS["cycle-diff at 2e-11 m"])
+    assert [len(b[0]) for b in blocks] == [200]
 
 
 @settings(max_examples=60)
