@@ -31,13 +31,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# Dekker's splitter, 2**27 + 1: it cuts a double into two halves whose
-# products with the halves of another are exact.
-_SPLIT = 134217729.0
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of ``a`` into halves of 26 bits, ``hi + lo == a``:
+    the products of two doubles' halves are exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 _POWERS = np.array([float(10**p) for p in range(17)])
-_HI = _SPLIT * _POWERS[:12]
-_HI -= _HI - _POWERS[:12]
-_LO = _POWERS[:12] - _HI
+_HI, _LO = _split(_POWERS[:12])
 
 # The renderings of each four-digit group, at these offsets of _GROUPS:
 # every digit, leading zeros NUL, leading zeros but the last NUL,
@@ -66,11 +70,9 @@ def _rounded(ax: np.ndarray, p) -> np.ndarray:
     if tie.size:
         # The product sits on a half; the sign of its rounding error
         # says which side the exact value is on.
-        a, yt = ax[tie], y[tie]
+        yt = y[tie]
         pt = p[tie] if np.ndim(p) else p
-        c = _SPLIT * a
-        ah = c - (c - a)
-        al = a - ah
+        ah, al = _split(ax[tie])
         err = ((ah * _HI[pt] - yt) + ah * _LO[pt] + al * _HI[pt]) + al * _LO[pt]
         k[tie] = np.where(err == 0, k[tie], np.floor(yt) + (err > 0))
     return k

@@ -103,7 +103,9 @@ _UNIT_FORMATS = {
     "mm": "%.4f",
     "ppm": "%g",
 }
-# write_table formats and writes the body _BLOCK_LINES lines at a time.
+# write_table formats and writes the body _BLOCK_LINES lines at a time:
+# at 3584 a 10**4-row file is three blocks, and each writer's traced
+# peak stays below that of the % writer with 2048-line blocks.
 _BLOCK_LINES = 3584
 
 
