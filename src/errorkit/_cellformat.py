@@ -1,12 +1,13 @@
 """The exact numpy cell formatter behind :func:`errorkit.dataset.write_table`.
 
 :func:`format_block` writes a block of rows, one cell per column under
-its format (``%g`` or ``%.Nf``), with the bytes ``%`` writes, or
-returns None if a cell is outside its exact window:
+its format (``%g`` or ``%.Nf``), with the bytes ``%`` writes and a NaN
+cell empty.  The exact formatter writes a block whose every cell is
+inside its window; any other block is written by one ``%`` over its
+cells.  The window holds NaN and the finite cells that are
 
-* ``%.Nf``: ``N`` of 11 or less and ``|x| * 10**N`` below ``2**52``;
-* ``%g``: a cell that prints in fixed form, not in exponent form;
-* a finite cell, or NaN, which is written empty.
+* for ``%.Nf``: ``N`` of 11 or less and ``|x| * 10**N`` below ``2**52``;
+* for ``%g``: printed in fixed form, not in exponent form.
 
 Each cell is ``|x|`` scaled by a power of ten and rounded to an integer
 ``k`` with ``np.rint``: the product is exact but where it lands on a
@@ -142,10 +143,31 @@ def _put_digits(dest: np.ndarray, value: np.ndarray, strip: int) -> None:
         value = above
 
 
-def format_block(formats, columns) -> bytes | None:
+def format_block(formats, columns) -> bytes:
     """The lines of a block, one cell per column under its format, each
-    line ended by a newline; None if a cell is outside the exact
-    window."""
+    line ended by a newline: by the exact formatter, or by ``%`` if a
+    cell is outside its window."""
+    lines = _exact_lines(formats, columns)
+    return _percent_lines(formats, columns) if lines is None else lines
+
+
+def _percent_lines(formats, columns) -> bytes:
+    """The lines of a block by one ``%`` over its cells, the format
+    string made of one line template per row, a NaN cell given none:
+    the path for a block with a cell outside the exact window."""
+    cells = np.column_stack(columns)
+    blank = np.isnan(cells)
+    # Each row's blank cells as the bits of one int, which picks its template.
+    codes = blank @ (1 << np.arange(len(formats)))
+    templates = {code: ",".join("" if code >> i & 1 else f for i, f in enumerate(formats))
+                 for code in set(codes.tolist())}
+    text = "\n".join(map(templates.__getitem__, codes.tolist())) + "\n"
+    return (text % tuple(cells[~blank].tolist())).encode()
+
+
+def _exact_lines(formats, columns) -> bytes | None:
+    """:func:`format_block`'s lines by the exact formatter; None if a
+    cell is outside its window."""
     cells = []
     for fmt, x in zip(formats, columns):
         blank = np.isnan(x)

@@ -717,20 +717,6 @@ def load_differential_pairs(path) -> LegPairs:
                            _read_columns(block, _specs(path, header, ("s_ab", "s_ac"))))
 
 
-def _percent_lines(formats, columns) -> bytes:
-    """The lines of a block by one ``%`` over its cells, the format
-    string made of one line template per row, a NaN cell given none:
-    the path for a block with a cell outside the exact window."""
-    cells = np.column_stack(columns)
-    blank = np.isnan(cells)
-    # Each row's blank cells as the bits of one int, which picks its template.
-    codes = blank @ (1 << np.arange(len(formats)))
-    templates = {code: ",".join("" if code >> i & 1 else f for i, f in enumerate(formats))
-                 for code in set(codes.tolist())}
-    text = "\n".join(map(templates.__getitem__, codes.tolist())) + "\n"
-    return (text % tuple(cells[~blank].tolist())).encode()
-
-
 def write_table(path, units: str, header: str, formats, columns) -> None:
     """Write a CSV in errorkit's layout: the ``# units:`` line, the
     header, then one body line per row of ``columns``, each ended by a
@@ -739,12 +725,8 @@ def write_table(path, units: str, header: str, formats, columns) -> None:
     ``formats`` holds one ``%g`` or ``%.Nf`` per column, and a NaN cell
     is written empty.  The body is formatted and written
     ``_BLOCK_LINES`` lines at a time, so the memory held does not grow
-    with the line count.  A block is formatted by the exact numpy cell
-    formatter, :func:`errorkit._cellformat.format_block`, which writes
-    what ``%`` writes; a block that holds a cell outside its window (a
-    ``%g`` cell in exponent form, ``|x| * 10**N`` of 2**52 or more or
-    ``N > 11`` for ``%.Nf``, an infinite cell) is formatted by ``%``
-    itself.
+    with the line count.  :func:`errorkit._cellformat.format_block`
+    formats each block, byte for byte as ``%`` would.
     """
     from ._cellformat import format_block
 
@@ -752,9 +734,7 @@ def write_table(path, units: str, header: str, formats, columns) -> None:
     with open(path, "wb") as out:
         out.write(f"# units: {units}\n{header}\n".encode())
         for at in range(0, len(columns[0]), _BLOCK_LINES):
-            block = [c[at:at + _BLOCK_LINES] for c in columns]
-            lines = format_block(formats, block)
-            out.write(_percent_lines(formats, block) if lines is None else lines)
+            out.write(format_block(formats, [c[at:at + _BLOCK_LINES] for c in columns]))
 
 
 def write_series_csv(series: MeasurementSeries, path) -> None:

@@ -1,8 +1,9 @@
-"""The exact cell formatter against Python's ``%``.
+"""The cell formatter against Python's ``%``.
 
 ``format_block`` must write, byte for byte, what ``%`` writes for every
-cell inside its window, a NaN cell empty, and refuse (return None for) a
-block that holds any cell outside it: a ``%g`` cell that ``%`` prints in
+cell, a NaN cell empty.  Its exact path must do so for a block whose
+every cell is inside its window, and refuse (return None for) a block
+that holds any cell outside it: a ``%g`` cell that ``%`` prints in
 exponent form, a ``%.Nf`` cell with ``N > 11`` or ``|x| * 10**N`` of
 2**52 or more, an infinite cell.  The cells are drawn from a pool of
 edges (signed zeros, halves at the last kept digit, carries, the ``%g``
@@ -16,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from errorkit._cellformat import format_block
+from errorkit._cellformat import _exact_lines, format_block
 
 FORMATS = ["%g", "%.4f", "%.6f", *(f"%.{n}f" for n in range(2, 13))]
 
@@ -81,11 +82,10 @@ def _percent(fmt, values):
 @example(fmt="%.4f", values=[0.00005, 2.675, 0.125, -0.00001, 99999.99995])
 @example(fmt="%.4f", values=[2.0**52 / 10**4])
 def test_each_cell_is_what_percent_prints(fmt, values):
-    got = format_block([fmt], [np.array(values)])
-    if all(_in_window(fmt, v) for v in values):
-        assert got == _percent(fmt, values)
-    else:
-        assert got is None
+    want = _percent(fmt, values)
+    assert format_block([fmt], [np.array(values)]) == want
+    exact = _exact_lines([fmt], [np.array(values)])
+    assert exact == (want if all(_in_window(fmt, v) for v in values) else None)
 
 
 @settings(max_examples=200)
@@ -107,8 +107,7 @@ def test_a_line_is_its_cells_joined(formats, seed, exponent, blanks):
     cells = [[("" if math.isnan(v) else f % v) for v in c.tolist()]
              for f, c in zip(formats, columns)]
     want = "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
-    got = format_block(formats, columns)
-    if all(_in_window(f, v) for f, c in zip(formats, columns) for v in c.tolist()):
-        assert got == want
-    else:
-        assert got is None
+    assert format_block(formats, columns) == want
+    exact = _exact_lines(formats, columns)
+    in_window = all(_in_window(f, v) for f, c in zip(formats, columns) for v in c.tolist())
+    assert exact == (want if in_window else None)

@@ -33,7 +33,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errorkit import cli, dataset, regression, simulate
+from errorkit import _cellformat, cli, dataset, regression, simulate
 from errorkit.dataset import DifferentialRows, ErrorSamples, LegPairs, MeasurementSeries
 from errorkit.simulate import ErrorSource
 
@@ -348,15 +348,15 @@ def test_writer_memory_is_one_block(tmp_path, writer):
 
 def _percent_blocks(monkeypatch):
     """The blocks, as their columns, that write_table formats with ``%``."""
-    starts = []
-    percent_lines = dataset._percent_lines
+    blocks = []
+    percent_lines = _cellformat._percent_lines
 
     def spy(formats, columns):
-        starts.append(columns)
+        blocks.append(columns)
         return percent_lines(formats, columns)
 
-    monkeypatch.setattr(dataset, "_percent_lines", spy)
-    return starts
+    monkeypatch.setattr(_cellformat, "_percent_lines", spy)
+    return blocks
 
 
 @pytest.mark.parametrize("row", [B - 1, B, 2 * B + 1])
