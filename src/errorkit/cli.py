@@ -264,7 +264,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
                 dataset.write_table(
                     emit_series, "condition=m fitted=m", "condition,fitted",
                     [f"%.{_distinct_decimals(grid.tolist())}f", "%.6f"],
-                    [grid, model(grid)],
+                    len(grid), lambda s: [grid[s], model(grid[s])],
                 )
         if emit_matrix:
             lines.append("normal matrix:")

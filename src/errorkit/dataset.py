@@ -38,10 +38,11 @@ UTF-8 is reported with its line.  A series is only its columns, and
 Error samples (:class:`ErrorSamples`), differential readings
 (:class:`DifferentialRows`) and the nominal leg pairs of a
 differential campaign (:class:`LegPairs`) are columns too, each checked
-once, when it is built; their items, the named tuples
+once, when it is built, and read as their ``columns``.  They are
+neither indexed nor compared by value.  The named tuples
 :class:`ErrorSample`, :class:`DifferentialRow` and :class:`LegPair`,
-check nothing and are built from the columns only when a caller reads
-them.  Every CSV errorkit writes, the command
+which iterating one of them yields, and ``series.observed`` stay only
+because the benchmark still reads them.  Every CSV errorkit writes, the command
 line's ``--emit-series`` files included, goes through
 :func:`write_table`: a ``# units:`` line, the header, and a body
 written in blocks of lines from one format per column (``%g`` or
@@ -59,7 +60,6 @@ import math
 import os
 import stat
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -134,8 +134,8 @@ SampleColumns = namedtuple("SampleColumns", ["condition", "error"])
 LegColumns = namedtuple("LegColumns", ["s1", "s2"])
 PairColumns = namedtuple("PairColumns", ["s_ab", "s_ac"])
 
-# The items of the columnar types.  They are tuples, so they compare
-# equal to plain tuples, and they check nothing: their columnar type has.
+# The items that iterating a columnar type yields.  They check nothing:
+# their columnar type has.
 # One (condition, error) point ready for fitting: the error is in ppm for
 # mean-referenced relative errors, in mm for explicit-reference ones.
 ErrorSample = namedtuple("ErrorSample", ["condition", "error"])
@@ -204,8 +204,8 @@ class MeasurementSeries:
     The series is three read-only float64 columns, ``columns.condition``,
     ``columns.observed`` and ``columns.reference`` (NaN where a reading
     has no reference).  :meth:`from_columns` builds and checks one.
-    ``conditions`` and ``observed`` are the first two columns themselves,
-    not copies.
+    ``observed`` is ``columns.observed`` itself, not a copy; it stays only
+    because the benchmark still reads it.
     """
 
     columns: SeriesColumns
@@ -286,22 +286,17 @@ class MeasurementSeries:
                      (cond + 0.0).tobytes(), (obs + 0.0).tobytes()))
 
     @property
-    def conditions(self) -> np.ndarray:
-        return self.columns.condition
-
-    @property
     def observed(self) -> np.ndarray:
         return self.columns.observed
 
 
-class _Records(Sequence):
-    """A read-only sequence of records stored as float64 columns.
+class _Records:
+    """Records stored as read-only float64 columns.
 
     ``columns`` is a named tuple with one column per field of the record
-    type.  A subclass checks its rows once, in its constructor; an item
-    is built from the columns only when it is indexed, iterated over or
-    unpacked.  It compares equal to any sequence of equal items and
-    hashes as the tuple of its items.
+    type.  A subclass checks its rows once, in its constructor.  Its
+    length and its iteration, which builds one item per row, stay only
+    because the benchmark still reads items.
     """
 
     _record: type
@@ -315,24 +310,8 @@ class _Records(Sequence):
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return self._record(*(float(c[index]) for c in self.columns))
-
     def __iter__(self):
         return map(self._record, *(c.tolist() for c in self.columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
 
 
 class ErrorSamples(_Records):
@@ -717,24 +696,24 @@ def load_differential_pairs(path) -> LegPairs:
                            _read_columns(block, _specs(path, header, ("s_ab", "s_ac"))))
 
 
-def write_table(path, units: str, header: str, formats, columns) -> None:
+def write_table(path, units: str, header: str, formats, rows: int, block) -> None:
     """Write a CSV in errorkit's layout: the ``# units:`` line, the
-    header, then one body line per row of ``columns``, each ended by a
-    newline.
+    header, then ``rows`` body lines, each ended by a newline.
 
-    ``formats`` holds one ``%g`` or ``%.Nf`` per column, and a NaN cell
-    is written empty.  The body is formatted and written
+    ``block(s)`` gives the columns of the rows in the slice ``s``, one
+    per format in ``formats`` (``%g`` or ``%.Nf``); a NaN cell is
+    written empty.  The body is built, formatted and written
     ``_BLOCK_LINES`` lines at a time, so the memory held does not grow
     with the line count.  :func:`errorkit._cellformat.format_block`
     formats each block, byte for byte as ``%`` would.
     """
     from ._cellformat import format_block
 
-    columns = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "wb") as out:
         out.write(f"# units: {units}\n{header}\n".encode())
-        for at in range(0, len(columns[0]), _BLOCK_LINES):
-            out.write(format_block(formats, [c[at:at + _BLOCK_LINES] for c in columns]))
+        for at in range(0, rows, _BLOCK_LINES):
+            columns = block(slice(at, at + _BLOCK_LINES))
+            out.write(format_block(formats, [np.asarray(c, dtype=float) for c in columns]))
 
 
 def write_series_csv(series: MeasurementSeries, path) -> None:
@@ -753,7 +732,8 @@ def write_series_csv(series: MeasurementSeries, path) -> None:
         header += ",reference"
         formats.append(value_fmt)
         columns.append(reference)
-    write_table(path, units, header, formats, columns)
+    write_table(path, units, header, formats, len(condition),
+                lambda s: [c[s] for c in columns])
 
 
 def write_differential_csv(pairs: LegPairs, rows: DifferentialRows, path) -> None:
@@ -762,21 +742,27 @@ def write_differential_csv(pairs: LegPairs, rows: DifferentialRows, path) -> Non
     simulator return them."""
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
-    write_table(path, "m", "s_ab,s_ac,s2,s1", ["%g", "%g", "%.4f", "%.4f"],
-                [*pairs.columns, rows.columns.s2, rows.columns.s1])
+    columns = [*pairs.columns, rows.columns.s2, rows.columns.s1]
+    write_table(path, "m", "s_ab,s_ac,s2,s1", ["%g", "%g", "%.4f", "%.4f"], len(rows),
+                lambda s: [c[s] for c in columns])
 
 
 def write_fit_points(path, series, samples, model, condition_format, error_unit):
     """Write each sample with the model's fitted value and the residual
-    (``fit --emit-series``)."""
-    condition, error = samples.columns
-    fitted = model(condition)
+    (``fit --emit-series``), evaluated one block of rows at a time."""
+
+    def block(s):
+        condition, error = (c[s] for c in samples.columns)
+        fitted = model(condition)
+        return condition, error, fitted, error - fitted
+
     write_table(
         path,
         f"condition={series.condition_unit} observed={error_unit}",
         "condition,observed,fitted,residual",
         [condition_format, "%g", "%.6f", "%.6f"],
-        [condition, error, fitted, error - fitted],
+        len(samples),
+        block,
     )
 
 
@@ -793,8 +779,8 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
       is the built-in ``sum(...) / n`` of the observed values.
 
     Returns:
-        ErrorSamples, a read-only sequence of ErrorSample whose
-        ``columns.condition`` and ``columns.error`` hold the data.
+        ErrorSamples, whose ``columns.condition`` and ``columns.error``
+        hold the data.
 
     Raises:
         DatasetError: explicit-reference requested on a series in a
@@ -810,11 +796,14 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
                 f"explicit-reference needs a series in metres (m), "
                 f"got values in {shorten(repr(series.value_unit))}"
             )
-        missing = np.flatnonzero(np.isnan(ref))
+        missing = np.flatnonzero(np.isnan(ref)) + 1
         if missing.size:
+            # At most the first 12 rows, as _jsonfile._brief cuts a list.
+            rows = ", ".join(map(str, missing[:12].tolist()))
+            rest = f", ...] ({missing.size} rows)" if missing.size > 12 else "]"
             raise DatasetError(
                 f"explicit-reference requires a reference on every row; "
-                f"missing on rows {(missing + 1).tolist()}"
+                f"missing on rows [{rows}{rest}"
             )
         with np.errstate(over="ignore"):
             return ErrorSamples(cond, (ref - obs) * 1e3)

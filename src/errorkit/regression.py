@@ -118,7 +118,8 @@ def _columns(items, kind):
     ``DifferentialRows``) or an iterable of its records.
 
     Records are built into a ``kind`` first, so a bad one raises the
-    error ``kind`` raises for it, naming its 1-based row.
+    error ``kind`` raises for it, naming its 1-based row.  The records
+    path stays only because the benchmark still fits a list of them.
     """
     if not isinstance(items, kind):
         items = list(items)

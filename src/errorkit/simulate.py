@@ -702,14 +702,15 @@ def _leg_pairs(pairs: list) -> LegPairs:
     raise AssertionError("unreachable: the loop accepts what the column checks refuse")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A loaded, semantically validated scenario file.
 
     ``differential_pairs`` holds a differential scenario's nominal leg
     pairs as :class:`~errorkit.dataset.LegPairs` columns (None in
-    repeated mode); it compares and hashes as the tuple of its
-    ``(s_ab, s_ac)`` pairs.
+    repeated mode).  A scenario compares and hashes by identity, in
+    both modes: compare two by their fields, the pairs by their
+    ``columns``.
     """
 
     label: str

@@ -190,6 +190,18 @@ class TestInputErrors:
             "error: explicit-reference needs a series in metres (m), "
             f"got values in {unit!r}\n")
 
+    def test_cycle_fit_without_references_names_a_few_rows(self, runner, tmp_path):
+        # Every one of 10^5 rows lacks its reference: one short line.
+        p = tmp_path / "series.csv"
+        p.write_text("# units: m\ncondition,observed\n"
+                     + "".join(f"{i},{5.0 + i % 997 * 1e-6:.6f}\n" for i in range(10**5)))
+        result = runner.invoke(main, ["fit", str(p), "--model", "cycle"])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: explicit-reference requires a reference on every row; missing on "
+            "rows [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...] (100000 rows)\n")
+        assert len(result.stderr.encode()) <= 200
+
     @pytest.mark.parametrize("command, data, line, byte", [
         # A byte-order mark shifts no line.
         ("random-model", b"\xef\xbb\xbf# units: m\ncondition,observed\n1,2\n3,4\xff\n", 4, "ff"),

@@ -293,17 +293,20 @@ def test_differential_writer_across_block_boundaries(tmp_path, n):
                *_campaign(n))
 
 
+def _fit_points(n, seed=7):
+    """The arguments of write_fit_points for ``n`` samples and a cubic."""
+    rng = np.random.default_rng(seed)
+    model = regression.fit_polynomial(
+        ErrorSamples(rng.uniform(-30.0, 60.0, 20), _values(rng, 20, 1)), degree=3)
+    samples = ErrorSamples(rng.uniform(-30.0, 60.0, n), _values(rng, n, 1))
+    return _series(n, "absent"), samples, model, "%g", "ppm"
+
+
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 def test_fit_points_across_block_boundaries(tmp_path, n):
-    rng = np.random.default_rng(7)
-    condition = rng.uniform(-30.0, 60.0, 20)
-    model = regression.fit_polynomial(
-        ErrorSamples(condition, _values(rng, 20, 1)), degree=3)
-    samples = ErrorSamples(rng.uniform(-30.0, 60.0, n), _values(rng, n, 1))
-    series = _series(n, "absent")
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    dataset.write_fit_points(got, series, samples, model, "%g", "ppm")
-    reference_fit_points(want, series, samples, model, "%g", "ppm")
+    dataset.write_fit_points(got, *_fit_points(n))
+    reference_fit_points(want, *_fit_points(n))
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -332,7 +335,8 @@ def test_writer_memory_does_not_grow_with_the_rows(tmp_path, writer):
     assert peak <= 64 * n
 
 
-@pytest.mark.parametrize("writer", ["series full", "series partly blank", "differential"])
+@pytest.mark.parametrize("writer", ["series full", "series partly blank", "differential",
+                                    "fit"])
 def test_writer_memory_is_one_block(tmp_path, writer):
     # The formatter's module and tables load on the first write.
     out = tmp_path / "out.csv"
@@ -340,6 +344,8 @@ def test_writer_memory_is_one_block(tmp_path, writer):
     for n in (10_000, 200_000):
         if writer == "differential":
             peak = _traced_peak(dataset.write_differential_csv, *_campaign(n), out)
+        elif writer == "fit":
+            peak = _traced_peak(dataset.write_fit_points, out, *_fit_points(n))
         else:
             peak = _traced_peak(dataset.write_series_csv,
                                 _series(n, writer.removeprefix("series ")), out)
