@@ -1,4 +1,4 @@
-"""Reading the JSON input formats: one parse and one schema check per file.
+"""Reading the JSON input formats: one read and one schema check per file.
 
 Python's ``json`` accepts ``NaN``, ``Infinity`` and ``-Infinity``, and
 turns a literal such as ``1e309`` into infinity; JSON Schema's
@@ -11,20 +11,24 @@ are printed or written. A file that is not UTF-8 text is refused with
 :func:`bundled_path` finds the bundled input files.
 
 A token leaves the double range only as ``NaN`` or ``Infinity``, by an
-exponent (which follows a digit) or with 309 or more integer digits. In
-a text with no digit before ``e``/``E`` and no 309 digits in a row, only
-those constants reach a hook; elsewhere every number token does.
+exponent (which follows a digit) or with 309 or more integer digits. A
+text with no digit before ``e``/``E`` and no 309 digits in a row is
+parsed by one decoder built at import, which hooks no number token and
+stops at a constant; only a text holding a constant is parsed again,
+with a hook on each constant. Elsewhere every number token is hooked.
 
-The schema check is a small walker over the keywords the bundled
-schemas use, with JSON Schema Draft 2020-12 meaning. It names the first
-violation in walk order, worded as the Python JSON Schema validator
-(4.26) words that keyword, except that a value or token longer than 24
-characters is cut to its first 21 and ``...``, and a pointer longer than
-48 to its first 22, ``...`` and its last 23: an error is one short line.
+The schema check is a tree of checkers that :func:`compile_schema`
+builds once from a schema, over the keywords the bundled schemas use,
+with JSON Schema Draft 2020-12 meaning. It names the first violation in
+walk order, worded as the Python JSON Schema validator (4.26) words
+that keyword, except that a value or token longer than 24 characters
+is cut to its first 21 and ``...``, and a pointer longer than 48 to its
+first 22, ``...`` and its last 23: an error is one short line.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
 import gc
 import json
@@ -116,107 +120,145 @@ _TYPES = {
 }
 
 
-def _first(children) -> list | None:
-    """The first violation among ``(key, schema, value)`` children, in
-    their order, with its key appended."""
-    for key, schema, value in children:
-        found = _violation(schema, value)
-        if found is not None:
-            found.append(key)
-            return found
-    return None
+def _leaf(ok, message: str):
+    """The checker that passes what ``ok`` accepts and words anything
+    else as ``<value> <message>``."""
+    return lambda value: None if ok(value) else [f"{_brief(value)} {message}"]
 
 
-def _additional_properties(arg, value, schema) -> list | None:
-    if not isinstance(value, dict):
+def _children(kind, pairs, checks: dict, default):
+    """The checker of a ``kind`` value's children: the first violation
+    among its ``pairs``, in their order, each (key, child) checked by
+    ``checks[key]``, else ``default``, unless that is None."""
+    def check(value):
+        if isinstance(value, kind):
+            for key, child in pairs(value):
+                checker = checks.get(key, default)
+                if checker is not None:
+                    found = checker(child)
+                    if found is not None:
+                        found.append(key)
+                        return found
         return None
-    known = schema.get("properties", ())
+    return check
+
+
+def _any_of(arg, schema):
+    branches = [compile_schema(sub) for sub in arg]
+    return _leaf(lambda v: any(branch(v) is None for branch in branches),
+                 "is not valid under any of the given schemas")
+
+
+def _additional_properties(arg, schema):
+    known = schema.get("properties", {})
     if arg is not False:
-        return _first((key, arg, child) for key, child in value.items() if key not in known)
-    extra = [key for key in value if key not in known]
-    if not extra:
-        return None
-    names = shorten(", ".join(map(repr, sorted(extra))))
-    return ["Additional properties are not allowed (%s %s unexpected)" % (
-        names, "was" if len(extra) == 1 else "were")]
+        return _children(dict, dict.items, dict.fromkeys(known), compile_schema(arg))
+
+    def refuse(value):
+        extra = [key for key in value if key not in known] if isinstance(value, dict) else ()
+        if not extra:
+            return None
+        names = shorten(", ".join(map(repr, sorted(extra))))
+        return ["Additional properties are not allowed (%s %s unexpected)" % (
+            names, "was" if len(extra) == 1 else "were")]
+    return refuse
 
 
-def _too_short(arg, value) -> list:
+def _too_short(arg) -> str:
     # minItems and minLength are worded alike.
-    short = _brief(value)
-    return [f"{short} should be non-empty" if arg == 1 else f"{short} is too short"]
+    return "should be non-empty" if arg == 1 else "is too short"
 
 
-# keyword -> check(argument, value, schema): None, or the violation as
-# _violation gives it. A check passes a value it does not apply to, as
-# JSON Schema does: "minimum" passes a string.
+# keyword -> compile(argument, schema): the keyword's checker, or None
+# for a keyword that checks nothing. A checker passes a value it does
+# not apply to, as JSON Schema does: "minimum" passes a string.
 _KEYWORDS = {
-    "$schema": lambda arg, v, s: None,
-    "type": lambda arg, v, s: (
-        None if _TYPES[arg](v) else [f"{_brief(v)} is not of type {arg!r}"]),
+    "$schema": lambda arg, schema: None,
+    "type": lambda arg, schema: _leaf(_TYPES[arg], f"is not of type {arg!r}"),
     # String members only, which is all the schemas list.
-    "enum": lambda arg, v, s: (
-        None if isinstance(v, str) and v in arg
-        else [f"{_brief(v)} is not one of {arg!r}"]),
-    "anyOf": lambda arg, v, s: (
-        None if any(_violation(sub, v) is None for sub in arg)
-        else [f"{_brief(v)} is not valid under any of the given schemas"]),
-    "required": lambda arg, v, s: None if not isinstance(v, dict) else next(
+    "enum": lambda arg, schema: _leaf(
+        lambda v: isinstance(v, str) and v in arg, f"is not one of {arg!r}"),
+    "anyOf": _any_of,
+    "required": lambda arg, schema: lambda v: None if not isinstance(v, dict) else next(
         ([f"{k!r} is a required property"] for k in arg if k not in v), None),
-    "properties": lambda arg, v, s: None if not isinstance(v, dict) else _first(
-        (k, arg[k], x) for k, x in v.items() if k in arg),
+    "properties": lambda arg, schema: _children(
+        dict, dict.items, {key: compile_schema(sub) for key, sub in arg.items()}, None),
     "additionalProperties": _additional_properties,
-    "items": lambda arg, v, s: None if not isinstance(v, list) else _first(
-        (i, arg, x) for i, x in enumerate(v)),
-    "minItems": lambda arg, v, s: (
-        None if not isinstance(v, list) or len(v) >= arg else _too_short(arg, v)),
-    "maxItems": lambda arg, v, s: (
-        None if not isinstance(v, list) or len(v) <= arg else [f"{_brief(v)} is too long"]),
-    "minLength": lambda arg, v, s: (
-        None if not isinstance(v, str) or len(v) >= arg else _too_short(arg, v)),
-    "minimum": lambda arg, v, s: (
-        None if not _number(v) or v >= arg
-        else [f"{_brief(v)} is less than the minimum of {arg!r}"]),
-    "exclusiveMinimum": lambda arg, v, s: (
-        None if not _number(v) or v > arg
-        else [f"{_brief(v)} is less than or equal to the minimum of {arg!r}"]),
+    "items": lambda arg, schema: _children(list, enumerate, {}, compile_schema(arg)),
+    "minItems": lambda arg, schema: _leaf(
+        lambda v: not isinstance(v, list) or len(v) >= arg, _too_short(arg)),
+    "maxItems": lambda arg, schema: _leaf(
+        lambda v: not isinstance(v, list) or len(v) <= arg, "is too long"),
+    "minLength": lambda arg, schema: _leaf(
+        lambda v: not isinstance(v, str) or len(v) >= arg, _too_short(arg)),
+    "minimum": lambda arg, schema: _leaf(
+        lambda v: not _number(v) or v >= arg, f"is less than the minimum of {arg!r}"),
+    "exclusiveMinimum": lambda arg, schema: _leaf(
+        lambda v: not _number(v) or v > arg,
+        f"is less than or equal to the minimum of {arg!r}"),
 }
 
 
-def _violation(schema: dict, value) -> list | None:
-    """The first violation of ``schema`` by ``value``, or None.
+def compile_schema(schema: dict):
+    """The checker of ``schema``: a function that returns None for a
+    value that meets it, else the first violation, a list of its message
+    and then the keys of its location from the innermost out. Keywords
+    are checked in the schema's order and children in the document's
+    order, depth first."""
+    checks = [check for key, arg in schema.items()
+              if (check := _KEYWORDS[key](arg, schema)) is not None]
+    if len(checks) == 1:
+        return checks[0]
 
-    A violation is a list: its message, then the keys of its location
-    from the innermost out. Keywords are checked in the schema's order
-    and children in the document's order, depth first.
+    def check_all(value):
+        for check in checks:
+            found = check(value)
+            if found is not None:
+                return found
+        return None
+    return check_all
+
+
+class _Constant(Exception):
+    """A ``NaN`` or ``Infinity`` token, which ``_DECODER`` refuses."""
+
+
+def _refuse(token: str):
+    raise _Constant(token)
+
+
+# Built once: json.loads with a keyword argument builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_refuse)
+
+
+def read_json(path, check, error: type[Exception]):
+    """Parse the JSON file at ``path`` and check it with ``check``, a
+    :func:`compile_schema` checker.
+
+    The file is read once, as bytes, and decoded as a text-mode read
+    does: a leading UTF-8 byte-order mark is skipped, and ``\\r\\n``
+    and a lone ``\\r`` read as ``\\n``. A file that is not UTF-8 text
+    raises ``error`` with the message of :func:`not_utf8`; one that is
+    not JSON raises ``error`` naming the file, the line and the column,
+    and one nested deeper than ``json``'s recursion limit raises
+    ``error`` naming the file. A number that is not a finite double
+    raises ``error`` naming the file, the location and the token; values
+    that parse are exactly what ``json.loads`` gives. One scan of the
+    bytes proves a text's numbers finite, or sends it to a hook on every
+    token. A document that violates the schema raises ``error("at
+    <pointer>: <message>")`` for the first violation in walk order.
     """
-    for key, arg in schema.items():
-        found = _KEYWORDS[key](arg, value, schema)
-        if found is not None:
-            return found
-    return None
-
-
-def read_json(path, schema: dict, error: type[Exception]):
-    """Parse the JSON file at ``path`` and check it against ``schema``.
-
-    A leading UTF-8 byte-order mark is skipped. A file that is not UTF-8
-    text raises ``error`` with the message of :func:`not_utf8`; one that
-    is not JSON raises ``error`` naming the file, the line and the
-    column, and one nested deeper than ``json``'s recursion limit
-    raises ``error`` naming the file. A number that is not a finite
-    double raises ``error`` naming the file, the location and the
-    token; values that parse are exactly what ``json.loads`` gives.
-    One byte scan proves a text's numbers finite, or sends it to a hook
-    on every token. A document that
-    violates ``schema`` raises ``error("at <pointer>: <message>")`` for
-    the first violation in walk order.
-    """
-    path = Path(path)
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise error(not_utf8(path, exc)) from None
+        # A text-mode read takes one or two bytes of a BOM as an empty file.
+        if not codecs.BOM_UTF8.startswith(data):
+            raise error(not_utf8(Path(path), exc)) from None
+        text = ""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     bad: list[tuple[str, object]] = []
 
     def finite(parse):
@@ -229,27 +271,36 @@ def read_json(path, schema: dict, error: type[Exception]):
 
         return checked
 
-    # Unhooked numbers are parsed in C, which is safe where none can overflow.
-    shape, hooks = text.encode().translate(_SHAPE), {}
-    if b"0e" in shape or b"0" * 309 in shape:
-        # Over 309 digits is beyond a double; float() has no digit limit.
-        hooks = {"parse_float": finite(float), "parse_int": finite(
-            lambda t: int(t) if len(t.lstrip("-")) <= 309 else float(t))}
+    # Unhooked numbers are parsed in C, which is safe where none can
+    # overflow. The bytes hold the same digits and "e"s as the text.
+    shape = data.translate(_SHAPE)
     try:
-        raw = json.loads(text, parse_constant=finite(float), **hooks)
+        if text.startswith("\ufeff"):  # json.loads refuses it; a decoder would not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        if b"0e" in shape or b"0" * 309 in shape:
+            # Over 309 digits is beyond a double; float() has no digit limit.
+            raw = json.loads(text, parse_constant=finite(float), parse_float=finite(float),
+                             parse_int=finite(lambda t: int(t) if len(t.lstrip("-")) <= 309
+                                              else float(t)))
+        else:
+            try:
+                raw = _DECODER.decode(text)
+            except _Constant:
+                raw = json.loads(text, parse_constant=finite(float))
     except json.JSONDecodeError as exc:
-        raise error(f"{path.name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        raise error(
+            f"{Path(path).name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise error(f"{path.name}: nested deeper than the parser allows") from None
+        raise error(f"{Path(path).name}: nested deeper than the parser allows") from None
     # A duplicate key can shadow a rejected token, so look in what parsed
     # and word the token that parsed to the value found there.
     found = first_nonfinite(raw) if bad else None
     if found is not None:
         token = next(token for token, value in bad if value is found[1])
-        raise error(
-            f"{path.name}: at {_cut_pointer(found[0])}: {shorten(token)} is not a finite number")
+        raise error(f"{Path(path).name}: at {_cut_pointer(found[0])}: "
+                    f"{shorten(token)} is not a finite number")
 
-    violation = _violation(schema, raw)
+    violation = check(raw)
     if violation is not None:
         message, *keys = violation
         raise error(f"at {_cut_pointer('/' + '/'.join(map(str, reversed(keys))))}: {message}")

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._jsonfile import gc_paused, read_json
+from ._jsonfile import compile_schema, gc_paused, read_json
 from .distributions import ArcsineDistribution, sample
 
 __all__ = [
@@ -85,6 +85,7 @@ BUDGET_SCHEMA = {
     },
     "additionalProperties": False,
 }
+_CHECK_BUDGET = compile_schema(BUDGET_SCHEMA)
 
 
 class BudgetError(ValueError):
@@ -293,7 +294,7 @@ def load_budget(path) -> ErrorBudget:
     """Load and validate a budget JSON file.  Each component object is
     passed to :class:`BudgetComponent` as written, which supplies its
     defaults (the sensitivity follows the unit) and checks its unit rule."""
-    raw = read_json(path, BUDGET_SCHEMA, BudgetError)
+    raw = read_json(path, _CHECK_BUDGET, BudgetError)
     return ErrorBudget(
         components=tuple(BudgetComponent(**c) for c in raw["components"]),
         operating_point_m=float(raw.get("operating_point_m", 0.0)),

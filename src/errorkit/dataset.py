@@ -798,9 +798,13 @@ def to_error_samples(series: MeasurementSeries, reference_rule: str) -> ErrorSam
             )
         missing = np.flatnonzero(np.isnan(ref)) + 1
         if missing.size:
-            # At most the first 12 rows, as _jsonfile._brief cuts a list.
-            rows = ", ".join(map(str, missing[:12].tolist()))
-            rest = f", ...] ({missing.size} rows)" if missing.size > 12 else "]"
+            # At most the first 12 rows, as _jsonfile._brief cuts a list, in
+            # at most the 94 characters twelve 6-digit rows take: the error
+            # line stays within 200 bytes below 10^12 missing rows.
+            named = missing[:12].tolist()
+            while len(rows := ", ".join(map(str, named))) > 94:
+                named.pop()
+            rest = f", ...] ({missing.size} rows)" if missing.size > len(named) else "]"
             raise DatasetError(
                 f"explicit-reference requires a reference on every row; "
                 f"missing on rows [{rows}{rest}"

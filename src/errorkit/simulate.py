@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from ._jsonfile import gc_paused, read_json, shorten
+from ._jsonfile import compile_schema, gc_paused, read_json, shorten
 
 __all__ = [
     "ConfigurationError",
@@ -657,6 +657,7 @@ SCENARIO_SCHEMA = {
     },
     "additionalProperties": False,
 }
+_CHECK_SCENARIO = compile_schema(SCENARIO_SCHEMA)
 
 
 _JSON_NUMBER = frozenset({int, float})
@@ -740,7 +741,7 @@ def load_scenario(path) -> Scenario:
     mode (``true_value`` plus ``schedule``) or a differential mode
     (``differential`` with nominal leg pairs).
     """
-    raw = read_json(path, SCENARIO_SCHEMA, ScenarioError)
+    raw = read_json(path, _CHECK_SCENARIO, ScenarioError)
 
     sources = tuple(ErrorSource(**s) for s in raw["sources"])
 
@@ -751,7 +752,7 @@ def load_scenario(path) -> Scenario:
             "a scenario must define exactly one of 'schedule' or 'differential'"
         )
 
-    label = raw.get("label", Path(path).stem)
+    label = raw["label"] if "label" in raw else Path(path).stem
     eps = raw.get("eps_abs_mm")
 
     if has_differential:

@@ -863,6 +863,23 @@ class TestToErrorSamples:
             dataset.to_error_samples(series, "explicit-reference")
         assert str(excinfo.value).endswith(f"missing on {named}")
 
+    @pytest.mark.parametrize("n, first, missing, named", [
+        (1_000_012, 1_000_000, 13, "rows [%s, ...] (13 rows)" % ", ".join(
+            map(str, range(1_000_000, 1_000_010)))),
+        (1_000_000, 999_988, 12, "rows [%s]" % ", ".join(map(str, range(999_988, 10**6)))),
+    ], ids=["seven-digit rows", "twelve six-digit rows"])
+    def test_explicit_reference_error_line_fits_200_bytes(self, n, first, missing, named):
+        # The CLI prints "error: <message>\n".
+        reference = np.full(n, 5.001)
+        reference[first - 1:first - 1 + missing] = math.nan
+        series = MeasurementSeries.from_columns(
+            np.arange(n, dtype=float), np.full(n, 5.0), reference,
+            condition_unit="m", value_unit="m")
+        with pytest.raises(DatasetError) as excinfo:
+            dataset.to_error_samples(series, "explicit-reference")
+        assert str(excinfo.value).endswith(f"missing on {named}")
+        assert len(f"error: {excinfo.value}\n".encode()) <= 200
+
     def test_mean_reference_needs_a_nonzero_mean(self):
         series = MeasurementSeries.from_columns(
             [0.0, 1.0, 2.0], [-1.0, 1.0, 0.0], condition_unit="", value_unit="")

@@ -1,5 +1,6 @@
 """The non-finite walker shared by the JSON readers and the CLI's result
-check, and the schema walker against jsonschema, the reference."""
+check, the compiled schema checkers against jsonschema, the reference,
+and the reading of a file's bytes against a text-mode read."""
 
 import contextlib
 import copy
@@ -15,7 +16,8 @@ from jsonschema.exceptions import best_match
 
 from errorkit import dataset
 from errorkit._jsonfile import (
-    _KEYWORDS, _brief, _cut_pointer, _violation, first_nonfinite, read_json, shorten)
+    _KEYWORDS, _brief, _cut_pointer, compile_schema, first_nonfinite, not_utf8, read_json,
+    shorten)
 from errorkit.budget import BUDGET_SCHEMA, BudgetError, load_budget
 from errorkit.simulate import SCENARIO_SCHEMA, ScenarioError, load_scenario
 
@@ -71,6 +73,7 @@ SCHEMAS = {
     "budget_example.json": BUDGET_SCHEMA,
 }
 VALIDATORS = {name: Draft202012Validator(schema) for name, schema in SCHEMAS.items()}
+CHECKERS = {name: compile_schema(schema) for name, schema in SCHEMAS.items()}
 
 # Values a mutation puts in place of another: wrong types, bools where
 # numbers go, integral floats, empty and unknown strings, zero and
@@ -99,7 +102,7 @@ def _paths(node, path=()):
 
 def _agrees(name, doc):
     expected = VALIDATORS[name].is_valid(doc)
-    assert (_violation(SCHEMAS[name], doc) is None) is expected, (name, doc)
+    assert (CHECKERS[name](doc) is None) is expected, (name, doc)
     return expected
 
 
@@ -187,7 +190,7 @@ def _pointer(keys):
 
 
 def _subschemas(schema):
-    """``schema`` and every schema the walker can reach inside it."""
+    """``schema`` and every schema its checker can reach inside it."""
     yield schema
     for sub in (*schema.get("properties", {}).values(), *schema.get("anyOf", ()),
                 *(schema[key] for key in ("items", "additionalProperties")
@@ -225,8 +228,8 @@ class TestPointerCut:
 
 
 class TestSchemaChecker:
-    """The walker accepts a document exactly when jsonschema's Draft
-    2020-12 validator does, and locates a lone violation where
+    """A compiled checker accepts a document exactly when jsonschema's
+    Draft 2020-12 validator does, and locates a lone violation where
     ``best_match`` does."""
 
     @pytest.mark.parametrize("documents", [mutated_document(), generated_document()],
@@ -256,7 +259,7 @@ class TestSchemaChecker:
             name, doc = case
             errors = list(VALIDATORS[name].iter_errors(doc))
             if len(errors) == 1 and not errors[0].context:
-                found = _violation(SCHEMAS[name], doc)
+                found = CHECKERS[name](doc)
                 assert _pointer(reversed(found[1:])) == _pointer(
                     best_match(errors).absolute_path), (name, doc)
                 compared.add(name)
@@ -478,13 +481,13 @@ class TestViolations:
         path = tmp_path / "budget.json"
         path.write_text('{"components": [{"name": "a", "std": -1, "unit": "mm"}]}')
         with pytest.raises(Refused, match=r"^at /components/0/std: -1 is less than"):
-            read_json(path, BUDGET_SCHEMA, Refused)
+            read_json(path, compile_schema(BUDGET_SCHEMA), Refused)
 
 
 # --- the byte scan in front of the number hooks -----------------------------
 
 _MAX = sys.float_info.max
-ANY = {}  # a schema every document meets, so only the parse is compared
+ANY = compile_schema({})  # every document meets it, so only the parse is compared
 
 
 def _hooked(path, error):
@@ -559,22 +562,41 @@ def tokened_text(draw):
     return name, text
 
 
+@pytest.fixture
+def decoders(monkeypatch):
+    """The keywords of each ``json.JSONDecoder`` built while the test runs,
+    as sets; ``json.loads`` with a keyword builds one."""
+    built = []
+
+    class Recorded(json.JSONDecoder):
+        def __init__(self, **kw):
+            built.append(set(kw))
+            super().__init__(**kw)
+
+    monkeypatch.setattr(json, "JSONDecoder", Recorded)
+    return built
+
+
+EVERY_TOKEN = {"parse_constant", "parse_float", "parse_int"}
+
+
 class TestByteScan:
     """``read_json`` gives what a hook on every number token gives: the same
     value, or the same exception type and message."""
 
-    def test_hypothesis_texts(self, tmp_path, monkeypatch):
-        loads, hooks, seen = json.loads, [], set()
-        monkeypatch.setattr(json, "loads", lambda s, **kw: hooks.append(set(kw)) or loads(s, **kw))
+    def test_hypothesis_texts(self, tmp_path, decoders):
+        seen = set()
 
         @settings(max_examples=300)
         @given(tokened_text())
         def collect(case):
             path = tmp_path / case[0]
             path.write_text(case[1], encoding="utf-8")
-            hooks.clear()
-            kind = _same_as_hooked(path)[0]
-            seen.add((kind, "parse_float" in hooks[0]))  # hooks[0]: read_json's parse
+            decoders.clear()
+            kind = _outcome(lambda p: read_json(p, ANY, ValueError), path)[0]
+            hooked = EVERY_TOKEN in decoders  # read_json's decoders only
+            assert _same_as_hooked(path)[0] == kind
+            seen.add((kind, hooked))
 
         collect()
         assert seen == {(kind, hooked) for kind in ("value", ValueError) for hooked in (False, True)}
@@ -624,27 +646,26 @@ class TestByteScan:
             read_json(path, ANY, ValueError)
         assert str(raised.value) == "doc.json: line 1 column 13: Expecting value"
 
-    @pytest.mark.parametrize("text, hooked", [
-        (dataset.bundled_path("table3_scenario.json").read_text(encoding="utf-8"), False),
-        (dataset.bundled_path("budget_example.json").read_text(encoding="utf-8"), False),
-        ('{"a": [1, 2.5, -3, NaN], "v0": "e"}', False),
-        ('{"a": 1e5}', True),
-        ('{"a": 2.5E-3}', True),
-        ('{"name": "v0e1"}', True),
-        ('{"a": %s}' % ("1" * 309), True),
-        ('{"a": %s}' % ("1" * 308), False),
+    # A text the scan passes is parsed by the decoder built at import, and
+    # again, with a hook on each constant, only if it holds one.
+    @pytest.mark.parametrize("text, built", [
+        (dataset.bundled_path("table3_scenario.json").read_text(encoding="utf-8"), []),
+        (dataset.bundled_path("budget_example.json").read_text(encoding="utf-8"), []),
+        ('{"a": [1, 2.5, -3, NaN], "v0": "e"}', [{"parse_constant"}]),
+        ('{"a": 1e5}', [EVERY_TOKEN]),
+        ('{"a": 2.5E-3}', [EVERY_TOKEN]),
+        ('{"name": "v0e1"}', [EVERY_TOKEN]),
+        ('{"a": %s}' % ("1" * 309), [EVERY_TOKEN]),
+        ('{"a": %s}' % ("1" * 308), []),
     ], ids=["table3_scenario", "budget_example", "constants", "exponent", "upper-case",
             "label", "309 digits", "308 digits"])
     def test_only_texts_that_could_overflow_hook_every_token(
-            self, tmp_path, monkeypatch, text, hooked):
+            self, tmp_path, decoders, text, built):
         path = tmp_path / "doc.json"
         path.write_text(text)
-        loads, hooks = json.loads, []
-        monkeypatch.setattr(json, "loads", lambda s, **kw: hooks.append(set(kw)) or loads(s, **kw))
         with contextlib.suppress(ValueError):
             read_json(path, ANY, ValueError)
-        expected = {"parse_constant", "parse_float", "parse_int"} if hooked else {"parse_constant"}
-        assert hooks == [expected]
+        assert decoders == built
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_an_integer_past_int_digit_limit_is_located(self, tmp_path, sign):
@@ -655,3 +676,64 @@ class TestByteScan:
             read_json(path, ANY, ValueError)
         assert str(raised.value) == (
             f"doc.json: at /a/1: {(sign + '9' * 21)[:21]}... is not a finite number")
+
+
+# --- the file read once as bytes ----------------------------------------------
+
+
+def _text_mode(path, error):
+    """A text-mode read and ``json.loads``, worded as ``read_json`` words
+    their errors: the reference for reading a file's bytes."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(not_utf8(path, exc)) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path.name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestBytesRead:
+    """``read_json`` reads a file's bytes once and gives what a text-mode
+    read and ``json.loads`` gave: the same value, or the same exception
+    type and message."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"a": [1,\r\n 2.5],\r\n "b": "x"}\r\n', None),
+        (b'{"a":\r [1,\r 2.5]}\r', None),
+        (b'{"a":\r\n\r 1}\n\r', None),
+        (BOM + b'{"a": 1}', None),
+        (BOM + b'{\r\n"a": 1e5\r\n}', None),
+        (BOM * 2 + b'{"a": 1}', "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (BOM[:1], "line 1 column 1: Expecting value"),
+        (BOM[:2], "line 1 column 1: Expecting value"),
+        (b"", "line 1 column 1: Expecting value"),
+        (b'{\r\n"a": 1,\r\n"b": tru\r\n}\r\n', "line 3 column 6: Expecting value"),
+        (b'{\r"a": 1,\r"b": [1 2]}', "line 3 column 9: Expecting ',' delimiter"),
+        (b'{"a": "x\ry"}', "line 1 column 9: Invalid control character at"),
+    ], ids=["crlf", "lone cr", "mixed", "bom", "bom crlf exponent", "two boms", "bom byte",
+            "bom bytes", "empty", "crlf line 3", "lone cr line 3", "cr in a string"])
+    def test_text_mode_line_ends_and_byte_order_marks(self, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        got = _outcome(lambda p: read_json(p, ANY, ValueError), path)
+        assert got == _outcome(lambda p: _text_mode(p, ValueError), path)
+        assert got[0] == "value" if message is None else got == (
+            ValueError, f"doc.json: {message}")
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"a": "\xff"}', "not UTF-8 text at line 1 (byte 0xff)"),
+        (b'{\r\n"a":\r\n "\xe9"}', "not UTF-8 text at line 3 (byte 0xe9)"),
+        (BOM + b'{\n"a": "\xc3"}', "not UTF-8 text at line 2 (byte 0xc3)"),
+        (BOM[:2] + b"{}", "not UTF-8 text at line 1 (byte 0xef)"),
+    ], ids=["latin-1", "crlf", "after a bom", "half a bom"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        got = _outcome(lambda p: read_json(p, ANY, ValueError), path)
+        assert got == _outcome(lambda p: _text_mode(p, ValueError), path)
+        assert got == (ValueError, f"{path}: {message}")
