@@ -152,17 +152,13 @@ def format_block(formats, columns) -> bytes:
 
 
 def _percent_lines(formats, columns) -> bytes:
-    """The lines of a block by one ``%`` over its cells, the format
-    string made of one line template per row, a NaN cell given none:
-    the path for a block with a cell outside the exact window."""
+    """The lines of a block by one ``%`` over its cells, one line
+    template repeated per row: the path for a block with a cell outside
+    the exact window."""
     cells = np.column_stack(columns)
-    blank = np.isnan(cells)
-    # Each row's blank cells as the bits of one int, which picks its template.
-    codes = blank @ (1 << np.arange(len(formats)))
-    templates = {code: ",".join("" if code >> i & 1 else f for i, f in enumerate(formats))
-                 for code in set(codes.tolist())}
-    text = "\n".join(map(templates.__getitem__, codes.tolist())) + "\n"
-    return (text % tuple(cells[~blank].tolist())).encode()
+    text = (",".join(formats) + "\n") * len(cells) % tuple(cells.ravel().tolist())
+    # % prints NaN as "nan", which no finite or infinite cell holds.
+    return text.replace("nan", "").encode()
 
 
 def _exact_lines(formats, columns) -> bytes | None:

@@ -12,10 +12,10 @@ are printed or written. A file that is not UTF-8 text is refused with
 
 A token leaves the double range only as ``NaN`` or ``Infinity``, by an
 exponent (which follows a digit) or with 309 or more integer digits. A
-text with no digit before ``e``/``E`` and no 309 digits in a row is
-parsed by one decoder built at import, which hooks no number token and
-stops at a constant; only a text holding a constant is parsed again,
-with a hook on each constant. Elsewhere every number token is hooked.
+text with no ``N`` or ``I``, no digit before ``e``/``E`` and no 309
+digits in a row holds no such token and is parsed by plain
+``json.loads``, which hooks nothing; any other text is parsed once with
+a hook on every number token.
 
 The schema check is a tree of checkers that :func:`compile_schema`
 builds once from a schema, over the keywords the bundled schemas use,
@@ -28,7 +28,6 @@ first 22, ``...`` and its last 23: an error is one short line.
 
 from __future__ import annotations
 
-import codecs
 import functools
 import gc
 import json
@@ -37,8 +36,8 @@ from importlib import resources
 from pathlib import Path
 
 _MAX = sys.float_info.max
-# Every digit to "0" and "E" to "e": the shapes read_json scans for.
-_SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
+# Every digit to "0", "E" to "e" and "I" to "N": the shapes read_json scans for.
+_SHAPE = bytes.maketrans(b"123456789EI", b"000000000eN")
 
 
 def bundled_path(name: str) -> Path:
@@ -219,28 +218,17 @@ def compile_schema(schema: dict):
     return check_all
 
 
-class _Constant(Exception):
-    """A ``NaN`` or ``Infinity`` token, which ``_DECODER`` refuses."""
-
-
-def _refuse(token: str):
-    raise _Constant(token)
-
-
-# Built once: json.loads with a keyword argument builds a decoder per call.
-_DECODER = json.JSONDecoder(parse_constant=_refuse)
-
-
 def read_json(path, check, error: type[Exception]):
     """Parse the JSON file at ``path`` and check it with ``check``, a
     :func:`compile_schema` checker.
 
-    The file is read once, as bytes, and decoded as a text-mode read
-    does: a leading UTF-8 byte-order mark is skipped, and ``\\r\\n``
-    and a lone ``\\r`` read as ``\\n``. A file that is not UTF-8 text
-    raises ``error`` with the message of :func:`not_utf8`; one that is
-    not JSON raises ``error`` naming the file, the line and the column,
-    and one nested deeper than ``json``'s recursion limit raises
+    The file is read once, as bytes, and decoded as UTF-8: a leading
+    byte-order mark is skipped, and ``\\r\\n`` and a lone ``\\r`` read
+    as ``\\n``, as in a text-mode read. A file that is not UTF-8 text,
+    one or two bytes of a byte-order mark among them, raises ``error``
+    with the message of :func:`not_utf8`, as the CSV reader does; one
+    that is not JSON raises ``error`` naming the file, the line and the
+    column, and one nested deeper than ``json``'s recursion limit raises
     ``error`` naming the file. A number that is not a finite double
     raises ``error`` naming the file, the location and the token; values
     that parse are exactly what ``json.loads`` gives. One scan of the
@@ -253,10 +241,7 @@ def read_json(path, check, error: type[Exception]):
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # A text-mode read takes one or two bytes of a BOM as an empty file.
-        if not codecs.BOM_UTF8.startswith(data):
-            raise error(not_utf8(Path(path), exc)) from None
-        text = ""
+        raise error(not_utf8(Path(path), exc)) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     bad: list[tuple[str, object]] = []
@@ -272,21 +257,17 @@ def read_json(path, check, error: type[Exception]):
         return checked
 
     # Unhooked numbers are parsed in C, which is safe where none can
-    # overflow. The bytes hold the same digits and "e"s as the text.
+    # overflow. The bytes hold the same digits, "e"s, "N"s and "I"s as the
+    # text; outside strings only NaN and Infinity hold an N or an I.
     shape = data.translate(_SHAPE)
     try:
-        if text.startswith("\ufeff"):  # json.loads refuses it; a decoder would not
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        if b"0e" in shape or b"0" * 309 in shape:
+        if b"0e" in shape or b"N" in shape or b"0" * 309 in shape:
             # Over 309 digits is beyond a double; float() has no digit limit.
             raw = json.loads(text, parse_constant=finite(float), parse_float=finite(float),
                              parse_int=finite(lambda t: int(t) if len(t.lstrip("-")) <= 309
                                               else float(t)))
         else:
-            try:
-                raw = _DECODER.decode(text)
-            except _Constant:
-                raw = json.loads(text, parse_constant=finite(float))
+            raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(
             f"{Path(path).name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None

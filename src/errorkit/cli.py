@@ -14,6 +14,7 @@ checks load no numpy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -71,18 +72,6 @@ def _quiet_numpy():
     return np.errstate(all="ignore")
 
 
-def _refuse_nonfinite(results: dict):
-    """Exit 3 naming the first non-finite result; run before writing files."""
-    found = first_nonfinite(results)
-    if found is not None:
-        click.echo(
-            f"error: result {found[0]} is {found[1]}: the computation left "
-            "the range of double precision",
-            err=True,
-        )
-        sys.exit(EXIT_NUMERICAL_ERROR)
-
-
 def _distinct_decimals(grid: list[float]) -> int:
     """The fewest decimals, at least two, at which the values of an
     increasing grid print as distinct; two if none do (a step of 0)."""
@@ -95,10 +84,21 @@ def _distinct_decimals(grid: list[float]) -> int:
 
 
 def _emit(command: str, path: Path, results: dict, as_json: bool,
-          lines: list[str], warnings=()):
-    """Print the lines and warnings, or the ``--json`` report; exit 3
-    instead if some result is not finite."""
-    _refuse_nonfinite(results)
+          lines: list[str], warnings=(), write=None):
+    """Refuse, write, print: exit 3 naming the first result that is not
+    finite; else call ``write``, the ``--emit-series`` writer, if given;
+    then print the lines and warnings, or the ``--json`` report. So a
+    refused run writes no file and prints nothing on stdout."""
+    found = first_nonfinite(results)
+    if found is not None:
+        click.echo(
+            f"error: result {found[0]} is {found[1]}: the computation left "
+            "the range of double precision",
+            err=True,
+        )
+        sys.exit(EXIT_NUMERICAL_ERROR)
+    if write is not None:
+        write()
     if as_json:
         report = {"command": command, "input_digest": _digest(path),
                   "results": results, "warnings": list(warnings)}
@@ -224,48 +224,41 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
                 cond, err = samples.columns
                 samples = dataset.ErrorSamples(cond, np.round(err) + 0.0)
             model = regression.fit_polynomial(samples, degree=3)
-            report_body = regression.to_report(model)
-            names = "abcd"
-            for name, value in zip(names, model.coeffs):
+            for name, value in zip("abcd", model.coeffs):
                 lines.append(f"{name} {value:+.6f}")
             lines.append(f"residual std {model.residual_std:.6g} ppm")
-            lines.append(f"dof {model.dof}")
-            if emit_series:
-                _refuse_nonfinite(report_body)
-                dataset.write_fit_points(emit_series, series, samples, model, "%g", "ppm")
+            write = functools.partial(dataset.write_fit_points, emit_series, series,
+                                      samples, model, "%g", "ppm")
         elif model_name == "cycle":
             series = dataset.load_series(path)
             samples = dataset.to_error_samples(series, "explicit-reference")
             model = regression.fit_cycle_direct(samples, wavelength)
-            report_body = regression.to_report(model)
             lines.append(f"amplitude {model.amplitude:.4f} {model.amplitude_unit}")
             lines.append(f"phase     {math.degrees(model.phase):.2f} deg")
             lines.append(
                 f"residual std {model.residual_std:.4g} {model.amplitude_unit}"
             )
-            lines.append(f"dof {model.dof}")
-            if emit_series:
-                _refuse_nonfinite(report_body)
-                dataset.write_fit_points(emit_series, series, samples, model, "%.4f", "mm")
+            write = functools.partial(dataset.write_fit_points, emit_series, series,
+                                      samples, model, "%.4f", "mm")
         else:
             rows_in = dataset.load_differential(path)
             model = regression.fit_cycle_differential(rows_in, wavelength)
-            report_body = regression.to_report(model)
             lines.append(f"base distance {model.offset_s0:.5f} m")
             lines.append(f"amplitude {model.amplitude:.6f} {model.amplitude_unit}")
             lines.append(f"phase     {math.degrees(model.phase):.2f} deg")
             lines.append(
                 f"residual std {model.residual_std:.4g} {model.amplitude_unit}"
             )
-            lines.append(f"dof {model.dof}")
-            if emit_series:
-                _refuse_nonfinite(report_body)
+
+            def write():
                 grid = np.arange(200) * (wavelength / 200.0)
                 dataset.write_table(
                     emit_series, "condition=m fitted=m", "condition,fitted",
                     [f"%.{_distinct_decimals(grid.tolist())}f", "%.6f"],
                     len(grid), lambda s: [grid[s], model(grid[s])],
                 )
+        report_body = regression.to_report(model)
+        lines.append(f"dof {model.dof}")
         if emit_matrix:
             lines.append("normal matrix:")
             for row in report_body["normal_matrix"]:
@@ -273,7 +266,7 @@ def cmd_fit(input_csv, model_name, wavelength, emit_series, emit_matrix,
             lines.append(
                 "rhs: " + "  ".join("%.10g" % v for v in report_body["rhs"])
             )
-        _emit("fit", path, report_body, as_json, lines)
+        _emit("fit", path, report_body, as_json, lines, write=write if emit_series else None)
 
 
 @main.command("simulate")
@@ -339,6 +332,8 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                 round_readings=scenario.round_readings,
                 noise_seed=seed,
             )
+            write = functools.partial(dataset.write_differential_csv,
+                                      scenario.differential_pairs, run.rows, emit_series)
             contributions = run.diff_contributions
             diffs = run.rows.columns.s1 - run.rows.columns.s2
             results = {
@@ -372,6 +367,7 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                 noise_seed=seed,
                 label=scenario.label,
             )
+            write = functools.partial(dataset.write_series_csv, run.series, emit_series)
             contributions = run.contributions
             observed = run.series.columns.observed
             results = {
@@ -408,15 +404,8 @@ def cmd_simulate(scenario_json, seed, emit_series, do_classify, regen_table3,
                     f"{e.name}: {e.classification} "
                     f"(mean {e.mean:.6g} mm, std {e.std:.6g} mm)"
                 )
-        if emit_series:
-            _refuse_nonfinite(results)
-            if scenario.is_differential:
-                dataset.write_differential_csv(
-                    scenario.differential_pairs, run.rows, emit_series
-                )
-            else:
-                dataset.write_series_csv(run.series, emit_series)
-        _emit("simulate", path, results, as_json, lines)
+        _emit("simulate", path, results, as_json, lines,
+              write=write if emit_series else None)
 
 
 @main.command("propagate")

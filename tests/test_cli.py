@@ -276,55 +276,62 @@ class TestNonfiniteResults:
         assert result.stdout == ""
         assert result.stderr.startswith("error: result /total_std_mm is inf")
 
-    @pytest.mark.parametrize("extra", [[], ["--json"]])
-    def test_overflowing_cycle_fit(self, runner, tmp_path, extra):
-        src = dataset.bundled_path("table2.csv").read_text().splitlines()
-        src[2] = "6.0232,1e300,1.005e300"
-        p = tmp_path / "big.csv"
-        p.write_text("\n".join(src) + "\n")
-        out = tmp_path / "out.csv"
-        result = runner.invoke(
-            main, ["fit", str(p), "--model", "cycle", "--emit-series", str(out), *extra]
-        )
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert isinstance(result.exception, SystemExit)
-        assert re.match(r"error: result /\w+ is (inf|nan)", result.stderr)
-        assert not out.exists()
-
-    def _refused_without_file(self, result, out, pointer):
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith(f"error: result {pointer} is inf")
-        assert not out.exists()
-
-    def test_overflowing_simulated_mean_writes_no_series(self, runner, tmp_path):
-        scenario = write_scenario(tmp_path, {
+    # Each --emit-series writer, given an input whose results leave the
+    # double range: its arguments, the name and text of the input file,
+    # and the result named.
+    _CYCLE = {"kind": "cycle", "depends_on": "distance", "wavelength_m": 7.0}
+    _REFUSED_WRITERS = {
+        # The mean is 15/7, so the first two errors are near 1e306 ppm.
+        "poly3": (["fit", "--model", "poly3"], "t1.csv", "\n".join(
+            ["# units: condition=degC observed=MHz", "condition,observed"]
+            + [f"{i},{v}" for i, v in enumerate(["1e300", "-1e300", 1, 2, 3, 4, 5], 1)]),
+            "/coefficients/0 is nan"),
+        "cycle": (["fit", "--model", "cycle"], "t2.csv",
+                  dataset.bundled_path("table2.csv").read_text().replace(
+                      "6.0232,6.0232,6.0237", "6.0232,1e300,1.005e300"),
+                  "/residual_std is inf"),
+        "cycle-diff": (["fit", "--model", "cycle-diff"], "t3.csv",
+                       dataset.bundled_path("table3.csv").read_text().replace(
+                           "10,18,9.9965,18.0008", "10,18,9.9965,1e300"),
+                       "/residual_std is inf"),
+        "repeated": (["simulate"], "repeated.json", json.dumps({
             "true_value": 1.7e308,
             "sources": [{"name": "c", "kind": "additive-constant", "c_mm": 1.0}],
             "schedule": {"repeats": 3, "generator": "constant",
-                         "conditions": {"temperature": 20}},
-        })
-        out = tmp_path / "out.csv"
-        result = runner.invoke(main, ["simulate", scenario, "--emit-series", str(out)])
-        self._refused_without_file(result, out, "/mean_m")
-
-    def test_overflowing_classification_writes_no_series(self, runner, tmp_path):
+                         "conditions": {"temperature": 20}}}),
+            "/mean_m is inf"),
         # Two opposite cycles cancel in the readings, so only the
         # per-source statistics overflow.
-        cycle = {"kind": "cycle", "depends_on": "distance", "wavelength_m": 7.0}
-        scenario = write_scenario(tmp_path, {
+        "repeated-classify": (["simulate", "--classify"], "classified.json", json.dumps({
             "true_value": 10.0,
-            "sources": [{**cycle, "name": "up", "amplitude_mm": 1.5e308},
-                        {**cycle, "name": "down", "amplitude_mm": -1.5e308}],
+            "sources": [{**_CYCLE, "name": "up", "amplitude_mm": 1.5e308},
+                        {**_CYCLE, "name": "down", "amplitude_mm": -1.5e308}],
             "schedule": {"repeats": 3, "generator": "listed",
-                         "conditions": {"distance": [1.0, 2.5, 4.0]}},
-        })
+                         "conditions": {"distance": [1.0, 2.5, 4.0]}}}),
+            "/effects/up/mean_mm is inf"),
+        "differential-classify": (["simulate", "--classify"], "differential.json", json.dumps({
+            "sources": [{"name": "cycle", "kind": "cycle", "amplitude_mm": 1.0},
+                        {**_CYCLE, "name": "up", "amplitude_mm": 1.5e308},
+                        {**_CYCLE, "name": "down", "amplitude_mm": -1.5e308}],
+            "differential": {"pairs": [[10.0, 18.0], [12.0, 21.0], [13.0, 25.0]]}}),
+            "/effects/up/std_mm is inf"),
+    }
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    @pytest.mark.parametrize("writer", list(_REFUSED_WRITERS))
+    def test_a_refused_result_writes_no_series(self, runner, tmp_path, writer, extra):
+        argv, name, text, result_named = self._REFUSED_WRITERS[writer]
+        p = tmp_path / name
+        p.write_text(text)
         out = tmp_path / "out.csv"
-        result = runner.invoke(
-            main, ["simulate", scenario, "--classify", "--emit-series", str(out)]
-        )
-        self._refused_without_file(result, out, "/effects/up/mean_mm")
+        result = runner.invoke(main, [argv[0], str(p), *argv[1:], "--emit-series", str(out),
+                                      *extra])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == (f"error: result {result_named}: the computation left "
+                                 "the range of double precision\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("std", [1.2e308, 6e307])
     @pytest.mark.parametrize("shape", ["gaussian", "arcsine", "uniform"])

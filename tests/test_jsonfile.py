@@ -2,7 +2,6 @@
 check, the compiled schema checkers against jsonschema, the reference,
 and the reading of a file's bytes against a text-mode read."""
 
-import contextlib
 import copy
 import json
 import math
@@ -538,7 +537,7 @@ NUMBER_TOKENS = (
     "NaN", "Infinity", "-Infinity",
 )
 # Strings that hold what the scan looks for without being numbers.
-LABELS = ("v0e1", "1E9", "x" + "7" * 320, "NaN", "plain")
+LABELS = ("v0e1", "1E9", "x" + "7" * 320, "NaN", "Infinity", "Noise", "plain")
 
 
 @st.composite
@@ -599,7 +598,9 @@ class TestByteScan:
             seen.add((fast[0], hooked))
 
         collect()
-        assert seen == {(kind, hooked) for kind in ("value", ValueError) for hooked in (False, True)}
+        # A text that could hold a non-finite token is hooked, so only a
+        # hooked text is refused.
+        assert seen == {("value", False), ("value", True), (ValueError, True)}
 
     @pytest.mark.parametrize("text, message", [
         ('{"a": [0, 1E400]}', "at /a/1: 1E400 is not a finite number"),
@@ -646,26 +647,29 @@ class TestByteScan:
             read_json(path, ANY, ValueError)
         assert str(raised.value) == "doc.json: line 1 column 13: Expecting value"
 
-    # A text the scan passes is parsed by the decoder built at import, and
-    # again, with a hook on each constant, only if it holds one.
+    # A text the scan passes is parsed by json.loads' own decoder, built
+    # when json is imported; any other is parsed with a hook on every token.
     @pytest.mark.parametrize("text, built", [
         (dataset.bundled_path("table3_scenario.json").read_text(encoding="utf-8"), []),
         (dataset.bundled_path("budget_example.json").read_text(encoding="utf-8"), []),
-        ('{"a": [1, 2.5, -3, NaN], "v0": "e"}', [{"parse_constant"}]),
+        ('{"a": [1, 2.5, -3, NaN], "v0": "e"}', [EVERY_TOKEN]),
         ('{"a": 1e5}', [EVERY_TOKEN]),
         ('{"a": 2.5E-3}', [EVERY_TOKEN]),
         ('{"name": "v0e1"}', [EVERY_TOKEN]),
+        ('{"name": "Noise", "a": [1, 2.5]}', [EVERY_TOKEN]),
+        ('{"label": "to Infinity", "a": [1, 2.5]}', [EVERY_TOKEN]),
         ('{"a": %s}' % ("1" * 309), [EVERY_TOKEN]),
         ('{"a": %s}' % ("1" * 308), []),
     ], ids=["table3_scenario", "budget_example", "constants", "exponent", "upper-case",
-            "label", "309 digits", "308 digits"])
+            "label", "name with an N", "label with Infinity", "309 digits", "308 digits"])
     def test_only_texts_that_could_overflow_hook_every_token(
             self, tmp_path, decoders, text, built):
         path = tmp_path / "doc.json"
         path.write_text(text)
-        with contextlib.suppress(ValueError):
-            read_json(path, ANY, ValueError)
+        got = _outcome(lambda p: read_json(p, ANY, ValueError), path)
         assert decoders == built
+        if "NaN" not in text:
+            assert got == ("value", repr(json.loads(text)))
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_an_integer_past_int_digit_limit_is_located(self, tmp_path, sign):
@@ -700,7 +704,8 @@ BOM = b"\xef\xbb\xbf"
 class TestBytesRead:
     """``read_json`` reads a file's bytes once and gives what a text-mode
     read and ``json.loads`` gave: the same value, or the same exception
-    type and message."""
+    type and message. A file of one or two bytes of a byte-order mark
+    alone is refused as the CSV reader refuses it."""
 
     @pytest.mark.parametrize("data, message", [
         (b'{"a": [1,\r\n 2.5],\r\n "b": "x"}\r\n', None),
@@ -709,14 +714,12 @@ class TestBytesRead:
         (BOM + b'{"a": 1}', None),
         (BOM + b'{\r\n"a": 1e5\r\n}', None),
         (BOM * 2 + b'{"a": 1}', "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
-        (BOM[:1], "line 1 column 1: Expecting value"),
-        (BOM[:2], "line 1 column 1: Expecting value"),
         (b"", "line 1 column 1: Expecting value"),
         (b'{\r\n"a": 1,\r\n"b": tru\r\n}\r\n', "line 3 column 6: Expecting value"),
         (b'{\r"a": 1,\r"b": [1 2]}', "line 3 column 9: Expecting ',' delimiter"),
         (b'{"a": "x\ry"}', "line 1 column 9: Invalid control character at"),
-    ], ids=["crlf", "lone cr", "mixed", "bom", "bom crlf exponent", "two boms", "bom byte",
-            "bom bytes", "empty", "crlf line 3", "lone cr line 3", "cr in a string"])
+    ], ids=["crlf", "lone cr", "mixed", "bom", "bom crlf exponent", "two boms", "empty",
+            "crlf line 3", "lone cr line 3", "cr in a string"])
     def test_text_mode_line_ends_and_byte_order_marks(self, tmp_path, data, message):
         path = tmp_path / "doc.json"
         path.write_bytes(data)
@@ -737,3 +740,16 @@ class TestBytesRead:
         got = _outcome(lambda p: read_json(p, ANY, ValueError), path)
         assert got == _outcome(lambda p: _text_mode(p, ValueError), path)
         assert got == (ValueError, f"{path}: {message}")
+
+    @pytest.mark.parametrize("data", [BOM[:1], BOM[:2]], ids=["bom byte", "bom bytes"])
+    def test_part_of_a_bom_is_not_utf8_in_json_as_in_csv(self, tmp_path, data):
+        # A text-mode read would take these bytes as an empty file.
+        json_path, csv_path = tmp_path / "doc.json", tmp_path / "doc.csv"
+        json_path.write_bytes(data)
+        csv_path.write_bytes(data)
+        with pytest.raises(ValueError) as from_json:
+            read_json(json_path, ANY, ValueError)
+        with pytest.raises(dataset.DatasetError) as from_csv:
+            dataset.load_series(csv_path)
+        assert str(from_json.value) == f"{json_path}: not UTF-8 text at line 1 (byte 0xef)"
+        assert str(from_csv.value) == f"{csv_path}: not UTF-8 text at line 1 (byte 0xef)"
