@@ -2,22 +2,23 @@
 
 Raw monomial bases over wide condition ranges produce badly scaled
 normal matrices (condition numbers around 1e11 for a cubic over a
-140-degree temperature span), so the solver combines Gaussian
-elimination with scaled partial pivoting, on Python floats, with two
-sweeps of iterative refinement. Each sweep's residual is exact before
-its one rounding: an error-free dot product (Ogita, Rump and Oishi,
-"Accurate Sum and Dot Product", SIAM J. Sci. Comput. 26(6), 2005) or
-exact rationals, so no step depends on the platform's ``long double``.
+140-degree temperature span). Gaussian elimination with scaled partial
+pivoting, on Python floats, picks the row order and refuses a system
+that is rank deficient at working precision. The solve itself is exact:
+every double is an integer over a power of two, so fraction-free
+elimination (Bareiss, "Sylvester's Identity and Multistep
+Integer-Preserving Gaussian Elimination", Math. Comp. 22(103), 1968) on
+integer rows divides exactly at every step, and each component of the
+solution is rounded once. No step depends on the platform.
 
-Design envelope is k <= 16; nothing here is meant for large or sparse
-systems.
+Design envelope is k <= 16; the integers grow with k, and nothing here
+is meant for large or sparse systems.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -28,8 +29,6 @@ __all__ = ["NormalEquations", "SingularSystemError", "solve"]
 # A pivot this much smaller than the largest initial pivot candidate is
 # treated as exact rank deficiency.
 _SINGULAR_RTOL = 1e-12
-
-_REFINEMENT_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,10 @@ class NormalEquations:
         return self.matrix.shape[0]
 
 
-def _factor(a: np.ndarray):
+def _factor(a: np.ndarray) -> list:
     """LU factorization with scaled partial pivoting, on lists of floats.
 
-    Returns (lu, perm) where perm maps factored row -> original row.
+    Returns perm, which maps factored row -> original row.
     Raises SingularSystemError when the best available pivot falls
     below the rank-deficiency threshold.
     """
@@ -93,93 +92,55 @@ def _factor(a: np.ndarray):
             m = row[k] = row[k] / pivot_row[k]
             for j in range(k + 1, n):
                 row[j] -= m * pivot_row[j]
-    return lu, perm
-
-
-def _solve_factored(lu: list, perm: list, b: list) -> list:
-    n = len(lu)
-    x = [b[i] for i in perm]
-    for k, row in enumerate(lu):
-        for j in range(k):
-            x[k] -= row[j] * x[j]
-    for k in reversed(range(n)):
-        row = lu[k]
-        for j in range(k + 1, n):
-            x[k] -= row[j] * x[j]
-        x[k] /= row[k]
-    return x
-
-
-def _split(values: list) -> tuple[list, list] | None:
-    """(hi, lo): each ``v`` split by Veltkamp into ``hi + lo`` with at
-    most 26 significant bits in each half, or None when a nonzero
-    magnitude lies outside [2**-484, 2**484). Inside that window a
-    product of two halves is exact: it neither overflows nor loses a
-    bit to underflow."""
-    mags = sorted(map(abs, values))
-    if not (2.0**-484 <= next(filter(None, mags), 1.0) and mags[-1] < 2.0**484):
-        return None
-    hi, lo = [], []
-    for v in values:
-        c = 134217729.0 * v  # 2**27 + 1
-        hi.append(c - (c - v))
-        lo.append(v - hi[-1])
-    return hi, lo
-
-
-def _exact_dot(u: list, v: list) -> float:
-    """``u @ v`` rounded once, from exact rationals: ``float`` of a
-    Fraction divides two integers, which CPython rounds correctly.
-    Raises OverflowError for a result beyond the double range, or a
-    value that is not finite."""
-    from fractions import Fraction  # 2 ms to import; only this path needs it
-
-    if not all(map(math.isfinite, u + v)):
-        raise OverflowError("a dot product of values that are not finite")
-    return float(sum(map(mul, map(Fraction, u), map(Fraction, v))))
-
-
-def _residual(ab: list, rows: list, x: list) -> list:
-    """``b - a @ x``, each component exact before its one rounding: the
-    dot product of row ``i`` of ``ab``, ``a[i]`` followed by ``b[i]``,
-    with ``[-x, 1]``. ``rows`` is ``list(map(_split, ab))``. Inside the
-    window of :func:`_split`, each product is four exact half products
-    (Dekker) that :func:`math.fsum` adds without error; outside it,
-    :func:`_exact_dot` computes the component. Raises OverflowError for
-    a residual beyond the double range."""
-    x = [-v for v in x] + [1.0]
-    split_x = None if None in rows else _split(x)
-    if split_x is None:
-        return [_exact_dot(row, x) for row in ab]
-    x_hi, x_lo = split_x
-    halves = x_hi + x_lo + x_hi + x_lo
-    return [math.fsum(map(mul, hi + hi + lo + lo, halves)) for hi, lo in rows]
+    return perm
 
 
 def solve(eq: NormalEquations) -> np.ndarray:
-    """Solve the normal equations.
+    """Solve the normal equations: the correctly rounded solution of the
+    system as given, with an exact zero as ``+0.0``.
 
-    The tests hold the result to an exact rational solve. It is the
-    correctly rounded solution on the bundled fits, and on generated
-    systems, raw-monomial normal matrices among them, whose diagonally
-    equilibrated cond_1 is at most 1e9. The first misses seen were near
-    cond_1 = 4e10, by up to 160 ulps, where the long-double refinement
-    this replaced was off by 1e6 ulps or more. Each refinement residual
-    is exact before its one rounding, for any finite system.
+    Each row of ``[A | b]``, taken in :func:`_factor`'s order, is scaled
+    by its largest denominator into integers. Bareiss elimination and
+    fraction-free back substitution then give integers ``X`` and ``det``
+    with ``x = X / det`` exactly, and Python rounds each int / int
+    division correctly, subnormals included. A non-finite entry, or a
+    solution beyond the double range, gives a vector of NaN.
 
     Raises:
         SingularSystemError: the matrix is rank deficient at working
-            precision; the exception carries the failing pivot index.
+            precision, or exactly singular; the exception carries the
+            failing pivot index.
     """
-    lu, perm = _factor(eq.matrix)
-    b = eq.rhs.tolist()
-    x = _solve_factored(lu, perm, b)
-    ab = [[*row, bi] for row, bi in zip(eq.matrix.tolist(), b)]
-    rows = list(map(_split, ab))
-    for _ in range(_REFINEMENT_SWEEPS):
-        try:
-            residual = _residual(ab, rows, x)
-        except OverflowError:  # x overflowed, or misses b by more than 1e308
-            return np.full(len(x), math.nan)
-        x = [v + c for v, c in zip(x, _solve_factored(lu, perm, residual))]
-    return np.array(x)
+    perm = _factor(eq.matrix)
+    n = len(perm)
+    ab = [[*row, bi] for row, bi in zip(eq.matrix.tolist(), eq.rhs.tolist())]
+    rows = []
+    try:
+        for i in perm:
+            ratios = list(map(float.as_integer_ratio, ab[i]))
+            d = max(den for _, den in ratios)
+            rows.append([num * (d // den) for num, den in ratios])
+    except (OverflowError, ValueError):  # an infinite or NaN entry
+        return np.full(n, math.nan)
+    det = 1  # the last pivot, Bareiss's divisor; at the end, the determinant
+    for k in range(n):
+        # An exact pivot can be 0 where the float one was rounding noise.
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise SingularSystemError(k)
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        for row in rows[k + 1 :]:
+            m = row[k]
+            for j in range(k + 1, n + 1):  # exact: Sylvester's identity
+                row[j] = (pivot_row[k] * row[j] - m * pivot_row[j]) // det
+        det = pivot_row[k]
+    x = [0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        rest = sum(row[j] * x[j] for j in range(k + 1, n))
+        x[k] = (det * row[n] - rest) // row[k]  # exact: det * x_k is an integer
+    try:
+        return np.array([v / det if v else 0.0 for v in x])
+    except OverflowError:  # a solution beyond the double range
+        return np.full(n, math.nan)
