@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import signal
 import statistics
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from errorkit import regression
 from errorkit.dataset import (
     DifferentialRow,
+    DifferentialRows,
     ErrorSample,
     ErrorSamples,
     MalformedRowError,
     bundled_path,
+    _cycle_phase,
     load_series,
     to_error_samples,
 )
@@ -474,3 +481,159 @@ class TestReport:
     def test_unknown_model_type(self):
         with pytest.raises(TypeError, match="no report form"):
             to_report(object())
+
+
+def large_samples(n=10**4, seed=35):
+    """A generated cycle-fit input of ``n`` samples (m, mm)."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(5.0, 60.0, n)
+    y = 0.3 * np.sin(TWO_PI * s / 20.0 + 1.0) + rng.normal(0.0, 0.05, n)
+    return ErrorSamples(s, y)
+
+
+def large_rows(n=10**4, seed=36):
+    """A generated differential campaign of ``n`` reading pairs (m)."""
+    rng = np.random.default_rng(seed)
+    s2 = rng.uniform(10.0, 50.0, n)
+    s1 = s2 + 8.0 + 3e-4 * (np.sin(TWO_PI * (s2 + 8.0) / 20.0 + 1.0)
+                            - np.sin(TWO_PI * s2 / 20.0 + 1.0))
+    return DifferentialRows(s1 + rng.normal(0.0, 5e-5, n), s2)
+
+
+def serial_basis(s, wavelength=20.0):
+    theta = _cycle_phase(s, wavelength)
+    return np.sin(theta).tobytes(), np.cos(theta).tobytes()
+
+
+class TestSineHelper:
+    """From ``_HELPER_MIN_PHASES`` phases on, the sines are computed on a
+    helper thread: bit-identical results, one thread, errors and the
+    error state carried across, and a fresh helper after ``fork``."""
+
+    @pytest.mark.parametrize("n", [regression._HELPER_MIN_PHASES - 1,
+                                   regression._HELPER_MIN_PHASES, 10**4, 10**5])
+    def test_basis_is_the_serial_one_byte_for_byte(self, monkeypatch, n):
+        s = np.random.default_rng(n).uniform(0.0, 1e3, n)
+        threads = []
+        sin = np.sin
+
+        def recording_sin(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return sin(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", recording_sin)
+        got = regression._cycle_basis(s, 20.0)
+        monkeypatch.undo()
+        assert (threads == [threading.current_thread()]) == (n < regression._HELPER_MIN_PHASES)
+        assert tuple(a.tobytes() for a in got) == serial_basis(s)
+
+    def test_basis_of_a_read_only_column(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("# units: m\ncondition,observed\n" + "".join(
+            f"{5 + i * 1e-3!r},{5.00001 + i * 1e-3!r}\n" for i in range(10**4)))
+        s = load_series(path).columns.condition
+        assert not s.flags.writeable
+        got = regression._cycle_basis(s, 20.0)
+        assert tuple(a.tobytes() for a in got) == serial_basis(s)
+
+    def test_large_fit_reports_do_not_depend_on_the_helper(self, monkeypatch):
+        def reports():
+            return json.dumps([to_report(fit_cycle_direct(large_samples(), 20.0)),
+                               to_report(fit_cycle_differential(large_rows(), 20.0))])
+
+        monkeypatch.setattr(regression, "_HELPER_MIN_PHASES", math.inf)
+        serial = reports()
+        monkeypatch.setattr(regression, "_HELPER_MIN_PHASES", 1)
+        assert reports() == serial
+
+    def test_fitting_the_bundled_tables_starts_no_thread(
+            self, monkeypatch, table1_series, table2_series, table3_rows):
+        monkeypatch.setattr(regression, "_helper", [])
+        before = threading.active_count()
+        fit_polynomial(to_error_samples(table1_series, "mean-reference"), degree=3)
+        fit_cycle_direct(to_error_samples(table2_series, "explicit-reference"), 20.0)
+        fit_cycle_differential(table3_rows, 20.0)
+        assert threading.active_count() == before
+        assert regression._helper == []
+
+    def test_fifty_large_fits_start_at_most_one_thread(self, monkeypatch):
+        samples = large_samples(regression._HELPER_MIN_PHASES)
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        expected = [] if regression._helper else ["errorkit-sin"]
+        for _ in range(50):
+            fit_cycle_direct(samples, 20.0)
+        assert started == expected
+
+    def test_an_error_on_the_helper_reaches_the_caller(self, monkeypatch):
+        s = np.linspace(0.0, 100.0, regression._HELPER_MIN_PHASES)
+        regression._cycle_basis(s, 20.0)
+        jobs = list(regression._helper)
+
+        class Boom(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Boom("raised on the helper")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "sin", boom)
+            with pytest.raises(Boom, match="raised on the helper"):
+                regression._cycle_basis(s, 20.0)
+        got = regression._cycle_basis(s, 20.0)
+        assert regression._helper == jobs
+        assert tuple(a.tobytes() for a in got) == serial_basis(s)
+
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_the_helper_runs_under_the_callers_error_state(self, monkeypatch, state):
+        samples, rows = large_samples(), large_rows()
+
+        def reports():
+            return [to_report(fit_cycle_direct(samples, 20.0)),
+                    to_report(fit_cycle_differential(rows, 20.0))]
+
+        want = reports()
+        seen = []
+        sin = np.sin
+
+        def recording_sin(*args, **kwargs):
+            seen.append(np.geterr())
+            return sin(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", recording_sin)
+        with np.errstate(all=state):
+            got = reports()
+            caller = np.geterr()
+        assert got == want
+        assert seen == [caller] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self):
+        s = np.random.default_rng(7).uniform(0.0, 1e3, regression._HELPER_MIN_PHASES)
+        regression._cycle_basis(s, 20.0)
+        assert regression._helper
+        want = serial_basis(s)
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that a multi-threaded process forks.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            # The child: one more large fit, then out past pytest's teardown;
+            # the alarm turns a hang into a failure.
+            status = 1
+            try:
+                signal.alarm(30)
+                forgotten = regression._helper == []
+                got = regression._cycle_basis(s, 20.0)
+                if forgotten and tuple(a.tobytes() for a in got) == want:
+                    status = 0
+            finally:
+                os._exit(status)
+        _, wait_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(wait_status) == 0
