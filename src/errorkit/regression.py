@@ -215,7 +215,7 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
 # costs ~10 us; float64 sin and cos take ~8 ns an element each at 2048
 # elements and 17-20 ns from 10^4 on (x86_64, 2 cores, numpy 2.4).  Helper
 # over serial time, medians of 200 _cycle_basis calls in each of 4-10
-# processes: 2048 phases 1.02-1.51, 2560 0.73-1.31, 3072 0.70-0.78, 4096
+# processes: 2048 phases 0.86-1.51, 2560 0.73-1.31, 3072 0.60-0.78, 4096
 # 0.57-0.77 (one process 1.02), 10^4 0.58-0.70.  Break-even is near 2560.
 _HELPER_MIN_PHASES = 4096
 
