@@ -38,8 +38,8 @@ UTF-8 is reported with its line.  A series is only its columns, and
 Error samples (:class:`ErrorSamples`), differential readings
 (:class:`DifferentialRows`) and the nominal leg pairs of a
 differential campaign (:class:`LegPairs`) are columns too, each checked
-once, when it is built, and read as their ``columns``.  They are
-neither indexed nor compared by value.  The named tuples
+once, when it is built, and read as their ``columns``.  Like a
+series, they are neither indexed nor compared by value.  The named tuples
 :class:`ErrorSample`, :class:`DifferentialRow` and :class:`LegPair`,
 which iterating one of them yields, and ``series.observed`` stay only
 because the benchmark still reads them.  Every CSV errorkit writes, the command
@@ -265,25 +265,6 @@ class MeasurementSeries:
 
     def __len__(self) -> int:
         return len(self.columns.condition)
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurementSeries):
-            return NotImplemented
-        return (
-            (self.condition_unit, self.value_unit, self.label)
-            == (other.condition_unit, other.value_unit, other.label)
-            and all(
-                np.array_equal(a, b, equal_nan=True)
-                for a, b in zip(self.columns, other.columns)
-            )
-        )
-
-    def __hash__(self):
-        # Equal series hash alike: "+ 0.0" turns -0.0 into 0.0, and the
-        # reference column, whose NaNs compare equal, is left out.
-        cond, obs, _ = self.columns
-        return hash((self.condition_unit, self.value_unit, self.label,
-                     (cond + 0.0).tobytes(), (obs + 0.0).tobytes()))
 
     @property
     def observed(self) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 Raw monomial bases over wide condition ranges produce badly scaled
 normal matrices (condition numbers around 1e11 for a cubic over a
-140-degree temperature span). Gaussian elimination with scaled partial
-pivoting, on Python floats, picks the row order and refuses a system
-that is rank deficient at working precision. The solve itself is exact:
-every double is an integer over a power of two, so fraction-free
-elimination (Bareiss, "Sylvester's Identity and Multistep
+140-degree temperature span). Every double is an integer over a power
+of two, so each row of ``[A | b]`` scales to integers, and one
+fraction-free elimination (Bareiss, "Sylvester's Identity and Multistep
 Integer-Preserving Gaussian Elimination", Math. Comp. 22(103), 1968) on
-integer rows divides exactly at every step, and each component of the
-solution is rounded once. No step depends on the platform.
+those rows divides exactly at every step. It picks its pivots by scaled
+partial pivoting and refuses a system that is rank deficient at working
+precision, deciding both exactly by cross-multiplying integers, and each
+component of the solution is rounded once. No step depends on the
+platform.
 
 Design envelope is k <= 16; the integers grow with k, and nothing here
 is meant for large or sparse systems.
@@ -63,78 +64,61 @@ class NormalEquations:
         return self.matrix.shape[0]
 
 
-def _factor(a: np.ndarray) -> list:
-    """LU factorization with scaled partial pivoting, on lists of floats.
-
-    Returns perm, which maps factored row -> original row.
-    Raises SingularSystemError when the best available pivot falls
-    below the rank-deficiency threshold.
-    """
-    lu = a.tolist()
-    n = len(lu)
-    perm = list(range(n))
-    scale = [max(map(abs, row)) or 1.0 for row in lu]
-    threshold = _SINGULAR_RTOL * max([abs(lu[i][i]) for i in range(n)], default=0.0)
-
-    for k in range(n):
-        p, best = k, -1.0
-        for i in range(k, n):
-            ratio = abs(lu[i][k]) / scale[i]
-            if ratio > best:  # the first largest, as np.argmax picks
-                p, best = i, ratio
-        if not abs(lu[p][k]) > threshold:  # NaN as well, so no pivot is 0
-            raise SingularSystemError(k)
-        lu[k], lu[p] = lu[p], lu[k]
-        perm[k], perm[p] = perm[p], perm[k]
-        scale[k], scale[p] = scale[p], scale[k]
-        pivot_row = lu[k]
-        for row in lu[k + 1 :]:
-            m = row[k] = row[k] / pivot_row[k]
-            for j in range(k + 1, n):
-                row[j] -= m * pivot_row[j]
-    return perm
-
-
 def solve(eq: NormalEquations) -> np.ndarray:
     """Solve the normal equations: the correctly rounded solution of the
     system as given, with an exact zero as ``+0.0``.
 
-    Each row of ``[A | b]``, taken in :func:`_factor`'s order, is scaled
-    by its largest denominator into integers. Bareiss elimination and
-    fraction-free back substitution then give integers ``X`` and ``det``
-    with ``x = X / det`` exactly, and Python rounds each int / int
-    division correctly, subnormals included. A non-finite entry, or a
-    solution beyond the double range, gives a vector of NaN.
+    Each row ``i`` of ``[A | b]`` is scaled by its largest denominator
+    ``D_i`` into integers, and one Bareiss elimination runs on those
+    rows.  It takes its pivots by scaled partial pivoting and refuses a
+    pivot not above ``_SINGULAR_RTOL`` times the largest ``|a_ii|``, both
+    decided exactly.  Fraction-free back substitution then gives integers
+    ``X`` and ``det`` with ``x = X / det`` exactly, and Python rounds each
+    int / int division correctly, subnormals included.  A non-finite
+    ``b``, or a solution beyond the double range, gives a vector of NaN,
+    once the matrix has passed every pivot test.
 
     Raises:
         SingularSystemError: the matrix is rank deficient at working
-            precision, or exactly singular; the exception carries the
-            failing pivot index.
+            precision, exactly singular, or has a non-finite entry (at
+            step 0); the exception carries the failing pivot index.
     """
-    perm = _factor(eq.matrix)
-    n = len(perm)
-    ab = [[*row, bi] for row, bi in zip(eq.matrix.tolist(), eq.rhs.tolist())]
-    rows = []
+    n = eq.k
+    a, b = eq.matrix.tolist(), eq.rhs.tolist()
+    finite_rhs = all(map(math.isfinite, b))
+    rows, scales = [], []  # the integer rows of [A | b]; each row's (D, M)
     try:
-        for i in perm:
-            ratios = list(map(float.as_integer_ratio, ab[i]))
+        for row, bi in zip(a, b if finite_rhs else [0.0] * n):
+            ratios = list(map(float.as_integer_ratio, [*row, bi]))
             d = max(den for _, den in ratios)
-            rows.append([num * (d // den) for num, den in ratios])
-    except (OverflowError, ValueError):  # an infinite or NaN entry
-        return np.full(n, math.nan)
+            ints = [num * (d // den) for num, den in ratios]
+            rows.append(ints)
+            scales.append((d, max(map(abs, ints[:n])) or d))
+    except (OverflowError, ValueError):  # an infinite or NaN matrix entry
+        raise SingularSystemError(0) from None
+    threshold = _SINGULAR_RTOL * max([abs(a[i][i]) for i in range(n)], default=0.0)
+    t_num, t_den = threshold.as_integer_ratio()
     det = 1  # the last pivot, Bareiss's divisor; at the end, the determinant
     for k in range(n):
-        # An exact pivot can be 0 where the float one was rounding noise.
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
+        # A float LU would hold rows[i][k] / (det * D_i) here: take the
+        # first row with the largest ratio of that to the row's largest
+        # entry of A, |rows[i][k]| / M_i, and test it against the threshold.
+        p = k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) * scales[p][1] > abs(rows[p][k]) * scales[i][1]:
+                p = i
+        pivot_row = rows[p]
+        if not abs(pivot_row[k]) * t_den > t_num * abs(det) * scales[p][0]:
             raise SingularSystemError(k)
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row = rows[k]
+        rows[k], rows[p] = pivot_row, rows[k]
+        scales[k], scales[p] = scales[p], scales[k]
         for row in rows[k + 1 :]:
             m = row[k]
             for j in range(k + 1, n + 1):  # exact: Sylvester's identity
                 row[j] = (pivot_row[k] * row[j] - m * pivot_row[j]) // det
         det = pivot_row[k]
+    if not finite_rhs:
+        return np.full(n, math.nan)
     x = [0] * n
     for k in reversed(range(n)):
         row = rows[k]

@@ -385,16 +385,6 @@ class TestColumnarTypes:
         with pytest.raises(AttributeError):
             table1_series.label = "other"
 
-    def test_equal_series_hash_alike(self):
-        negative_zero = MeasurementSeries.from_columns(
-            [-0.0, 2.0], [5.0, 5.0], [-math.nan, 5.001], condition_unit="m", value_unit="m")
-        by_columns = MeasurementSeries.from_columns(
-            [0.0, 2.0], [5.0, 5.0], [math.nan, 5.001], condition_unit="m", value_unit="m")
-        other = MeasurementSeries.from_columns(
-            [0.0, 2.0], [5.0, 5.5], condition_unit="m", value_unit="m")
-        assert negative_zero == by_columns and hash(negative_zero) == hash(by_columns)
-        assert len({negative_zero, by_columns, other}) == 2
-
     def test_row_errors_are_value_errors(self):
         with pytest.raises(ValueError, match="observed must be finite"):
             MeasurementSeries.from_columns([1.0], [math.inf], condition_unit="",

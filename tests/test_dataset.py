@@ -246,7 +246,7 @@ class TestLoadSeries:
         p = tmp_path / "table1.csv"
         p.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
         series = dataset.load_series(p)
-        assert series == table1_series
+        assert _same_series(series, table1_series)
         assert (series.condition_unit, series.value_unit) == ("degC", "MHz")
 
 
@@ -285,6 +285,13 @@ def _reference_read_columns(lines, specs):
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     return [dataset._read_column(rows, pos, column, optional=optional)
             for pos, column, optional in specs]
+
+
+def _same_series(a, b):
+    """Whether two series have the same units, label and columns, any NaN
+    equal to any other."""
+    return ((a.condition_unit, a.value_unit, a.label) == (b.condition_unit, b.value_unit, b.label)
+            and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a.columns, b.columns)))
 
 
 def _outcome(load, path):
@@ -329,7 +336,7 @@ class TestFastPathHandover:
                         _scale_rows())
         reference = dataset.load_series(p)
         monkeypatch.setattr(dataset, "_read_column", None)
-        assert dataset.load_series(p) == reference
+        assert _same_series(dataset.load_series(p), reference)
 
     def test_bad_cell_in_the_last_row(self, tmp_path):
         rows = _scale_rows()
@@ -455,7 +462,7 @@ class TestFastPathHandover:
         monkeypatch.setattr(csv, "reader", header_reader)
         monkeypatch.setattr(dataset, "_content", None)
         monkeypatch.setattr(dataset, "_read_column", None)
-        assert dataset.load_series(p) == plain
+        assert _same_series(dataset.load_series(p), plain)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("line", [" \t", "\t", "# a remark"])
@@ -472,7 +479,7 @@ class TestFastPathHandover:
         filtered, content = [], dataset._content
         monkeypatch.setattr(dataset, "_content", lambda lines: (
             filtered.append(len(lines)) or content(lines)))
-        assert dataset.load_series(p) == plain
+        assert _same_series(dataset.load_series(p), plain)
         assert filtered
 
     def test_quoted_comma_in_an_unused_column(self, tmp_path):
@@ -661,7 +668,7 @@ class TestPathFeed:
             return loadtxt(source, *args, **kwargs)
 
         with mock.patch.object(np, "loadtxt", spy):
-            assert dataset.load_series(p) == want
+            assert _same_series(dataset.load_series(p), want)
         assert sources == [str, list]
         if change == "rewritten":
             assert p.stat().st_size == size

@@ -78,7 +78,11 @@ def test_state_is_kept_after_a_raising_load(collector, tmp_path, case):
 
 def _value(result):
     """A loaded result as values that compare with ``==``: readings and
-    leg pairs as the lists of their columns, in a scenario too."""
+    leg pairs as the lists of their columns, in a scenario too, and a
+    series as its units, label and the bytes of its columns."""
+    if isinstance(result, dataset.MeasurementSeries):
+        return (result.condition_unit, result.value_unit, result.label,
+                [c.tobytes() for c in result.columns])
     if isinstance(result, (dataset.DifferentialRows, dataset.LegPairs)):
         return [c.tolist() for c in result.columns]
     if isinstance(result, simulate.Scenario):

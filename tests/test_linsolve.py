@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errorkit import dataset, regression
-from errorkit.linsolve import NormalEquations, SingularSystemError, _factor, solve
+from errorkit.linsolve import _SINGULAR_RTOL, NormalEquations, SingularSystemError, solve
 
 import reference_values as ref
 
@@ -116,19 +117,32 @@ class TestSingularSystems:
             solve(bad)
         assert excinfo.value.pivot_index == 1
 
+    def test_a_pivot_equal_to_the_threshold_is_refused(self):
+        t = _SINGULAR_RTOL * 1.0
+        with pytest.raises(SingularSystemError) as excinfo:
+            solve(NormalEquations(np.diag([1.0, t]), np.array([1.0, t])))
+        assert excinfo.value.pivot_index == 1
+        above = np.nextafter(t, np.inf)
+        x = solve(NormalEquations(np.diag([1.0, above]), np.array([1.0, above])))
+        assert x.tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize("diagonal", [[np.nan, 0.0], [0.0, np.nan]])
     def test_nan_pivot_is_singular(self, diagonal):
-        # A NaN threshold or pivot fails the pivot test, so no step
-        # divides a Python float by a zero pivot.
+        # A NaN entry is refused before any pivot test.
         with pytest.raises(SingularSystemError) as excinfo:
             solve(NormalEquations(np.diag(diagonal), np.ones(2)))
         assert excinfo.value.pivot_index == 0
 
-    def test_exactly_singular_system_that_factor_accepts(self):
-        # The zero diagonal makes the float threshold 0, and the last
-        # float pivot is fl(fl(1/3) * 3) - fl(fl(1/49) * 49), not 0.
+    def test_an_infinite_entry_off_the_diagonal_is_singular(self):
+        a = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        with pytest.raises(SingularSystemError) as excinfo:
+            solve(NormalEquations(a, np.ones(2)))
+        assert excinfo.value.pivot_index == 0
+
+    def test_an_exactly_zero_last_pivot_under_a_zero_threshold(self):
+        # The zero diagonal makes the threshold 0, and the last pivot is
+        # exactly 0, though in floats it is fl(fl(1/3) * 3) - fl(fl(1/49) * 49).
         a = np.array([[0.0, 3.0, -3.0], [49.0, 0.0, 49.0], [1.0, 1.0, 0.0]])
-        assert _factor(a) == [1, 0, 2]
         with pytest.raises(SingularSystemError) as excinfo:
             solve(NormalEquations(a, np.ones(3)))
         assert excinfo.value.pivot_index == 2
@@ -137,6 +151,11 @@ class TestSingularSystems:
     def test_non_finite_rhs_gives_nan(self, rhs):
         x = solve(NormalEquations(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array(rhs)))
         assert np.all(np.isnan(x))
+
+    def test_a_singular_matrix_is_refused_before_a_non_finite_rhs(self):
+        with pytest.raises(SingularSystemError) as excinfo:
+            solve(NormalEquations(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([np.nan, 1.0])))
+        assert excinfo.value.pivot_index == 1
 
 
 @st.composite
@@ -161,6 +180,15 @@ class TestSolveProperties:
         a, x_true = case
         x = solve(NormalEquations(a, a @ x_true))
         assert relative_error(x, x_true) <= 1e-8
+
+    @settings(max_examples=60)
+    @given(spd_systems(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_permuting_rows_and_columns_permutes_the_solution(self, case, seed):
+        a, x_true = case
+        b = a @ x_true
+        p = np.random.default_rng(seed).permutation(len(b))
+        x = solve(NormalEquations(a, b))
+        assert solve(NormalEquations(a[p][:, p], b[p])).tobytes() == x[p].tobytes()
 
     @settings(max_examples=40)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -243,13 +271,84 @@ def bundled_systems():
     }
 
 
-def accepted(a) -> bool:
-    """Whether the float pivoting takes ``a`` as nonsingular."""
+def refusal_step(a):
+    """The elimination step at which ``solve`` refuses ``a``, or None."""
     try:
-        _factor(a)
-    except SingularSystemError:
-        return False
-    return True
+        solve(NormalEquations(a, np.zeros(len(a))))
+    except SingularSystemError as exc:
+        return exc.pivot_index
+    return None
+
+
+def float_refusal_step(a):
+    """The reference rule for ``solve``'s refusals: Gaussian elimination
+    with scaled partial pivoting on Python floats, refusing at the first
+    step whose chosen pivot is not above the threshold.  Returns that
+    step, or None."""
+    lu = a.tolist()
+    n = len(lu)
+    scale = [max(map(abs, row)) or 1.0 for row in lu]
+    threshold = _SINGULAR_RTOL * max([abs(lu[i][i]) for i in range(n)], default=0.0)
+    for k in range(n):
+        p, best = k, -1.0
+        for i in range(k, n):
+            ratio = abs(lu[i][k]) / scale[i]
+            if ratio > best:  # the first largest
+                p, best = i, ratio
+        if not abs(lu[p][k]) > threshold:
+            return k
+        lu[k], lu[p] = lu[p], lu[k]
+        scale[k], scale[p] = scale[p], scale[k]
+        pivot_row = lu[k]
+        for row in lu[k + 1 :]:
+            m = row[k] = row[k] / pivot_row[k]
+            for j in range(k + 1, n):
+                row[j] -= m * pivot_row[j]
+    return None
+
+
+def assembled_matrix(fit, *args):
+    """The normal matrix that ``fit(*args)`` assembles, solvable or not."""
+    matrices = []
+    with mock.patch.object(regression, "solve",
+                           lambda eq: matrices.append(eq.matrix) or np.zeros(eq.k)):
+        fit(*args)
+    return matrices[0]
+
+
+def raw_monomial_matrix(rng):
+    degree = int(rng.integers(1, 6))
+    n = degree + 1 + int(rng.integers(1, 31))
+    t = rng.uniform(-100.0, 100.0) + rng.uniform(0.5, 250.0) * rng.random(n)
+    samples = dataset.ErrorSamples(t, 10.0 * rng.standard_normal(n))
+    return assembled_matrix(regression.fit_polynomial, samples, degree)
+
+
+def cycle_basis_matrix(rng):
+    # Readings whole wavelengths apart, give or take 1e-12 m to 1 m.
+    n = int(rng.integers(3, 30))
+    s = (rng.uniform(0.0, 100.0) + 20.0 * rng.integers(0, 10, n)
+         + rng.normal(0.0, 10.0 ** -rng.uniform(0.0, 12.0), n))
+    samples = dataset.ErrorSamples(s, rng.standard_normal(n))
+    return assembled_matrix(regression.fit_cycle_direct, samples, 20.0)
+
+
+def spd_matrix(rng):
+    k = int(rng.integers(2, 7))
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    a = q @ np.diag(np.logspace(0.0, -rng.uniform(0.0, 17.0), k)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+class TestRefusalParity:
+    @pytest.mark.parametrize("family", [raw_monomial_matrix, cycle_basis_matrix, spd_matrix])
+    def test_refuses_where_the_float_rule_refuses(self, family):
+        rng = np.random.default_rng(2017)
+        steps = [(float_refusal_step(a), refusal_step(a))
+                 for a in (family(rng) for _ in range(2000))]
+        assert [pair for pair in steps if pair[0] != pair[1]] == []
+        refused = sum(want is not None for want, _ in steps)
+        assert 200 <= refused <= 1800  # both outcomes are exercised
 
 
 def assert_matches_oracle(a, b):
@@ -285,7 +384,7 @@ class TestExactOracle:
     @given(spd_systems(max_cond_exponent=12.0))
     def test_spd_systems(self, case):
         a, x_true = case
-        assume(accepted(a))
+        assume(refusal_step(a) is None)
         assert_matches_oracle(a, a @ x_true)
 
 
@@ -331,7 +430,7 @@ class TestWholeDoubleRange:
     @given(whole_range_systems())
     def test_accepted_systems_are_correctly_rounded(self, case):
         a, b = case
-        assume(accepted(a))
+        assume(refusal_step(a) is None)
         eq = NormalEquations(a, b)
         try:
             want = correctly_rounded(a, b)  # int / int: correctly rounded
