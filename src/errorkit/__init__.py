@@ -23,10 +23,10 @@ __version__ = "0.1.0"
 # Each submodule and the public names it owns, in ``__all__`` order.
 _EXPORTS = {
     "dataset": (
-        "DatasetError", "DifferentialRow", "EmptyInputError", "ErrorSample",
-        "MalformedRowError", "MeasurementSeries", "bundled_path",
-        "load_differential", "load_differential_pairs", "load_series",
-        "to_error_samples", "write_differential_csv", "write_series_csv",
+        "DatasetError", "EmptyInputError", "MalformedRowError",
+        "MeasurementSeries", "bundled_path", "load_differential",
+        "load_differential_pairs", "load_series", "to_error_samples",
+        "write_differential_csv", "write_series_csv",
     ),
     "linsolve": ("NormalEquations", "SingularSystemError", "solve"),
     "regression": (

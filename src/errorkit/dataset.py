@@ -39,10 +39,10 @@ Error samples (:class:`ErrorSamples`), differential readings
 (:class:`DifferentialRows`) and the nominal leg pairs of a
 differential campaign (:class:`LegPairs`) are columns too, each checked
 once, when it is built, and read as their ``columns``.  Like a
-series, they are neither indexed nor compared by value.  The named tuples
-:class:`ErrorSample`, :class:`DifferentialRow` and :class:`LegPair`,
-which iterating one of them yields, and ``series.observed`` stay only
-because the benchmark still reads them.  Every CSV errorkit writes, the command
+series, they are neither indexed nor compared by value.  Only for the
+benchmark, samples and readings iterate as the named tuples
+:class:`ErrorSample` and :class:`DifferentialRow`, and ``series.observed``
+names the observed column.  Every CSV errorkit writes, the command
 line's ``--emit-series`` files included, goes through
 :func:`write_table`: a ``# units:`` line, the header, and a body
 written in blocks of lines from one format per column (``%g`` or
@@ -76,7 +76,6 @@ __all__ = [
     "MeasurementSeries",
     "DifferentialRow",
     "DifferentialRows",
-    "LegPair",
     "LegPairs",
     "ErrorSample",
     "ErrorSamples",
@@ -134,15 +133,13 @@ SampleColumns = namedtuple("SampleColumns", ["condition", "error"])
 LegColumns = namedtuple("LegColumns", ["s1", "s2"])
 PairColumns = namedtuple("PairColumns", ["s_ab", "s_ac"])
 
-# The items that iterating a columnar type yields.  They check nothing:
-# their columnar type has.
+# The items that iterating samples or readings yields, which only the
+# benchmark reads.  They check nothing: their columnar type has.
 # One (condition, error) point ready for fitting: the error is in ppm for
 # mean-referenced relative errors, in mm for explicit-reference ones.
 ErrorSample = namedtuple("ErrorSample", ["condition", "error"])
 # A reading pair from one differential setup; s1 is the longer leg.
 DifferentialRow = namedtuple("DifferentialRow", ["s1", "s2"])
-# One nominal leg pair of a differential setup: short leg, long leg (m).
-LegPair = namedtuple("LegPair", ["s_ab", "s_ac"])
 
 
 def _frozen_column(values) -> np.ndarray:
@@ -204,8 +201,8 @@ class MeasurementSeries:
     The series is three read-only float64 columns, ``columns.condition``,
     ``columns.observed`` and ``columns.reference`` (NaN where a reading
     has no reference).  :meth:`from_columns` builds and checks one.
-    ``observed`` is ``columns.observed`` itself, not a copy; it stays only
-    because the benchmark still reads it.
+    ``observed`` is ``columns.observed`` itself, not a copy; only the
+    benchmark reads it.
     """
 
     columns: SeriesColumns
@@ -276,8 +273,8 @@ class _Records:
 
     ``columns`` is a named tuple with one column per field of the record
     type.  A subclass checks its rows once, in its constructor.  Its
-    length and its iteration, which builds one item per row, stay only
-    because the benchmark still reads items.
+    length is its row count; samples and readings, not leg pairs, iterate
+    as one ``_record`` item per row, for the benchmark.
     """
 
     _record: type
@@ -356,7 +353,7 @@ class DifferentialRows(_Records):
 
 
 class LegPairs(_Records):
-    """Nominal (s_ab, s_ac) leg pairs as columns; items are :class:`LegPair`.
+    """Nominal (s_ab, s_ac) leg pairs as columns, read as ``columns`` only.
 
     Raises:
         MalformedRowError: the first row whose legs are not both finite
@@ -364,7 +361,7 @@ class LegPairs(_Records):
             column (``s_ac`` when the legs are out of order).
     """
 
-    _record = LegPair
+    __iter__ = None
     _columns = PairColumns
 
     def __init__(self, s_ab, s_ac):

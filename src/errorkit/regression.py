@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (DifferentialRows, ErrorSamples, _cycle_phase, _polynomial,
-                      _sinusoid)
+from .dataset import ErrorSamples, _cycle_phase, _polynomial, _sinusoid
 from .linsolve import NormalEquations, SingularSystemError, solve
 
 __all__ = [
@@ -118,20 +117,6 @@ class SinusoidalErrorModel:
         return _sinusoid(self.amplitude, self.wavelength, self.phase, s)
 
 
-def _columns(items, kind):
-    """The columns of ``items``, a ``kind`` (``ErrorSamples`` or
-    ``DifferentialRows``) or an iterable of its records.
-
-    Records are built into a ``kind`` first, so a bad one raises the
-    error ``kind`` raises for it, naming its 1-based row.  The records
-    path stays only because the benchmark still fits a list of them.
-    """
-    if not isinstance(items, kind):
-        items = list(items)
-        items = kind(*([getattr(x, f) for x in items] for f in kind._columns._fields))
-    return items.columns
-
-
 def random_model(values) -> RandomModelEstimate:
     """Mean and standard deviation (n-1 denominator) of a value list.
 
@@ -155,7 +140,9 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
     """Least-squares polynomial over the raw monomial basis ``T**k``.
 
     Args:
-        samples: ErrorSamples or ErrorSample items; condition is the abscissa.
+        samples: ErrorSamples, or the list of ErrorSample items the
+            benchmark fits, built into ErrorSamples first, so a bad item
+            is refused naming its row; condition is the abscissa.
         degree: polynomial degree (3 for the canonical temperature
             workflow, but any degree with n > degree + 1 works).
 
@@ -172,7 +159,9 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
     if index < 0 or isinstance(degree, bool):
         raise ValueError(f"degree must be a non-negative int, got {degree!r}")
     degree = index
-    t, r = _columns(samples, ErrorSamples)
+    if not isinstance(samples, ErrorSamples):
+        samples = ErrorSamples([s.condition for s in samples], [s.error for s in samples])
+    t, r = samples.columns
     n = len(t)
     if n <= degree + 1:
         raise InsufficientDataError(
@@ -286,7 +275,7 @@ def fit_cycle_direct(samples, wavelength: float) -> SinusoidalErrorModel:
     ``hypot(a, b)`` and phase ``atan2(b, a)``, normalized to [0, 2*pi).
 
     Args:
-        samples: ErrorSamples or ErrorSample items (condition m, error mm).
+        samples: ErrorSamples (condition m, error mm).
         wavelength: cycle length in m, known a priori.
 
     Raises:
@@ -296,7 +285,7 @@ def fit_cycle_direct(samples, wavelength: float) -> SinusoidalErrorModel:
         SingularSystemError: all conditions congruent modulo the
             wavelength, so the basis is degenerate.
     """
-    s, y = _columns(samples, ErrorSamples)
+    s, y = samples.columns
     if len(s) < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {len(s)}")
     basis = np.column_stack(_cycle_basis(s, wavelength))
@@ -327,8 +316,7 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
     cos(theta2)``, the model ``S_i = S0 + a*A_i + b*B_i`` is linear in
     (S0, a, b) and its 3x3 normal system is solved directly.  Amplitude,
     phase and residuals are in metres; the constant difference estimate
-    lands in ``offset_s0``.  ``rows`` is DifferentialRows or
-    DifferentialRow items.
+    lands in ``offset_s0``.  ``rows`` is DifferentialRows.
 
     Raises:
         InsufficientDataError: fewer than 3 rows.
@@ -338,7 +326,7 @@ def fit_cycle_differential(rows, wavelength: float) -> SinusoidalErrorModel:
             legs must sample diverse cycle phases for the sin/cos
             differences to span the basis.
     """
-    s1, s2 = _columns(rows, DifferentialRows)
+    s1, s2 = rows.columns
     n = len(s1)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 rows, got {n}")

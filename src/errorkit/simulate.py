@@ -241,6 +241,9 @@ class ConditionSchedule:
             for name, (lo, hi) in self.ranges.items():
                 if not hi >= lo:
                     raise ValueError(f"range for {name!r} is empty: ({lo}, {hi})")
+                if not math.isfinite(hi - lo):
+                    raise ValueError(
+                        f"range for {name!r} is wider than the double range: ({lo}, {hi})")
         else:
             # A number per constant condition, a list per listed one.
             listed = self.generator == "listed"

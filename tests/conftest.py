@@ -38,7 +38,6 @@ def integer_ppm_samples(table1_series):
     """Whole-ppm relative error samples, the canonical cubic-fit input."""
     from errorkit import dataset
 
-    return [
-        dataset.ErrorSample(condition=s.condition, error=float(round(s.error)))
-        for s in dataset.to_error_samples(table1_series, "mean-reference")
-    ]
+    samples = dataset.to_error_samples(table1_series, "mean-reference")
+    condition, error = samples.columns
+    return dataset.ErrorSamples(condition, [float(round(e)) for e in error.tolist()])

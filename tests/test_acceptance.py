@@ -18,7 +18,7 @@ from errorkit.budget import (
     total_std,
 )
 from errorkit.dataset import (
-    ErrorSample,
+    ErrorSamples,
     LegPairs,
     bundled_path,
     load_differential,
@@ -51,10 +51,8 @@ TABLE3_PAIRS = LegPairs(*zip(*ref.TABLE3_PAIRS))
 
 def rounded_ppm_samples():
     series = load_series(bundled_path("table1.csv"))
-    return [
-        ErrorSample(condition=s.condition, error=float(round(s.error)))
-        for s in to_error_samples(series, "mean-reference")
-    ]
+    condition, error = to_error_samples(series, "mean-reference").columns
+    return ErrorSamples(condition, [float(round(e)) for e in error.tolist()])
 
 
 def campaign_cycle():
@@ -65,7 +63,7 @@ def campaign_cycle():
 
 def test_criterion_01_random_model_of_the_frequency_sweep():
     series = load_series(bundled_path("table1.csv"))
-    estimate = random_model(series.observed)
+    estimate = random_model(series.columns.observed)
     assert f"{estimate.mean:.6f}" == "5.000050"
     assert 15.7 <= estimate.relative_std_ppm <= 15.9
 
@@ -95,10 +93,8 @@ def test_criterion_05_differential_campaign_regenerates_exactly():
     run = simulate_differential(
         campaign_cycle(), TABLE3_PAIRS, round_readings=True
     )
-    matches = sum(
-        (got.s2 == want_s2) + (got.s1 == want_s1)
-        for got, want_s2, want_s1 in zip(run.rows, ref.TABLE3_S2, ref.TABLE3_S1)
-    )
+    got = run.rows.columns
+    matches = np.sum(got.s2 == ref.TABLE3_S2) + np.sum(got.s1 == ref.TABLE3_S1)
     assert matches == 30
 
 
@@ -218,7 +214,9 @@ def test_criterion_10_schedule_decides_systematic_random_or_null():
         TABLE3_PAIRS,
         extra_sources=[ErrorSource.additive_constant(0.0123)],
     )
-    assert [r.s1 - r.s2 for r in shifted.rows] == [r.s1 - r.s2 for r in base.rows]
+    shifted_legs, base_legs = shifted.rows.columns, base.rows.columns
+    assert (shifted_legs.s1 - shifted_legs.s2).tolist() == (
+        (base_legs.s1 - base_legs.s2).tolist())
 
 
 def test_criterion_11_numerical_spot_checks():
@@ -230,8 +228,7 @@ def test_criterion_11_numerical_spot_checks():
 
     # two: cubic fit residuals are orthogonal to every basis column
     model = fit_polynomial(rounded_ppm_samples(), degree=3)
-    t = np.array([s.condition for s in rounded_ppm_samples()])
-    r = np.array([s.error for s in rounded_ppm_samples()])
+    t, r = rounded_ppm_samples().columns
     residuals = r - np.array([model(v) for v in t])
     for k in range(4):
         bound = 1e-6 * np.sum(np.abs(residuals)) * max(1.0, np.max(np.abs(t)) ** k)
@@ -239,13 +236,10 @@ def test_criterion_11_numerical_spot_checks():
 
     # three: a noiseless sinusoid is recovered to 1e-9
     amplitude, phase = 5.0, QUARTER_TURN
-    samples = [
-        ErrorSample(
-            condition=float(s),
-            error=amplitude * math.sin(2.0 * math.pi * s / 20.0 + phase),
-        )
-        for s in range(20)
-    ]
+    samples = ErrorSamples(
+        range(20),
+        [amplitude * math.sin(2.0 * math.pi * s / 20.0 + phase) for s in range(20)],
+    )
     cycle_fit = fit_cycle_direct(samples, wavelength=20.0)
     assert abs(cycle_fit.amplitude - amplitude) <= 1e-9 * amplitude
     assert abs(cycle_fit.phase - phase) <= 1e-9

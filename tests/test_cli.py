@@ -914,8 +914,8 @@ class TestSimulate:
         )
         assert result.exit_code == 0
         rows = dataset.load_differential(out)
-        assert tuple(r.s2 for r in rows) == ref.TABLE3_S2
-        assert tuple(r.s1 for r in rows) == ref.TABLE3_S1
+        assert tuple(rows.columns.s2.tolist()) == ref.TABLE3_S2
+        assert tuple(rows.columns.s1.tolist()) == ref.TABLE3_S1
 
     def test_schema_violation_reports_a_json_pointer(self, runner, tmp_path):
         scenario = write_scenario(

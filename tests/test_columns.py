@@ -23,10 +23,8 @@ from hypothesis import strategies as st
 
 from errorkit import dataset, regression
 from errorkit.dataset import (
-    DifferentialRow,
     DifferentialRows,
     ErrorSamples,
-    LegPair,
     LegPairs,
     MalformedRowError,
     MeasurementSeries,
@@ -226,16 +224,21 @@ def test_good_series_match_rows_and_fits(tmp_path_factory, case):
         with mock.patch.object(dataset, "_read_column", None):
             assert same_columns(dataset.load_series(path), series.columns)
 
+    # The fits of the samples agree with those of samples converted row by row.
+    cond, obs, ref = reference_series_columns(csv_cells(rows), has_ref)
     samples = dataset.to_error_samples(series, "mean-reference")
     assert isinstance(samples, ErrorSamples)
     if len(samples) >= 5:
-        assert _fit_outcome(regression.fit_polynomial, samples, 3) == _fit_outcome(
-            regression.fit_polynomial, list(samples), 3)
+        mean = sum(obs) / len(obs)
+        by_row = ErrorSamples(cond, [(o - mean) / mean * 1e6 for o in obs])
+        assert _fit_outcome(regression.fit_polynomial, samples, 3) == (
+            _fit_outcome(regression.fit_polynomial, by_row, 3))
     if has_ref and not np.isnan(series.columns.reference).any():
         samples = dataset.to_error_samples(series, "explicit-reference")
         if len(samples) >= 3:
+            by_row = ErrorSamples(cond, [(r - o) * 1e3 for o, r in zip(obs, ref)])
             assert _fit_outcome(regression.fit_cycle_direct, samples, 20.0) == (
-                _fit_outcome(regression.fit_cycle_direct, list(samples), 20.0))
+                _fit_outcome(regression.fit_cycle_direct, by_row, 20.0))
 
 
 @settings(max_examples=150)
@@ -299,14 +302,15 @@ def test_good_differential_files_match_rows_and_fit(tmp_path_factory, rows):
     loaded = dataset.load_differential(path)
     assert isinstance(loaded, DifferentialRows)
     cells = csv_cells(rows)
-    assert list(loaded) == [DifferentialRow(float(r[3]), float(r[2])) for r in cells]
-    assert same_bits(loaded.columns.s1, [float(r[3]) for r in cells])
-    assert same_bits(loaded.columns.s2, [float(r[2]) for r in cells])
+    s1 = [float(r[3]) for r in cells]
+    s2 = [float(r[2]) for r in cells]
+    assert same_bits(loaded.columns.s1, s1)
+    assert same_bits(loaded.columns.s2, s2)
     assert (loaded.columns.s1 - loaded.columns.s2).tolist() == [
-        r.s1 - r.s2 for r in loaded]
+        a - b for a, b in zip(s1, s2)]
     if len(loaded) >= 3:
         assert _fit_outcome(regression.fit_cycle_differential, loaded, 20.0) == (
-            _fit_outcome(regression.fit_cycle_differential, list(loaded), 20.0))
+            _fit_outcome(regression.fit_cycle_differential, DifferentialRows(s1, s2), 20.0))
 
 
 @settings(max_examples=80)
@@ -359,13 +363,9 @@ class TestColumnarTypes:
         for column in (cond, obs, ref):
             assert column.dtype == np.float64
             assert not column.flags.writeable
-        assert isinstance(table2_series.observed[0], float)
-
-    def test_series_views_are_the_columns_themselves(self, table2_series):
-        # Read-only views of the series' own columns, not copies.
-        assert table2_series.observed is table2_series.columns.observed
+        assert isinstance(obs[0], float)
         with pytest.raises(ValueError, match="read-only"):
-            table2_series.observed[0] = 0.0
+            obs[0] = 0.0
 
     def test_from_columns_names_the_first_bad_row(self):
         with pytest.raises(MalformedRowError) as excinfo:
@@ -376,10 +376,18 @@ class TestColumnarTypes:
         assert (err.row_index, err.column) == (2, "reference")
         assert "implausibly far" in err.detail
 
-    def test_from_columns_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            MeasurementSeries.from_columns([1.0], [1.0, 2.0], condition_unit="",
-                                           value_unit="")
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MeasurementSeries.from_columns([1.0], [1.0, 2.0], condition_unit="",
+                                                value_unit=""),
+         "condition, observed and reference differ in length"),
+        (lambda: LegPairs([10.0], [18.0, 19.0]), "columns ('s_ab', 's_ac') differ in length"),
+        (lambda: ErrorSamples([[1.0]], [[2.0]]),
+         "a column must be one-dimensional, got shape (1, 1)"),
+    ], ids=["series lengths", "pair lengths", "2-D samples"])
+    def test_columns_of_a_bad_shape_are_refused(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert (excinfo.type, str(excinfo.value)) == (ValueError, message)
 
     def test_series_is_immutable(self, table1_series):
         with pytest.raises(AttributeError):
@@ -391,11 +399,6 @@ class TestColumnarTypes:
                                            value_unit="")
         with pytest.raises(ValueError, match="require s1 > s2"):
             DifferentialRows([10.0], [18.0])
-
-    def test_samples_build_items_on_access(self, table1_series):
-        samples = dataset.to_error_samples(table1_series, "mean-reference")
-        condition, error = samples.columns
-        assert list(samples) == list(zip(condition.tolist(), error.tolist()))
 
     def test_error_samples_reject_nonfinite_errors(self):
         with pytest.raises(ValueError, match="error must be finite, got inf"):
@@ -413,34 +416,57 @@ class TestColumnarTypes:
 
     def test_leg_pairs_are_float_columns(self):
         pairs = LegPairs([10, 10.5], [18.0, 18.25])
-        assert list(pairs) == [LegPair(10.0, 18.0), LegPair(10.5, 18.25)]
-        assert [type(v) for pair in pairs for v in pair] == [float] * 4
-        assert pairs.columns.s_ab.tolist() == [10.0, 10.5]
+        assert [c.tolist() for c in pairs.columns] == [[10.0, 10.5], [18.0, 18.25]]
+        assert [c.dtype for c in pairs.columns] == [np.float64] * 2
         assert not pairs.columns.s_ac.flags.writeable
-        with pytest.raises(ValueError, match="differ in length"):
-            LegPairs([10.0], [18.0, 19.0])
+        with pytest.raises(TypeError, match="not iterable"):
+            iter(pairs)
 
-    def test_record_api_the_benchmark_reads(self, table1_series, table3_rows):
-        # perfbench/inproc.py still fits a list of ErrorSample, iterates
-        # samples and readings, and reads series.observed; ROADMAP item 3a
-        # ports it to columns, and then these go.  Nothing else is kept.
+    def test_records_are_neither_indexed_nor_compared_by_value(self, table1_series,
+                                                               table3_rows):
         samples = dataset.to_error_samples(table1_series, "mean-reference")
-        items = [dataset.ErrorSample(s.condition, s.error) for s in samples]
-        assert all(type(s) is dataset.ErrorSample for s in samples)
-        assert all(type(r) is DifferentialRow for r in table3_rows)
-        assert regression.fit_polynomial(items, 3).coeffs == (
-            regression.fit_polynomial(samples, 3).coeffs)
-        assert table1_series.observed is table1_series.columns.observed
         for records in (samples, table3_rows, LegPairs([10.0], [18.0])):
             with pytest.raises(TypeError):
                 records[0]
-            # Identity, not the value of the items.
+            # Identity, not the value of the columns.
             assert hash(records) == object.__hash__(records)
-            assert records != list(records) and records == records
-        assert LegPairs([10.0], [18.0]) != LegPairs([10.0], [18.0])
+            assert records != type(records)(*records.columns) and records == records
         assert not hasattr(table1_series, "conditions")
 
-    def test_fits_accept_columns_and_items_alike(self, table3_rows):
-        items = list(table3_rows)
-        assert _fit_outcome(regression.fit_cycle_differential, table3_rows, 20.0) == (
-            _fit_outcome(regression.fit_cycle_differential, items, 20.0))
+    # The benchmark surface: perfbench/inproc.py builds ErrorSample items
+    # and fits a list of them, iterates samples and readings, and reads
+    # series.observed.  ROADMAP item 3a ports it to columns, and then
+    # these two tests go.  No other test reads these.
+    def test_record_api_the_benchmark_reads(self, table1_series, table3_rows):
+        import errorkit
+
+        samples = dataset.to_error_samples(table1_series, "mean-reference")
+        assert list(samples) == list(zip(*(c.tolist() for c in samples.columns)))
+        assert all(type(s) is dataset.ErrorSample for s in samples)
+        assert list(table3_rows) == list(zip(*(c.tolist() for c in table3_rows.columns)))
+        assert all(type(r) is dataset.DifferentialRow for r in table3_rows)
+        # The items are plain named tuples that check nothing.
+        assert dataset.ErrorSample(condition=0.0, error=math.inf).error == math.inf
+        assert dataset.DifferentialRow(s1=5.0, s2=5.0) == (5.0, 5.0)
+        items = [dataset.ErrorSample(s.condition, s.error) for s in samples]
+        assert _fit_outcome(regression.fit_polynomial, items, 3) == (
+            _fit_outcome(regression.fit_polynomial, samples, 3))
+        assert table1_series.observed is table1_series.columns.observed
+        # The benchmark reaches the items through errorkit.dataset.
+        assert not hasattr(errorkit, "ErrorSample")
+        assert not hasattr(errorkit, "DifferentialRow")
+
+    @pytest.mark.parametrize("conditions, errors, message", [
+        (range(8), [math.nan if t == 3 else float(t) for t in range(8)],
+         "row 4: error must be finite, got nan"),
+        ([math.inf, 1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.0, -0.5, 0.25, 2.0, 1.5],
+         "row 1: condition must be finite, got inf"),
+        ([math.nan, 1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.0, -0.5, 0.25, 2.0, 1.5],
+         "row 1: condition must be finite, got nan"),
+    ], ids=["nan error", "inf condition", "nan condition"])
+    def test_a_bad_item_in_a_fitted_list_names_its_row(self, conditions, errors, message):
+        # The list is built into ErrorSamples first, which refuses it.
+        items = [dataset.ErrorSample(float(c), e) for c, e in zip(conditions, errors)]
+        with pytest.raises(ValueError) as excinfo:
+            regression.fit_polynomial(items, degree=3)
+        assert (excinfo.type, str(excinfo.value)) == (ValueError, message)

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from errorkit import dataset
 from errorkit.dataset import (
     DatasetError,
-    DifferentialRow,
     DifferentialRows,
     EmptyInputError,
-    ErrorSample,
     ErrorSamples,
     LegPairs,
     MalformedRowError,
@@ -61,13 +59,7 @@ class TestFromColumnsRowChecks:
 
 
 class TestRowInvariants:
-    """Each row invariant is checked once, by its columnar type; the items
-    are named tuples that check nothing."""
-
-    def test_items_are_plain_tuples(self):
-        row = DifferentialRow(s1=5.0, s2=5.0)
-        assert row == (5.0, 5.0) and isinstance(row, tuple)
-        assert ErrorSample(condition=0.0, error=math.inf).error == math.inf
+    """Each row invariant is checked once, by its columnar type."""
 
     def test_leg_order_enforced(self):
         with pytest.raises(MalformedRowError) as excinfo:
@@ -224,7 +216,7 @@ class TestLoadSeries:
     def test_column_not_read_may_be_named_twice(self, tmp_path):
         p = tmp_path / "extra.csv"
         p.write_text("note,condition,observed,note\na,1,5.0,b\n")
-        assert np.array_equal(dataset.load_series(p).observed, [5.0])
+        assert np.array_equal(dataset.load_series(p).columns.observed, [5.0])
 
     def test_bare_units_token_applies_to_all_columns(self, tmp_path):
         p = tmp_path / "bare_units.csv"
@@ -742,12 +734,8 @@ class TestRoundTrip:
 class TestDifferentialLoading:
     def test_bundled_campaign(self, table3_rows):
         assert len(table3_rows) == 15
-        assert tuple(r.s2 for r in table3_rows) == ref.TABLE3_S2
-        assert tuple(r.s1 for r in table3_rows) == ref.TABLE3_S1
-
-    def test_nominal_pairs(self):
-        pairs = dataset.load_differential_pairs(dataset.bundled_path("table3.csv"))
-        assert tuple(pairs) == ref.TABLE3_PAIRS
+        assert tuple(table3_rows.columns.s2.tolist()) == ref.TABLE3_S2
+        assert tuple(table3_rows.columns.s1.tolist()) == ref.TABLE3_S1
 
     def test_nominal_pairs_are_leg_pair_columns(self):
         pairs = dataset.load_differential_pairs(dataset.bundled_path("table3.csv"))
@@ -800,8 +788,9 @@ class TestDifferentialLoading:
         assert [c.tolist() for c in pairs.columns] == [[10.0], [18.0]]
 
     def test_differences(self, table3_rows):
-        diffs = (table3_rows.columns.s1 - table3_rows.columns.s2).tolist()
-        assert diffs == [r.s1 - r.s2 for r in table3_rows]
+        s1, s2 = table3_rows.columns
+        diffs = (s1 - s2).tolist()
+        assert diffs == [a - b for a, b in zip(s1.tolist(), s2.tolist())]
         assert min(diffs) > 7.99 and max(diffs) < 8.01
 
     def test_missing_reading_column(self, tmp_path):
@@ -839,16 +828,14 @@ class TestToErrorSamples:
     def test_explicit_reference_matches_published_errors(self, table2_series):
         samples = dataset.to_error_samples(table2_series, "explicit-reference")
         assert len(samples) == 21
-        for sample, (_, _, published_mm) in zip(samples, ref.TABLE2):
-            rounded = math.copysign(
-                math.floor(abs(sample.error) * 10 + 0.5) / 10, sample.error
-            )
+        for error, (_, _, published_mm) in zip(samples.columns.error.tolist(), ref.TABLE2):
+            rounded = math.copysign(math.floor(abs(error) * 10 + 0.5) / 10, error)
             assert rounded == published_mm
-            assert abs(sample.error - published_mm) < 1e-9
+            assert abs(error - published_mm) < 1e-9
 
     def test_mean_reference_matches_published_ppm(self, table1_series):
         samples = dataset.to_error_samples(table1_series, "mean-reference")
-        assert [round(s.error) for s in samples] == list(ref.TABLE1_R_PPM)
+        assert [round(e) for e in samples.columns.error.tolist()] == list(ref.TABLE1_R_PPM)
 
     def test_explicit_reference_missing_rows_reported(self):
         series = MeasurementSeries.from_columns(
@@ -897,7 +884,8 @@ class TestToErrorSamples:
         obs = table1_series.columns.observed
         mean = sum(obs.tolist()) / len(obs)
         samples = dataset.to_error_samples(table1_series, "mean-reference")
-        assert [s.error for s in samples] == [(o - mean) / mean * 1e6 for o in obs.tolist()]
+        assert samples.columns.error.tolist() == [
+            (o - mean) / mean * 1e6 for o in obs.tolist()]
 
     def test_mean_reference_of_an_empty_series(self):
         series = MeasurementSeries.from_columns([], [], condition_unit="", value_unit="")
@@ -911,15 +899,15 @@ class TestToErrorSamples:
     def test_mean_reference_sign_convention(self):
         series = MeasurementSeries.from_columns(
             [0.0, 1.0], [9.0, 11.0], condition_unit="", value_unit="")
-        lo, hi = dataset.to_error_samples(series, "mean-reference")
-        assert lo.error == pytest.approx(-1e5)
-        assert hi.error == pytest.approx(1e5)
+        lo, hi = dataset.to_error_samples(series, "mean-reference").columns.error
+        assert lo == pytest.approx(-1e5)
+        assert hi == pytest.approx(1e5)
 
     def test_explicit_reference_sign_convention(self):
         # reference longer than the reading means a positive error
-        (sample,) = dataset.to_error_samples(_one_row(6.0, 6.0, 6.0005),
-                                             "explicit-reference")
-        assert sample.error == pytest.approx(0.5)
+        samples = dataset.to_error_samples(_one_row(6.0, 6.0, 6.0005), "explicit-reference")
+        (error,) = samples.columns.error
+        assert error == pytest.approx(0.5)
 
     @pytest.mark.parametrize("unit", ["MHz", "mm"])
     def test_explicit_reference_refuses_values_not_in_metres(self, unit):
@@ -933,8 +921,8 @@ class TestToErrorSamples:
     def test_explicit_reference_accepts_an_undeclared_unit(self):
         series = MeasurementSeries.from_columns(
             [1.0], [6.0], [6.0005], condition_unit="", value_unit="")
-        (sample,) = dataset.to_error_samples(series, "explicit-reference")
-        assert sample.error == pytest.approx(0.5)
+        (error,) = dataset.to_error_samples(series, "explicit-reference").columns.error
+        assert error == pytest.approx(0.5)
 
 
 # Line breaks str.splitlines knows, lines that are not data, and cells:

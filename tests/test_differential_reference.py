@@ -25,7 +25,7 @@ GRID = float(2**30)
 
 def reference_differential(sources, pairs, round_readings, noise_seed):
     """(s1 list, s2 list, diff contributions) or, for the first pair whose
-    readings a DifferentialRow would refuse, (index, None, None)."""
+    readings DifferentialRows would refuse, (index, None, None)."""
     children = np.random.SeedSequence(noise_seed).spawn(max(len(sources), 1))
     draws = {}
     for s, child in zip(sources, children):

@@ -18,10 +18,10 @@ from errorkit import dataset, linsolve
 # has always listed them.
 OWNERS = {
     "dataset": [
-        "DatasetError", "DifferentialRow", "EmptyInputError", "ErrorSample",
-        "MalformedRowError", "MeasurementSeries", "bundled_path",
-        "load_differential", "load_differential_pairs", "load_series",
-        "to_error_samples", "write_differential_csv", "write_series_csv",
+        "DatasetError", "EmptyInputError", "MalformedRowError",
+        "MeasurementSeries", "bundled_path", "load_differential",
+        "load_differential_pairs", "load_series", "to_error_samples",
+        "write_differential_csv", "write_series_csv",
     ],
     "linsolve": ["NormalEquations", "SingularSystemError", "solve"],
     "regression": [
@@ -172,7 +172,12 @@ class TestImports:
          '"schedule": {"repeats": 2, "generator": "constant", '
          '"conditions": {"distance": [1, 2]}}}',
          "constant schedule for 'distance' needs a number, got [1, 2]"),
-    ], ids=["syntax", "schema", "non-finite", "source", "mode", "schedule shape"])
+        ('{"true_value": 5.0, "sources": [{"name": "c", "kind": "additive-constant"}], '
+         '"schedule": {"repeats": 2, "generator": "uniform-random", "seed": 1, '
+         '"ranges": {"distance": [-1e308, 1e308]}}}',
+         "range for 'distance' is wider than the double range: (-1e+308, 1e+308)"),
+    ], ids=["syntax", "schema", "non-finite", "source", "mode", "schedule shape",
+            "range width"])
     def test_a_rejected_scenario_loads_no_numpy(self, tmp_path, text, message):
         path = tmp_path / "scenario.json"
         path.write_text(text)

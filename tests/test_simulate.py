@@ -35,6 +35,12 @@ def leg_pairs(pairs):
     return LegPairs(*zip(*pairs))
 
 
+def leg_differences(run):
+    """Each reading pair's s1 - s2 of a differential run."""
+    s1, s2 = run.rows.columns
+    return (s1 - s2).tolist()
+
+
 TABLE3_PAIRS = leg_pairs(ref.TABLE3_PAIRS)
 
 # Leg pairs the scenario loader must reject, as JSON text.
@@ -238,6 +244,12 @@ class TestConditionSchedule:
         with pytest.raises(ValueError, match="empty"):
             ConditionSchedule.uniform_random(5, seed=1, distance=(20.0, 0.0))
 
+    def test_uniform_random_rejects_a_range_wider_than_the_double_range(self):
+        with pytest.raises(ValueError) as raised:
+            ConditionSchedule.uniform_random(5, seed=1, distance=(-1e308, 1e308))
+        assert str(raised.value) == (
+            "range for 'distance' is wider than the double range: (-1e+308, 1e+308)")
+
     def test_uniform_random_resolve_is_deterministic_and_bounded(self):
         schedule = ConditionSchedule.uniform_random(200, seed=9, distance=(5.0, 7.0))
         first = schedule.resolve()["distance"]
@@ -265,7 +277,7 @@ class TestSimulateRepeated:
         schedule = ConditionSchedule.constant(6, distance=15.0)
         run = simulate_repeated(sources, schedule, true_value=15.0)
         total_mm = sum(run.contributions[s.name] for s in sources)
-        assert np.array_equal(run.series.observed, 15.0 + total_mm * 1e-3)
+        assert np.array_equal(run.series.columns.observed, 15.0 + total_mm * 1e-3)
 
     def test_constant_schedule_freezes_every_source(self):
         sources = [campaign_cycle(), ErrorSource.multiplicative(3.0)]
@@ -346,8 +358,8 @@ class TestSimulateRepeated:
         a = simulate_repeated(sources, schedule, 10.0, noise_seed=4)
         b = simulate_repeated(sources, schedule, 10.0, noise_seed=4)
         c = simulate_repeated(sources, schedule, 10.0, noise_seed=5)
-        assert np.array_equal(a.series.observed, b.series.observed)
-        assert not np.array_equal(a.series.observed, c.series.observed)
+        assert np.array_equal(a.series.columns.observed, b.series.columns.observed)
+        assert not np.array_equal(a.series.columns.observed, c.series.columns.observed)
 
     @pytest.mark.parametrize("seed", [0, 4, 11, 2**32 + 5, 2**63])
     def test_a_noise_stream_is_the_spawned_child(self, seed):
@@ -396,15 +408,14 @@ class TestSimulateDifferential:
         run = simulate_differential(
             campaign_cycle(), TABLE3_PAIRS, round_readings=True
         )
-        assert tuple(r.s2 for r in run.rows) == ref.TABLE3_S2
-        assert tuple(r.s1 for r in run.rows) == ref.TABLE3_S1
+        assert tuple(run.rows.columns.s2.tolist()) == ref.TABLE3_S2
+        assert tuple(run.rows.columns.s1.tolist()) == ref.TABLE3_S1
 
     def test_zero_amplitude_returns_the_nominals(self):
         cycle = ErrorSource.cycle(amplitude_mm=0.0)
         run = simulate_differential(cycle, TABLE3_PAIRS)
-        for row, (s_ab, s_ac) in zip(run.rows, ref.TABLE3_PAIRS):
-            assert row.s2 == s_ab
-            assert row.s1 == s_ac
+        s1, s2 = run.rows.columns
+        assert list(zip(s2.tolist(), s1.tolist())) == list(ref.TABLE3_PAIRS)
 
     @pytest.mark.parametrize("c_mm", [0.0123, 0.01, 1e-4, 5.5, -2.75])
     def test_common_mode_constant_cancels_bit_for_bit(self, c_mm):
@@ -414,9 +425,7 @@ class TestSimulateDifferential:
             TABLE3_PAIRS,
             extra_sources=[ErrorSource.additive_constant(c_mm)],
         )
-        base_diff = [r.s1 - r.s2 for r in base.rows]
-        shifted_diff = [r.s1 - r.s2 for r in shifted.rows]
-        assert shifted_diff == base_diff
+        assert leg_differences(shifted) == leg_differences(base)
         assert np.all(shifted.diff_contributions["constant"] == 0.0)
 
     def test_distance_dependent_source_does_not_cancel(self):
@@ -446,9 +455,9 @@ class TestSimulateDifferential:
         run = simulate_differential(
             campaign_cycle(), TABLE3_PAIRS, round_readings=True
         )
-        for row in run.rows:
-            assert abs(row.s2 * 1e4 - round(row.s2 * 1e4)) < 1e-6
-            assert abs(row.s1 * 1e4 - round(row.s1 * 1e4)) < 1e-6
+        for leg in run.rows.columns:
+            for reading in leg.tolist():
+                assert abs(reading * 1e4 - round(reading * 1e4)) < 1e-6
 
     def test_unrounded_campaign_fit_recovers_the_generator(self):
         # the fit sees the cycle through nominal-driven leg errors, so
@@ -470,8 +479,8 @@ class TestSimulateDifferential:
         c = simulate_differential(
             campaign_cycle(), TABLE3_PAIRS, extra_sources=extra, noise_seed=12
         )
-        assert [r.s1 for r in a.rows] == [r.s1 for r in b.rows]
-        assert [r.s1 for r in a.rows] != [r.s1 for r in c.rows]
+        assert a.rows.columns.s1.tolist() == b.rows.columns.s1.tolist()
+        assert a.rows.columns.s1.tolist() != c.rows.columns.s1.tolist()
 
     def test_overflowing_series_raises_value_error(self):
         source = ErrorSource.additive_constant(1e308)
@@ -528,9 +537,7 @@ class TestSimulateDifferential:
             leg_pairs(ref.TABLE3_PAIRS[:5]),
             extra_sources=[ErrorSource.additive_constant(c_mm)],
         )
-        assert [r.s1 - r.s2 for r in shifted.rows] == [
-            r.s1 - r.s2 for r in base.rows
-        ]
+        assert leg_differences(shifted) == leg_differences(base)
 
 
 class TestClassifyEffects:
@@ -648,9 +655,8 @@ class TestLoadScenario:
             round_readings=scenario.round_readings,
         )
         fixture_rows = load_differential(bundled_path("table3.csv"))
-        assert [(r.s2, r.s1) for r in run.rows] == [
-            (r.s2, r.s1) for r in fixture_rows
-        ]
+        assert [c.tolist() for c in run.rows.columns] == [
+            c.tolist() for c in fixture_rows.columns]
 
     def test_schedule_scenario(self, tmp_path):
         p = tmp_path / "scenario.json"
@@ -796,12 +802,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"at /differential/pairs/9999\b"):
             load_scenario(p)
 
-    def test_pairs_are_loaded_as_float_tuples(self, tmp_path):
+    def test_pairs_are_loaded_as_float_columns(self, tmp_path):
         p = tmp_path / "scenario.json"
         p.write_text(differential_scenario_text(["[10, 18]", "[10.5, 18.25]"]))
         pairs = load_scenario(p).differential_pairs
         assert [c.tolist() for c in pairs.columns] == [[10.0, 10.5], [18.0, 18.25]]
-        assert all(type(v) is float for pair in pairs for v in pair)
+        assert [c.dtype for c in pairs.columns] == [np.float64] * 2
 
     def test_scenarios_compare_and_hash_by_identity(self, tmp_path):
         p = tmp_path / "repeated.json"
@@ -935,7 +941,8 @@ def assert_loads_as_the_loop_does(path, pairs):
         return
     got = load_scenario(path).differential_pairs
     assert isinstance(got, LegPairs)
-    assert [(a.hex(), b.hex()) for a, b in got] == [
+    s_ab, s_ac = (c.tolist() for c in got.columns)
+    assert [(a.hex(), b.hex()) for a, b in zip(s_ab, s_ac)] == [
         (a.hex(), b.hex()) for a, b in want
     ]
 

@@ -1,9 +1,9 @@
 """Column writers against row-at-a-time reference writers.
 
 ``reference_series_csv`` and ``reference_differential_csv`` are the
-writers as they were when they read one record at a time: a series row
-by row from its columns (NaN: no reference), ``DifferentialRow``s from
-iterating ``rows``, one unit format per cell.  The writers format from
+writers as they were when they read one record at a time: a series, and
+a campaign's leg pairs and readings, row by row from their columns (NaN:
+no reference), one unit format per cell.  The writers format from
 the stored columns and must give the same file, byte for byte, for
 every size from an empty body up.
 
@@ -70,10 +70,9 @@ def reference_differential_csv(pairs, rows, path):
     if len(pairs) != len(rows):
         raise ValueError("pairs and rows must have equal length")
     out = ["# units: m", "s_ab,s_ac,s2,s1"]
-    for (ab, ac), row in zip(pairs, rows):
-        out.append(
-            ",".join(["%g" % ab, "%g" % ac, _format(row.s2, "m"), _format(row.s1, "m")])
-        )
+    s1, s2 = (c.tolist() for c in rows.columns)
+    for ab, ac, r2, r1 in zip(*(c.tolist() for c in pairs.columns), s2, s1):
+        out.append(",".join(["%g" % ab, "%g" % ac, _format(r2, "m"), _format(r1, "m")]))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -98,10 +97,10 @@ def reference_fitted(model, x):
 
 def reference_fit_points(path, series, samples, model, condition_format, error_unit):
     rows = [("condition", "observed", "fitted", "residual")]
-    for s in samples:
-        fitted = reference_fitted(model, s.condition)
-        rows.append((condition_format % s.condition, "%g" % s.error,
-                     "%.6f" % fitted, "%.6f" % (s.error - fitted)))
+    for condition, error in zip(*(c.tolist() for c in samples.columns)):
+        fitted = reference_fitted(model, condition)
+        rows.append((condition_format % condition, "%g" % error,
+                     "%.6f" % fitted, "%.6f" % (error - fitted)))
     reference_plot_series(
         path, f"condition={series.condition_unit} observed={error_unit}", rows
     )
