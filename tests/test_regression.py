@@ -16,6 +16,7 @@ from errorkit import regression
 from errorkit.dataset import (
     DifferentialRows,
     ErrorSamples,
+    MalformedRowError,
     bundled_path,
     _cycle_phase,
     load_series,
@@ -404,6 +405,42 @@ class TestFitCycleDifferential:
         assert report["amplitude_unit"] == "m"
         assert report["coefficients"]["offset_s0"] == pytest.approx(8.0, abs=1e-3)
         json.dumps(report)
+
+
+# Each record's 4th row is bad. Its columnar type refuses it, so no fit
+# ever sees it.
+@pytest.mark.parametrize("fit, build, error, message", [
+    (lambda samples: fit_polynomial(samples, degree=3),
+     lambda: ErrorSamples(range(8), [math.nan if t == 3 else float(t) for t in range(8)]),
+     ValueError, "row 4: error must be finite, got nan"),
+    (lambda samples: fit_cycle_direct(samples, wavelength=20.0),
+     lambda: ErrorSamples(range(8), [-math.inf if s == 3 else 1.0 for s in range(8)]),
+     ValueError, "row 4: error must be finite, got -inf"),
+    (lambda rows: fit_cycle_differential(rows, wavelength=20.0),
+     lambda: DifferentialRows([s + (0.0 if s == 9.0 else 8.0)
+                               for s in (10.0, 12.5, 17.0, 9.0, 31.0)],
+                              [10.0, 12.5, 17.0, 9.0, 31.0]),
+     MalformedRowError, "row 4, column 's1': require s1 > s2, got s1=9.0 s2=9.0"),
+], ids=["polynomial", "cycle", "cycle-differential"])
+def test_a_bad_record_is_refused_by_its_columnar_type(fit, build, error, message):
+    with pytest.raises(ValueError) as excinfo:
+        fit(build())
+    assert (excinfo.type, str(excinfo.value)) == (error, message)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda samples: fit_polynomial(samples, degree=3),
+    lambda samples: fit_cycle_direct(samples, wavelength=20.0),
+], ids=["polynomial", "cycle"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_nonfinite_condition_is_refused_before_the_fit(fit, value):
+    # Without the check the polynomial fit ends in SingularSystemError and
+    # the cycle fit blames the wavelength.
+    with pytest.raises(ValueError) as excinfo:
+        fit(ErrorSamples([value, 1.0, 2.0, 3.0, 4.0, 5.0],
+                         [0.5, 1.0, -0.5, 0.25, 2.0, 1.5]))
+    assert (excinfo.type, str(excinfo.value)) == (
+        ValueError, f"row 1: condition must be finite, got {value!r}")
 
 
 @pytest.mark.parametrize("table, fit, conditions", [
