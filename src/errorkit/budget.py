@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._jsonfile import compile_schema, gc_paused, read_json
+from ._jsonfile import _is_finite, compile_schema, gc_paused, read_json, shorten
 from .distributions import ArcsineDistribution, sample
 
 __all__ = [
@@ -119,10 +119,10 @@ class BudgetComponent:
     shape: str = "gaussian"
 
     def __post_init__(self):
+        if not _is_finite(self.std):
+            raise BudgetError(f"component {self.name!r}: std must be finite, "
+                              f"got {shorten(repr(self.std))}")
         object.__setattr__(self, "std", float(self.std))
-        if not math.isfinite(self.std):
-            raise BudgetError(
-                f"component {self.name!r}: std must be finite, got {self.std!r}")
         if self.std < 0:
             raise BudgetError(f"component {self.name!r}: std must be >= 0")
         if self.unit not in ("mm", "ppm"):
@@ -142,9 +142,7 @@ class BudgetComponent:
             raise BudgetError(
                 f"component {self.name!r}: unknown sensitivity {self.sensitivity!r}"
             )
-        if not isinstance(self.sensitivity, str) and not math.isfinite(
-            float(self.sensitivity)
-        ):
+        if not isinstance(self.sensitivity, str) and not _is_finite(self.sensitivity):
             raise BudgetError(f"component {self.name!r}: sensitivity must be finite")
         if (self.unit == "ppm") != (self.sensitivity == "proportional"):
             raise UnitResolutionError(self.name, (
@@ -166,9 +164,9 @@ class ErrorBudget:
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise BudgetError(f"component names must be unique, got {names}")
-        if not math.isfinite(self.operating_point_m):
-            raise BudgetError(
-                f"operating_point_m must be finite, got {self.operating_point_m!r}")
+        if not _is_finite(self.operating_point_m):
+            raise BudgetError("operating_point_m must be finite, "
+                              f"got {shorten(repr(self.operating_point_m))}")
         if any(c.unit == "ppm" for c in self.components) and not self.operating_point_m > 0:
             raise BudgetError(
                 "operating_point_m must be positive when any component is "

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from ._jsonfile import compile_schema, gc_paused, read_json, shorten
+from ._jsonfile import _is_finite, compile_schema, gc_paused, read_json, shorten
 
 __all__ = [
     "ConfigurationError",
@@ -153,9 +153,9 @@ class ErrorSource:
             "c_mm", "r_ppm", "amplitude_mm", "wavelength_m", "phase_rad", "sigma_mm")}
         numbers.update((f"coeffs_ppm[{i}]", c) for i, c in enumerate(self.coeffs_ppm))
         for field_name, value in numbers.items():
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"source {self.name!r}: {field_name} must be finite, got {value!r}")
+            if not _is_finite(value):
+                raise ValueError(f"source {self.name!r}: {field_name} must be finite, "
+                                 f"got {shorten(repr(value))}")
         if self.kind == "cycle" and not self.wavelength_m > 0:
             raise ValueError(f"source {self.name!r}: wavelength must be positive")
         if self.kind == "gaussian-noise" and self.sigma_mm < 0:
@@ -220,6 +220,7 @@ class ConditionSchedule:
     generator "uniform-random": ``ranges`` maps each name to (lo, hi)
     and values are drawn uniformly per repeat, reproducibly per
     ``seed`` (one substream per condition, in sorted name order).
+    Every condition value and range end must be finite.
     """
 
     repeats: int
@@ -239,11 +240,14 @@ class ConditionSchedule:
             if self.seed is None:
                 raise ValueError("uniform-random schedule needs a seed")
             for name, (lo, hi) in self.ranges.items():
+                shown = f"({shorten(str(lo))}, {shorten(str(hi))})"
                 if not hi >= lo:
-                    raise ValueError(f"range for {name!r} is empty: ({lo}, {hi})")
-                if not math.isfinite(hi - lo):
+                    raise ValueError(f"range for {name!r} is empty: {shown}")
+                if not (_is_finite(lo) and _is_finite(hi)):
+                    raise ValueError(f"range for {name!r} must be finite, got {shown}")
+                if not _is_finite(hi - lo):
                     raise ValueError(
-                        f"range for {name!r} is wider than the double range: ({lo}, {hi})")
+                        f"range for {name!r} is wider than the double range: {shown}")
         else:
             # A number per constant condition, a list per listed one.
             listed = self.generator == "listed"
@@ -258,6 +262,11 @@ class ConditionSchedule:
                         f"listed schedule for {name!r} has {len(values)} values, "
                         f"expected {self.repeats}"
                     )
+                for repeat, value in enumerate(values if listed else [values], 1):
+                    if not _is_finite(value):
+                        where = f"{name!r}: repeat {repeat}" if listed else repr(name)
+                        raise ValueError(f"{self.generator} schedule for {where} "
+                                         f"must be finite, got {shorten(repr(value))}")
 
     @classmethod
     def constant(cls, repeats: int, **conditions: float):

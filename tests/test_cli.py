@@ -1,14 +1,18 @@
+import gc
 import hashlib
 import importlib.metadata
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from errorkit import dataset
-from errorkit.cli import main
+from errorkit.cli import main, run
 
 import reference_values as ref
 from test_package import cli_run
@@ -1168,3 +1172,86 @@ class TestFreshInterpreter:
         p = tmp_path / "input"
         p.write_text(text)
         assert cli_run(argv[0], str(p), *argv[1:])[:2] == (code, f"error: {message}\n")
+
+
+def _as_errorkit(text):
+    """``text`` with the program name written as ``errorkit``. click's
+    version option keeps the first name it is given in a process, so
+    the ``--version`` line is renamed by its pattern."""
+    text = text.replace("python -m errorkit.cli", "errorkit")
+    return re.sub(r"^\S+(?=, version )", "errorkit", text)
+
+
+class TestEntryPoint:
+    """``python -m errorkit.cli`` enters through ``run``, which freezes
+    the command's objects before the interpreter exits. Its outputs are
+    ``main``'s, byte for byte, apart from the program name that click
+    reads from ``sys.argv``."""
+
+    COMMANDS = [
+        (["random-model", "table1.csv"], 0),
+        (["random-model", "table3.csv", "--column", "diff"], 0),
+        (["fit", "table1.csv", "--model", "poly3", "--emit-matrix"], 0),
+        (["fit", "table2.csv", "--model", "cycle", "--json"], 0),
+        (["fit", "table3.csv", "--model", "cycle-diff"], 0),
+        (["simulate", "table3_scenario.json", "--regen-table3", "--classify"], 0),
+        (["propagate", "budget_example.json", "--monte-carlo", "1000000",
+          "--seed", "20260819"], 0),
+        (["simulate", "{bad_scenario}"], 2),
+        (["fit", "{degenerate}", "--model", "cycle-diff"], 3),
+        (["--version"], 0),
+        (["fit", "table1.csv"], 2),
+        (["fit", "table1.csv", "--model", "poly3", "--emit-series", "{out}"], 0),
+    ]
+
+    @staticmethod
+    def _inputs(tmp_path):
+        """The two error inputs of the cli-mix benchmark: a scenario with
+        a property the schema refuses, and leg pairs one wavelength apart."""
+        bad = tmp_path / "bad_scenario.json"
+        bad.write_text(json.dumps({
+            "sources": [{"name": "cycle", "kind": "cycle", "amplitude_mm": 2.5,
+                         "wobble_mm": 1.0}],
+            "differential": {"pairs": [[10.0, 18.0]]}}))
+        degenerate = tmp_path / "degenerate.csv"
+        degenerate.write_text("# units: m\ns_ab,s_ac,s2,s1\n" + "".join(
+            "%.4f,%.4f,%.4f,%.4f\n" % (s, s + 20, s, s + 20)
+            for s in (5.0, 12.5, 17.25, 33.0, 58.125)))
+        return {"bad_scenario": str(bad), "degenerate": str(degenerate)}
+
+    @pytest.mark.parametrize("argv, code", COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in COMMANDS])
+    def test_module_run_matches_main(self, runner, tmp_path, argv, code):
+        inputs = self._inputs(tmp_path)
+        args = [a.format(out=tmp_path / "main.csv", **inputs) for a in argv]
+        want = runner.invoke(main, args, prog_name="errorkit")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(dataset.__file__)),
+            os.environ.get("PYTHONPATH")])))
+        got = subprocess.run(
+            [sys.executable, "-m", "errorkit.cli",
+             *(a.format(out=tmp_path / "run.csv", **inputs) for a in argv)],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (want.exit_code, got.returncode) == (code, code)
+        assert _as_errorkit(got.stdout) == _as_errorkit(want.stdout)
+        assert _as_errorkit(got.stderr) == _as_errorkit(want.stderr)
+        if "{out}" in argv:
+            assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["random-model", "nowhere.csv"], 2),
+    ])
+    def test_run_exits_with_the_command_code_and_freezes(self, monkeypatch, capsys,
+                                                          argv, code):
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["errorkit", *argv])
+        try:
+            with pytest.raises(SystemExit) as stop:
+                run()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert stop.value.code == code
+        assert capsys.readouterr().err == (
+            "error: no such input: nowhere.csv\n" if code else "")

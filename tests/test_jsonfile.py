@@ -17,8 +17,10 @@ from errorkit import dataset
 from errorkit._jsonfile import (
     _KEYWORDS, _brief, _cut_pointer, compile_schema, first_nonfinite, not_utf8, read_json,
     shorten)
-from errorkit.budget import BUDGET_SCHEMA, BudgetError, load_budget
-from errorkit.simulate import SCENARIO_SCHEMA, ScenarioError, load_scenario
+from errorkit.budget import (
+    BUDGET_SCHEMA, BudgetComponent, BudgetError, ErrorBudget, load_budget)
+from errorkit.simulate import (
+    SCENARIO_SCHEMA, ConditionSchedule, ErrorSource, ScenarioError, load_scenario)
 
 from test_cli_fuzz import JSON_NUMBERS, _numeric_paths, _set
 
@@ -63,6 +65,36 @@ class TestFirstNonfinite:
     def test_empty_containers(self):
         assert first_nonfinite({}) is None
         assert first_nonfinite([[], (), {}]) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+@pytest.mark.parametrize("build, error, message", [
+    (lambda v: ErrorSource.additive_constant(v), ValueError,
+     "source 'constant': c_mm must be finite, got {v}"),
+    (lambda v: ErrorSource.temperature_polynomial([1, v]), ValueError,
+     "source 'temperature': coeffs_ppm[1] must be finite, got {v}"),
+    (lambda v: BudgetComponent("a", v), BudgetError,
+     "component 'a': std must be finite, got {v}"),
+    (lambda v: BudgetComponent("a", 1.0, sensitivity=v), BudgetError,
+     "component 'a': sensitivity must be finite"),
+    (lambda v: ErrorBudget((), operating_point_m=v), BudgetError,
+     "operating_point_m must be finite, got {v}"),
+    (lambda v: ConditionSchedule.uniform_random(5, seed=1, distance=sorted((0, v))),
+     ValueError, "range for 'distance' must be finite, got {range}"),
+    (lambda v: ConditionSchedule.constant(3, distance=v), ValueError,
+     "constant schedule for 'distance' must be finite, got {v}"),
+    (lambda v: ConditionSchedule.listed(distance=[1.0, v]), ValueError,
+     "listed schedule for 'distance': repeat 2 must be finite, got {v}"),
+], ids=["c_mm", "coeffs_ppm", "std", "sensitivity", "operating_point_m", "range",
+        "constant", "listed"])
+def test_an_int_beyond_a_double_is_refused_naming_the_field(build, error, message, sign):
+    # The checks compare ints exactly, so none raises OverflowError, and
+    # the value is worded in 24 characters.
+    worded = "1" + "0" * 20 + "..." if sign > 0 else "-1" + "0" * 19 + "..."
+    shown = f"(0, {worded})" if sign > 0 else f"({worded}, 0)"
+    with pytest.raises(error) as raised:
+        build(sign * 10**400)
+    assert str(raised.value) == message.format(v=worded, range=shown)
 
 
 # --- the schema checker --------------------------------------------------------
