@@ -3,7 +3,6 @@ import hashlib
 import importlib.metadata
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -15,7 +14,7 @@ from errorkit import dataset
 from errorkit.cli import main, run
 
 import reference_values as ref
-from test_package import cli_run
+from test_package import cli_run, fresh_env
 from test_simulate import MALFORMED_PAIRS, differential_scenario_text
 
 
@@ -1225,13 +1224,10 @@ class TestEntryPoint:
         inputs = self._inputs(tmp_path)
         args = [a.format(out=tmp_path / "main.csv", **inputs) for a in argv]
         want = runner.invoke(main, args, prog_name="errorkit")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            os.path.dirname(os.path.dirname(dataset.__file__)),
-            os.environ.get("PYTHONPATH")])))
         got = subprocess.run(
             [sys.executable, "-m", "errorkit.cli",
              *(a.format(out=tmp_path / "run.csv", **inputs) for a in argv)],
-            capture_output=True, text=True, env=env, cwd=tmp_path)
+            capture_output=True, text=True, env=fresh_env(), cwd=tmp_path)
         assert (want.exit_code, got.returncode) == (code, code)
         assert _as_errorkit(got.stdout) == _as_errorkit(want.stdout)
         assert _as_errorkit(got.stderr) == _as_errorkit(want.stderr)

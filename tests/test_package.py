@@ -50,12 +50,16 @@ def run_python(code):
     return _run(code).stdout
 
 
-def _run(code, *args):
+def fresh_env():
+    """The environment of a fresh interpreter that finds this errorkit first."""
     src = os.path.dirname(os.path.dirname(errorkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run(code, *args):
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=fresh_env())
 
 
 def cli_run(*argv):
