@@ -129,8 +129,17 @@ _json_option = click.option(
 )
 
 
+def _print_version(ctx, param, value):
+    """Print the version under the name this run was invoked as, and exit."""
+    if not value or ctx.resilient_parsing:
+        return
+    click.echo(f"{ctx.find_root().info_name}, version {__version__}", color=ctx.color)
+    ctx.exit()
+
+
 @click.group()
-@click.version_option(version=__version__)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_print_version, help="Show the version and exit.")
 def main():
     """Measurement error models: statistics, fits, simulation, budgets."""
 

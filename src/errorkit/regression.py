@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -206,11 +207,22 @@ def fit_polynomial(samples, degree: int = 3) -> PolynomialErrorModel:
 # over serial time, medians of 200 _cycle_basis calls in each of 4-10
 # processes: 2048 phases 0.86-1.51, 2560 0.73-1.31, 3072 0.60-0.78, 4096
 # 0.57-0.77 (one process 1.02), 10^4 0.58-0.70.  Break-even is near 2560.
+# On one CPU the two cannot overlap: at 10^4 phases the helper took 1.04
+# of the serial time, so a process that may run on one CPU stays serial.
 _HELPER_MIN_PHASES = 4096
 
 # The helper's job queue, once made; emptied in a child after fork, which
 # copies no thread but the caller.
 _helper = []
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _serve_sines(jobs):
@@ -230,10 +242,11 @@ def _serve_sines(jobs):
 def _cycle_basis(s: np.ndarray, wavelength: float):
     """sin and cos of the phase ``2*pi*s/wavelength`` at each reading.
 
-    From ``_HELPER_MIN_PHASES`` readings on, one daemon helper thread,
-    made on the first such call, computes the sines while the caller
-    computes the cosines.  Each ufunc still runs once over the whole array
-    under the caller's ``np.geterr()``, so the result is bit-identical.
+    From ``_HELPER_MIN_PHASES`` readings on, in a process that may run on
+    more than one CPU, one daemon helper thread, made on the first such
+    call, computes the sines while the caller computes the cosines.  Each
+    ufunc still runs once over the whole array under the caller's
+    ``np.geterr()``, so the result is bit-identical.
 
     Raises ValueError for a wavelength that is not positive and finite,
     or that puts a phase beyond the double range.
@@ -243,14 +256,13 @@ def _cycle_basis(s: np.ndarray, wavelength: float):
     if not math.isfinite(wavelength):
         raise ValueError(f"wavelength must be finite, got {wavelength!r}")
     theta = _cycle_phase(s, wavelength)
-    if theta.size < _HELPER_MIN_PHASES:
+    if theta.size < _HELPER_MIN_PHASES or _usable_cpus() < 2:
         return np.sin(theta), np.cos(theta)
     import queue
 
     if not _helper:
         # Two threads' first large calls at once may start a spare helper,
         # which only waits.  A forked child adds a second, equal hook.
-        import os
         import threading
 
         os.register_at_fork(after_in_child=_helper.clear)

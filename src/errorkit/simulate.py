@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -161,44 +162,6 @@ class ErrorSource:
         if self.kind == "gaussian-noise" and self.sigma_mm < 0:
             raise ValueError(f"source {self.name!r}: sigma must be >= 0")
 
-    @classmethod
-    def additive_constant(cls, c_mm: float, name: str = "constant"):
-        return cls(name=name, kind="additive-constant", c_mm=c_mm)
-
-    @classmethod
-    def multiplicative(
-        cls, r_ppm: float, name: str = "scale", depends_on: str | None = None
-    ):
-        return cls(name=name, kind="multiplicative", r_ppm=r_ppm, depends_on=depends_on)
-
-    @classmethod
-    def cycle(
-        cls,
-        amplitude_mm: float,
-        wavelength_m: float = 20.0,
-        phase_rad: float = 0.0,
-        name: str = "cycle",
-        depends_on: str | None = None,
-    ):
-        return cls(
-            name=name,
-            kind="cycle",
-            amplitude_mm=amplitude_mm,
-            wavelength_m=wavelength_m,
-            phase_rad=phase_rad,
-            depends_on=depends_on,
-        )
-
-    @classmethod
-    def temperature_polynomial(
-        cls, coeffs_ppm: Sequence[float], name: str = "temperature"
-    ):
-        return cls(name=name, kind="temperature-polynomial", coeffs_ppm=coeffs_ppm)
-
-    @classmethod
-    def gaussian_noise(cls, sigma_mm: float, name: str = "noise"):
-        return cls(name=name, kind="gaussian-noise", sigma_mm=sigma_mm)
-
 
 def _ndim(values) -> int:
     """``np.ndim(values)`` without importing numpy: an array's ``ndim``,
@@ -210,16 +173,24 @@ def _ndim(values) -> int:
     return 0
 
 
+# The most float64 values numpy allocates in one array: their byte count
+# must fit a signed machine word.  A count at or below it that does not
+# fit in memory is numpy's MemoryError.
+_MAX_REPEATS = sys.maxsize // 8
+
+
 @dataclass(frozen=True)
 class ConditionSchedule:
-    """How the measurement conditions move across ``repeats`` repeats.
+    """How the measurement conditions move across ``repeats`` repeats,
+    from 1 to ``sys.maxsize // 8``.
 
     generator "constant": ``conditions`` maps each name to a scalar.
     generator "listed": ``conditions`` maps each name to a sequence of
     exactly ``repeats`` values.
     generator "uniform-random": ``ranges`` maps each name to (lo, hi)
     and values are drawn uniformly per repeat, reproducibly per
-    ``seed`` (one substream per condition, in sorted name order).
+    non-negative ``seed`` (one substream per condition, in sorted name
+    order).
     Every condition value and range end must be finite.
     """
 
@@ -232,6 +203,9 @@ class ConditionSchedule:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.repeats > _MAX_REPEATS:
+            raise ValueError(f"repeats must be <= {_MAX_REPEATS}, "
+                             f"got {shorten(str(self.repeats))}")
         if self.generator not in ("constant", "listed", "uniform-random"):
             raise ValueError(f"unknown schedule generator {self.generator!r}")
         if self.generator == "uniform-random":
@@ -239,6 +213,8 @@ class ConditionSchedule:
                 raise ValueError("uniform-random schedule needs at least one range")
             if self.seed is None:
                 raise ValueError("uniform-random schedule needs a seed")
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {shorten(str(self.seed))}")
             for name, (lo, hi) in self.ranges.items():
                 shown = f"({shorten(str(lo))}, {shorten(str(hi))})"
                 if not hi >= lo:
@@ -267,23 +243,6 @@ class ConditionSchedule:
                         where = f"{name!r}: repeat {repeat}" if listed else repr(name)
                         raise ValueError(f"{self.generator} schedule for {where} "
                                          f"must be finite, got {shorten(repr(value))}")
-
-    @classmethod
-    def constant(cls, repeats: int, **conditions: float):
-        return cls(repeats=repeats, generator="constant", conditions=conditions)
-
-    @classmethod
-    def listed(cls, **conditions: Sequence[float]):
-        lengths = {len(v) for v in conditions.values()}
-        if len(lengths) != 1:
-            raise ValueError("listed conditions must all have the same length")
-        return cls(repeats=lengths.pop(), generator="listed", conditions=conditions)
-
-    @classmethod
-    def uniform_random(cls, repeats: int, seed: int, **ranges: tuple[float, float]):
-        return cls(
-            repeats=repeats, generator="uniform-random", ranges=ranges, seed=seed
-        )
 
     def resolve(self) -> dict[str, np.ndarray]:
         """Per-condition value vectors, each of length ``repeats``."""

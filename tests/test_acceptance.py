@@ -56,9 +56,8 @@ def rounded_ppm_samples():
 
 
 def campaign_cycle():
-    return ErrorSource.cycle(
-        amplitude_mm=5.0, wavelength_m=20.0, phase_rad=QUARTER_TURN
-    )
+    return ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0, wavelength_m=20.0,
+                       phase_rad=QUARTER_TURN)
 
 
 def test_criterion_01_random_model_of_the_frequency_sweep():
@@ -188,8 +187,8 @@ def test_criterion_09_budget_monte_carlo_agrees_with_the_covariance_law():
 def test_criterion_10_schedule_decides_systematic_random_or_null():
     # frozen schedule: the cycle error repeats identically, systematic
     frozen = simulate_repeated(
-        [campaign_cycle(), ErrorSource.additive_constant(0.0, name="null")],
-        ConditionSchedule.constant(100, distance=12.5),
+        [campaign_cycle(), ErrorSource(name="null", kind="additive-constant", c_mm=0.0)],
+        ConditionSchedule(100, conditions={"distance": 12.5}),
         true_value=12.5,
     )
     frozen_report = classify_effects(frozen.contributions).by_name()
@@ -199,7 +198,8 @@ def test_criterion_10_schedule_decides_systematic_random_or_null():
     # varied schedule: the same source scatters with std A / sqrt(2)
     varied = simulate_repeated(
         [campaign_cycle()],
-        ConditionSchedule.uniform_random(100_000, seed=777, distance=(0.0, 20.0)),
+        ConditionSchedule(100_000, "uniform-random", ranges={"distance": (0.0, 20.0)},
+                          seed=777),
         true_value=12.5,
     )
     varied_report = classify_effects(varied.contributions).by_name()
@@ -212,7 +212,8 @@ def test_criterion_10_schedule_decides_systematic_random_or_null():
     shifted = simulate_differential(
         campaign_cycle(),
         TABLE3_PAIRS,
-        extra_sources=[ErrorSource.additive_constant(0.0123)],
+        extra_sources=[
+            ErrorSource(name="constant", kind="additive-constant", c_mm=0.0123)],
     )
     shifted_legs, base_legs = shifted.rows.columns, base.rows.columns
     assert (shifted_legs.s1 - shifted_legs.s2).tolist() == (

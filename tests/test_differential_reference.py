@@ -81,17 +81,19 @@ phases = st.floats(-2 * math.pi, 2 * math.pi, **finite)
 wavelengths = st.floats(0.5, 50.0, **finite)
 leg_conditions = st.sampled_from(["distance", "none"])
 
+cycles = st.builds(
+    ErrorSource, name=st.just("cycle"), kind=st.just("cycle"), amplitude_mm=amplitudes,
+    wavelength_m=wavelengths, phase_rad=phases, depends_on=leg_conditions,
+)
+
 extra_source = st.one_of(
-    st.builds(ErrorSource.additive_constant, st.floats(-10.0, 10.0, **finite)),
-    st.builds(
-        ErrorSource.multiplicative,
-        st.floats(-50.0, 50.0, **finite),
-        depends_on=leg_conditions,
-    ),
-    st.builds(
-        ErrorSource.cycle, amplitudes, wavelengths, phases, depends_on=leg_conditions
-    ),
-    st.builds(ErrorSource.gaussian_noise, st.floats(0.0, 5.0, **finite)),
+    st.builds(ErrorSource, name=st.just("constant"), kind=st.just("additive-constant"),
+              c_mm=st.floats(-10.0, 10.0, **finite)),
+    st.builds(ErrorSource, name=st.just("scale"), kind=st.just("multiplicative"),
+              r_ppm=st.floats(-50.0, 50.0, **finite), depends_on=leg_conditions),
+    cycles,
+    st.builds(ErrorSource, name=st.just("noise"), kind=st.just("gaussian-noise"),
+              sigma_mm=st.floats(0.0, 5.0, **finite)),
 )
 
 pair = st.tuples(
@@ -101,9 +103,7 @@ pair = st.tuples(
 
 @settings(max_examples=120)
 @given(
-    cycle=st.builds(
-        ErrorSource.cycle, amplitudes, wavelengths, phases, depends_on=leg_conditions
-    ),
+    cycle=cycles,
     extras=st.lists(extra_source, max_size=3),
     pairs=st.lists(pair, min_size=1, max_size=60),
     round_readings=st.booleans(),
@@ -167,14 +167,15 @@ def test_overflowing_legs_are_an_input_error(tmp_path):
 
 
 def test_overflowing_legs_raise_a_located_value_error():
-    cycle = ErrorSource.cycle(5.0)
+    cycle = ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0)
+    offset = ErrorSource(name="constant", kind="additive-constant", c_mm=1e308)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="row 1, column 's1'"):
-            simulate_differential(cycle, LegPairs([1.0], [1.797e308]),
-                                  [ErrorSource.additive_constant(1e308)])
+            simulate_differential(cycle, LegPairs([1.0], [1.797e308]), [offset])
 
 
 def test_temperature_source_is_refused():
-    oven = ErrorSource.temperature_polynomial([1.0], name="oven")
+    oven = ErrorSource(name="oven", kind="temperature-polynomial", coeffs_ppm=[1.0])
     with pytest.raises(ConfigurationError, match="'oven'.*'temperature'"):
-        simulate_differential(ErrorSource.cycle(5.0), LegPairs([1.0], [2.0]), [oven])
+        simulate_differential(ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0),
+                              LegPairs([1.0], [2.0]), [oven])

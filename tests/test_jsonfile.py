@@ -69,9 +69,10 @@ class TestFirstNonfinite:
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
 @pytest.mark.parametrize("build, error, message", [
-    (lambda v: ErrorSource.additive_constant(v), ValueError,
+    (lambda v: ErrorSource(name="constant", kind="additive-constant", c_mm=v), ValueError,
      "source 'constant': c_mm must be finite, got {v}"),
-    (lambda v: ErrorSource.temperature_polynomial([1, v]), ValueError,
+    (lambda v: ErrorSource(name="temperature", kind="temperature-polynomial",
+                           coeffs_ppm=[1, v]), ValueError,
      "source 'temperature': coeffs_ppm[1] must be finite, got {v}"),
     (lambda v: BudgetComponent("a", v), BudgetError,
      "component 'a': std must be finite, got {v}"),
@@ -79,11 +80,13 @@ class TestFirstNonfinite:
      "component 'a': sensitivity must be finite"),
     (lambda v: ErrorBudget((), operating_point_m=v), BudgetError,
      "operating_point_m must be finite, got {v}"),
-    (lambda v: ConditionSchedule.uniform_random(5, seed=1, distance=sorted((0, v))),
+    (lambda v: ConditionSchedule(5, "uniform-random",
+                                 ranges={"distance": sorted((0, v))}, seed=1),
      ValueError, "range for 'distance' must be finite, got {range}"),
-    (lambda v: ConditionSchedule.constant(3, distance=v), ValueError,
+    (lambda v: ConditionSchedule(3, conditions={"distance": v}), ValueError,
      "constant schedule for 'distance' must be finite, got {v}"),
-    (lambda v: ConditionSchedule.listed(distance=[1.0, v]), ValueError,
+    (lambda v: ConditionSchedule(2, "listed", conditions={"distance": [1.0, v]}),
+     ValueError,
      "listed schedule for 'distance': repeat 2 must be finite, got {v}"),
 ], ids=["c_mm", "coeffs_ppm", "std", "sensitivity", "operating_point_m", "range",
         "constant", "listed"])

@@ -180,8 +180,20 @@ class TestImports:
          '"schedule": {"repeats": 2, "generator": "uniform-random", "seed": 1, '
          '"ranges": {"distance": [-1e308, 1e308]}}}',
          "range for 'distance' is wider than the double range: (-1e+308, 1e+308)"),
+        ('{"true_value": 5.0, "sources": [{"name": "c", "kind": "additive-constant"}], '
+         '"schedule": {"repeats": 2, "generator": "uniform-random", "seed": -1, '
+         '"ranges": {"distance": [0, 20]}}}',
+         "seed must be >= 0, got -1"),
+        ('{"true_value": 5.0, "sources": [{"name": "c", "kind": "additive-constant"}], '
+         '"schedule": {"repeats": 1e19, "generator": "uniform-random", "seed": 1, '
+         '"ranges": {"distance": [0, 20]}}}',
+         "repeats must be <= 1152921504606846975, got 10000000000000000000"),
+        ('{"true_value": 5.0, "sources": [{"name": "c", "kind": "additive-constant"}], '
+         '"schedule": {"repeats": 9223372036854775807, "generator": "constant", '
+         '"conditions": {"distance": 5.0}}}',
+         "repeats must be <= 1152921504606846975, got 9223372036854775807"),
     ], ids=["syntax", "schema", "non-finite", "source", "mode", "schedule shape",
-            "range width"])
+            "range width", "negative seed", "float repeats", "repeats"])
     def test_a_rejected_scenario_loads_no_numpy(self, tmp_path, text, message):
         path = tmp_path / "scenario.json"
         path.write_text(text)

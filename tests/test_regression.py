@@ -489,7 +489,12 @@ def serial_basis(s, wavelength=20.0):
 class TestSineHelper:
     """From ``_HELPER_MIN_PHASES`` phases on, the sines are computed on a
     helper thread: bit-identical results, one thread, errors and the
-    error state carried across, and a fresh helper after ``fork``."""
+    error state carried across, and a fresh helper after ``fork``. The
+    process is taken to run on two CPUs, whatever the host's count."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(regression, "_usable_cpus", lambda: 2)
 
     @pytest.mark.parametrize("n", [regression._HELPER_MIN_PHASES - 1,
                                    regression._HELPER_MIN_PHASES, 10**4, 10**5])
@@ -618,3 +623,29 @@ class TestSineHelper:
                 os._exit(status)
         _, wait_status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(wait_status) == 0
+
+
+class TestOneCpu:
+    """A process that may run on one CPU computes every basis serially:
+    the helper could not overlap the caller there."""
+
+    @pytest.fixture(params=[{0}, 1, None], ids=["affinity", "cpu_count", "no count"])
+    def one_cpu(self, request, monkeypatch):
+        if request.param == {0}:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: request.param)
+
+    def test_usable_cpus_reads_the_platform(self, one_cpu):
+        assert regression._usable_cpus() == 1
+
+    def test_a_large_basis_queues_no_job(self, monkeypatch, one_cpu):
+        class RefusingQueue:
+            def put(self, job):
+                raise AssertionError("a job was queued for the helper")
+
+        monkeypatch.setattr(regression, "_helper", [RefusingQueue()])
+        s = np.random.default_rng(10**4).uniform(0.0, 1e3, 10**4)
+        got = regression._cycle_basis(s, 20.0)
+        assert tuple(a.tobytes() for a in got) == serial_basis(s)

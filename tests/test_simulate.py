@@ -2,6 +2,7 @@ import array
 import collections
 import json
 import math
+import sys
 
 import jsonschema
 import numpy as np
@@ -71,7 +72,8 @@ def differential_scenario_text(pairs_json):
 
 
 def campaign_cycle():
-    return ErrorSource.cycle(amplitude_mm=5.0, wavelength_m=20.0, phase_rad=QUARTER_TURN)
+    return ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0, wavelength_m=20.0,
+                       phase_rad=QUARTER_TURN)
 
 
 class TestErrorSource:
@@ -109,7 +111,8 @@ class TestErrorSource:
     def test_infinite_wavelength_is_refused(self):
         # Every contribution would be zero: a silent non-effect.
         with pytest.raises(ValueError) as excinfo:
-            ErrorSource.cycle(amplitude_mm=5.0, wavelength_m=math.inf)
+            ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0,
+                        wavelength_m=math.inf)
         assert str(excinfo.value) == "source 'cycle': wavelength_m must be finite, got inf"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -122,26 +125,28 @@ class TestErrorSource:
 
     def test_nonfinite_coefficient_names_its_index(self):
         with pytest.raises(ValueError) as excinfo:
-            ErrorSource.temperature_polynomial(iter([1.0, 2.0, math.nan]), name="oven")
+            ErrorSource(name="oven", kind="temperature-polynomial",
+                        coeffs_ppm=iter([1.0, 2.0, math.nan]))
         assert str(excinfo.value) == "source 'oven': coeffs_ppm[2] must be finite, got nan"
 
     def test_constructor_defaults(self):
-        constant = ErrorSource.additive_constant(1.2)
+        constant = ErrorSource(name="constant", kind="additive-constant", c_mm=1.2)
         assert (constant.name, constant.kind) == ("constant", "additive-constant")
         assert constant.depends_on == "none"
 
-        scale = ErrorSource.multiplicative(2.0)
+        scale = ErrorSource(name="scale", kind="multiplicative", r_ppm=2.0)
         assert scale.depends_on == "distance"
 
-        cycle = ErrorSource.cycle(5.0)
+        cycle = ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0)
         assert (cycle.wavelength_m, cycle.phase_rad) == (20.0, 0.0)
         assert cycle.depends_on == "distance"
 
-        poly = ErrorSource.temperature_polynomial([10.0, -0.01])
+        poly = ErrorSource(name="temperature", kind="temperature-polynomial",
+                           coeffs_ppm=[10.0, -0.01])
         assert poly.depends_on == "temperature"
         assert poly.coeffs_ppm == (10.0, -0.01)
 
-        noise = ErrorSource.gaussian_noise(0.5)
+        noise = ErrorSource(name="noise", kind="gaussian-noise", sigma_mm=0.5)
         assert noise.sigma_mm == 0.5
 
     @pytest.mark.parametrize("kind, depends_on", [
@@ -155,9 +160,9 @@ class TestErrorSource:
         source = ErrorSource(name="t", kind="temperature-polynomial", coeffs_ppm=[1.0])
         assert (source.depends_on, source.coeffs_ppm) == ("temperature", (1.0,))
 
-    @pytest.mark.parametrize("make", [ErrorSource.multiplicative, ErrorSource.cycle])
-    def test_a_frozen_condition_stays_available(self, make):
-        assert make(1.0, depends_on="none").depends_on == "none"
+    @pytest.mark.parametrize("kind", ["multiplicative", "cycle"])
+    def test_a_frozen_condition_stays_available(self, kind):
+        assert ErrorSource(name="x", kind=kind, depends_on="none").depends_on == "none"
 
     def test_coefficients_are_stored_as_a_tuple(self):
         source = ErrorSource(
@@ -169,15 +174,16 @@ class TestErrorSource:
 
 @pytest.mark.parametrize("run", [
     lambda sources: simulate_repeated(
-        sources, ConditionSchedule.constant(3, distance=10.0), true_value=10.0),
+        sources, ConditionSchedule(3, conditions={"distance": 10.0}), true_value=10.0),
     lambda sources: simulate_differential(sources[0], TABLE3_PAIRS, sources[1:]),
 ], ids=["repeated", "differential"])
 def test_duplicate_name_is_refused_before_any_source_is_evaluated(monkeypatch, run):
     evaluated = []
     monkeypatch.setattr(simulate, "_contribution_mm",
                         lambda source, *args: evaluated.append(source.name))
-    sources = [campaign_cycle(), ErrorSource.additive_constant(1.0, name="x"),
-               ErrorSource.temperature_polynomial([1.0], name="x")]
+    sources = [campaign_cycle(),
+               ErrorSource(name="x", kind="additive-constant", c_mm=1.0),
+               ErrorSource(name="x", kind="temperature-polynomial", coeffs_ppm=[1.0])]
     with pytest.raises(ConfigurationError) as excinfo:
         run(sources)
     assert str(excinfo.value) == "duplicate source name 'x'"
@@ -186,12 +192,13 @@ def test_duplicate_name_is_refused_before_any_source_is_evaluated(monkeypatch, r
 
 class TestConditionSchedule:
     def test_constant_resolve(self):
-        schedule = ConditionSchedule.constant(4, distance=15.0)
+        schedule = ConditionSchedule(4, conditions={"distance": 15.0})
         resolved = schedule.resolve()
         assert np.array_equal(resolved["distance"], np.full(4, 15.0))
 
     def test_listed_resolve(self):
-        schedule = ConditionSchedule.listed(temperature=[20.0, 21.0, 22.0])
+        schedule = ConditionSchedule(
+            3, "listed", conditions={"temperature": [20.0, 21.0, 22.0]})
         assert schedule.repeats == 3
         assert np.array_equal(
             schedule.resolve()["temperature"], [20.0, 21.0, 22.0]
@@ -226,10 +233,6 @@ class TestConditionSchedule:
         assert str(raised.value) == (
             f"{generator} schedule for 'distance' needs {needs}, got {value!r}")
 
-    def test_listed_classmethod_rejects_ragged_input(self):
-        with pytest.raises(ValueError, match="same length"):
-            ConditionSchedule.listed(distance=[1.0], temperature=[1.0, 2.0])
-
     def test_uniform_random_needs_seed(self):
         with pytest.raises(ValueError, match="seed"):
             ConditionSchedule(
@@ -242,25 +245,47 @@ class TestConditionSchedule:
 
     def test_uniform_random_rejects_empty_range(self):
         with pytest.raises(ValueError, match="empty"):
-            ConditionSchedule.uniform_random(5, seed=1, distance=(20.0, 0.0))
+            ConditionSchedule(5, "uniform-random", ranges={"distance": (20.0, 0.0)},
+                              seed=1)
 
     def test_uniform_random_rejects_a_range_wider_than_the_double_range(self):
         with pytest.raises(ValueError) as raised:
-            ConditionSchedule.uniform_random(5, seed=1, distance=(-1e308, 1e308))
+            ConditionSchedule(5, "uniform-random",
+                              ranges={"distance": (-1e308, 1e308)}, seed=1)
         assert str(raised.value) == (
             "range for 'distance' is wider than the double range: (-1e+308, 1e+308)")
 
     def test_uniform_random_resolve_is_deterministic_and_bounded(self):
-        schedule = ConditionSchedule.uniform_random(200, seed=9, distance=(5.0, 7.0))
+        schedule = ConditionSchedule(200, "uniform-random",
+                                     ranges={"distance": (5.0, 7.0)}, seed=9)
         first = schedule.resolve()["distance"]
         second = schedule.resolve()["distance"]
         assert np.array_equal(first, second)
         assert first.shape == (200,)
         assert np.all((first >= 5.0) & (first < 7.0))
 
+    def test_uniform_random_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError) as raised:
+            ConditionSchedule(5, "uniform-random", ranges={"distance": (0.0, 20.0)},
+                              seed=-1)
+        assert str(raised.value) == "seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("generator, extra", [
+        ("constant", {"conditions": {"distance": 1.0}}),
+        ("uniform-random", {"ranges": {"distance": (0.0, 1.0)}, "seed": 1}),
+    ], ids=["constant", "uniform-random"])
+    @pytest.mark.parametrize("repeats", [sys.maxsize // 8 + 1, sys.maxsize, 10**19],
+                             ids=["one past", "maxsize", "1e19"])
+    def test_repeats_past_numpys_float64_limit_are_refused(self, generator, extra, repeats):
+        # A float64 array's byte count must fit a signed machine word.
+        with pytest.raises(ValueError) as raised:
+            ConditionSchedule(repeats, generator, **extra)
+        assert str(raised.value) == (
+            f"repeats must be <= {sys.maxsize // 8}, got {repeats}")
+
     def test_repeats_must_be_positive(self):
         with pytest.raises(ValueError, match="repeats"):
-            ConditionSchedule.constant(0, distance=1.0)
+            ConditionSchedule(0, conditions={"distance": 1.0})
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="generator"):
@@ -270,18 +295,19 @@ class TestConditionSchedule:
 class TestSimulateRepeated:
     def test_observed_reconstruction(self):
         sources = [
-            ErrorSource.additive_constant(1.5),
-            ErrorSource.multiplicative(2.0),
+            ErrorSource(name="constant", kind="additive-constant", c_mm=1.5),
+            ErrorSource(name="scale", kind="multiplicative", r_ppm=2.0),
             campaign_cycle(),
         ]
-        schedule = ConditionSchedule.constant(6, distance=15.0)
+        schedule = ConditionSchedule(6, conditions={"distance": 15.0})
         run = simulate_repeated(sources, schedule, true_value=15.0)
         total_mm = sum(run.contributions[s.name] for s in sources)
         assert np.array_equal(run.series.columns.observed, 15.0 + total_mm * 1e-3)
 
     def test_constant_schedule_freezes_every_source(self):
-        sources = [campaign_cycle(), ErrorSource.multiplicative(3.0)]
-        schedule = ConditionSchedule.constant(8, distance=12.5)
+        sources = [campaign_cycle(),
+                   ErrorSource(name="scale", kind="multiplicative", r_ppm=3.0)]
+        schedule = ConditionSchedule(8, conditions={"distance": 12.5})
         run = simulate_repeated(sources, schedule, true_value=12.5)
         for name, contributions in run.contributions.items():
             assert np.all(contributions == contributions[0]), name
@@ -289,8 +315,8 @@ class TestSimulateRepeated:
     def test_random_distance_spreads_the_cycle_contribution(self):
         # over distances uniform in a whole cycle the contribution is an
         # amplitude-A sinusoid at random phase: std A/sqrt(2)
-        schedule = ConditionSchedule.uniform_random(
-            100_000, seed=777, distance=(0.0, 20.0)
+        schedule = ConditionSchedule(
+            100_000, "uniform-random", ranges={"distance": (0.0, 20.0)}, seed=777
         )
         run = simulate_repeated([campaign_cycle()], schedule, true_value=10.0)
         std = float(np.std(run.contributions["cycle"], ddof=1))
@@ -298,8 +324,9 @@ class TestSimulateRepeated:
 
     def test_temperature_polynomial_contribution(self):
         coeffs = (10.0, -0.01, -0.02, 0.0002)
-        source = ErrorSource.temperature_polynomial(coeffs)
-        schedule = ConditionSchedule.constant(5, temperature=20.0)
+        source = ErrorSource(name="temperature", kind="temperature-polynomial",
+                             coeffs_ppm=coeffs)
+        schedule = ConditionSchedule(5, conditions={"temperature": 20.0})
         run = simulate_repeated([source], schedule, true_value=10.0)
         r_ppm = 0.0
         for c in reversed(coeffs):
@@ -308,25 +335,26 @@ class TestSimulateRepeated:
         assert np.all(run.contributions["temperature"] == expected)
 
     def test_missing_condition_names_the_source(self):
-        schedule = ConditionSchedule.constant(3, distance=10.0)
-        source = ErrorSource.temperature_polynomial([1.0], name="oven")
+        schedule = ConditionSchedule(3, conditions={"distance": 10.0})
+        source = ErrorSource(name="oven", kind="temperature-polynomial", coeffs_ppm=[1.0])
         with pytest.raises(ConfigurationError, match="'oven'.*'temperature'"):
             simulate_repeated([source], schedule, true_value=10.0)
 
     def test_overflowing_series_raises_value_error(self):
-        source = ErrorSource.additive_constant(1e308)
-        schedule = ConditionSchedule.constant(3, distance=10.0)
+        source = ErrorSource(name="constant", kind="additive-constant", c_mm=1e308)
+        schedule = ConditionSchedule(3, conditions={"distance": 10.0})
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="observed must be finite, got inf"):
                 simulate_repeated([source], schedule, true_value=1.797e308)
 
     @pytest.mark.parametrize("source, conditions", [
-        (ErrorSource.multiplicative(1e308), {"distance": 15.0}),
-        (ErrorSource.temperature_polynomial([0, 0, 0, 1e300], name="scale"),
+        (ErrorSource(name="scale", kind="multiplicative", r_ppm=1e308), {"distance": 15.0}),
+        (ErrorSource(name="scale", kind="temperature-polynomial",
+                     coeffs_ppm=[0, 0, 0, 1e300]),
          {"temperature": 1e5}),
     ], ids=["multiplicative", "temperature-polynomial"])
     def test_overflowing_contribution_names_the_source(self, source, conditions):
-        schedule = ConditionSchedule.constant(3, **conditions)
+        schedule = ConditionSchedule(3, conditions=conditions)
         with pytest.raises(ConfigurationError) as excinfo:
             simulate_repeated([source], schedule, true_value=15.0)
         assert str(excinfo.value) == (
@@ -336,8 +364,9 @@ class TestSimulateRepeated:
     def test_overflowing_sum_names_the_source(self):
         # Each contribution is finite; the second takes the sum past the
         # double range, with no numpy warning on the way.
-        sources = [ErrorSource.additive_constant(1.5e308, name=n) for n in ("a", "b")]
-        schedule = ConditionSchedule.constant(3, distance=10.0)
+        sources = [ErrorSource(name=n, kind="additive-constant", c_mm=1.5e308)
+                   for n in ("a", "b")]
+        schedule = ConditionSchedule(3, conditions={"distance": 10.0})
         with pytest.raises(ConfigurationError) as excinfo:
             simulate_repeated(sources, schedule, true_value=10.0)
         assert str(excinfo.value) == (
@@ -345,16 +374,16 @@ class TestSimulateRepeated:
 
     def test_duplicate_source_names(self):
         sources = [
-            ErrorSource.additive_constant(1.0, name="x"),
-            ErrorSource.additive_constant(2.0, name="x"),
+            ErrorSource(name="x", kind="additive-constant", c_mm=1.0),
+            ErrorSource(name="x", kind="additive-constant", c_mm=2.0),
         ]
-        schedule = ConditionSchedule.constant(3, distance=10.0)
+        schedule = ConditionSchedule(3, conditions={"distance": 10.0})
         with pytest.raises(ConfigurationError, match="duplicate"):
             simulate_repeated(sources, schedule, true_value=10.0)
 
     def test_noise_is_reproducible_per_seed(self):
-        sources = [ErrorSource.gaussian_noise(0.5)]
-        schedule = ConditionSchedule.constant(50, distance=10.0)
+        sources = [ErrorSource(name="noise", kind="gaussian-noise", sigma_mm=0.5)]
+        schedule = ConditionSchedule(50, conditions={"distance": 10.0})
         a = simulate_repeated(sources, schedule, 10.0, noise_seed=4)
         b = simulate_repeated(sources, schedule, 10.0, noise_seed=4)
         c = simulate_repeated(sources, schedule, 10.0, noise_seed=5)
@@ -370,17 +399,22 @@ class TestSimulateRepeated:
             own = np.random.SeedSequence(seed, spawn_key=(position,))
             assert np.array_equal(np.random.default_rng(own).normal(size=16),
                                   np.random.default_rng(child).normal(size=16))
-        sources = [ErrorSource.additive_constant(1.0), campaign_cycle(),
-                   ErrorSource.gaussian_noise(0.5)]
-        run = simulate_repeated(sources, ConditionSchedule.constant(50, distance=10.0),
+        sources = [ErrorSource(name="constant", kind="additive-constant", c_mm=1.0),
+                   campaign_cycle(),
+                   ErrorSource(name="noise", kind="gaussian-noise", sigma_mm=0.5)]
+        run = simulate_repeated(sources, ConditionSchedule(50, conditions={"distance": 10.0}),
                                 10.0, noise_seed=seed)
         want = np.random.default_rng(children[2]).normal(0.0, 0.5, 50)
         assert np.array_equal(run.contributions[sources[2].name], want)
 
     def test_single_condition_becomes_the_series_axis(self):
-        schedule = ConditionSchedule.listed(temperature=[18.0, 20.0, 22.0])
+        schedule = ConditionSchedule(
+            3, "listed", conditions={"temperature": [18.0, 20.0, 22.0]})
         run = simulate_repeated(
-            [ErrorSource.temperature_polynomial([1.0])], schedule, true_value=10.0
+            [ErrorSource(name="temperature", kind="temperature-polynomial",
+                         coeffs_ppm=[1.0])],
+            schedule,
+            true_value=10.0,
         )
         assert run.series.condition_unit == "degC"
         assert np.array_equal(run.series.columns.condition, [18.0, 20.0, 22.0])
@@ -392,13 +426,15 @@ class TestSimulateRepeated:
             generator="constant",
             conditions={"distance": 10.0, "temperature": 20.0},
         )
-        sources = [campaign_cycle(), ErrorSource.temperature_polynomial([1.0])]
+        sources = [campaign_cycle(),
+                   ErrorSource(name="temperature", kind="temperature-polynomial",
+                               coeffs_ppm=[1.0])]
         run = simulate_repeated(sources, schedule, true_value=10.0)
         assert run.series.condition_unit == "n"
         assert np.array_equal(run.series.columns.condition, [1.0, 2.0, 3.0])
 
     def test_label_passthrough(self):
-        schedule = ConditionSchedule.constant(2, distance=10.0)
+        schedule = ConditionSchedule(2, conditions={"distance": 10.0})
         run = simulate_repeated([], schedule, true_value=10.0, label="warmup")
         assert run.series.label == "warmup"
 
@@ -412,7 +448,7 @@ class TestSimulateDifferential:
         assert tuple(run.rows.columns.s1.tolist()) == ref.TABLE3_S1
 
     def test_zero_amplitude_returns_the_nominals(self):
-        cycle = ErrorSource.cycle(amplitude_mm=0.0)
+        cycle = ErrorSource(name="cycle", kind="cycle", amplitude_mm=0.0)
         run = simulate_differential(cycle, TABLE3_PAIRS)
         s1, s2 = run.rows.columns
         assert list(zip(s2.tolist(), s1.tolist())) == list(ref.TABLE3_PAIRS)
@@ -423,7 +459,8 @@ class TestSimulateDifferential:
         shifted = simulate_differential(
             campaign_cycle(),
             TABLE3_PAIRS,
-            extra_sources=[ErrorSource.additive_constant(c_mm)],
+            extra_sources=[
+                ErrorSource(name="constant", kind="additive-constant", c_mm=c_mm)],
         )
         assert leg_differences(shifted) == leg_differences(base)
         assert np.all(shifted.diff_contributions["constant"] == 0.0)
@@ -432,7 +469,7 @@ class TestSimulateDifferential:
         run = simulate_differential(
             campaign_cycle(),
             TABLE3_PAIRS,
-            extra_sources=[ErrorSource.multiplicative(5.0)],
+            extra_sources=[ErrorSource(name="scale", kind="multiplicative", r_ppm=5.0)],
         )
         # 5 ppm over an 8 m difference leaves 0.04 mm in every pair
         assert np.all(np.abs(run.diff_contributions["scale"]) > 0.01)
@@ -440,7 +477,8 @@ class TestSimulateDifferential:
     def test_driver_must_be_a_cycle(self):
         with pytest.raises(ConfigurationError, match="must be a cycle"):
             simulate_differential(
-                ErrorSource.additive_constant(1.0), TABLE3_PAIRS
+                ErrorSource(name="constant", kind="additive-constant", c_mm=1.0),
+                TABLE3_PAIRS,
             )
 
     def test_temperature_source_rejected(self):
@@ -448,7 +486,9 @@ class TestSimulateDifferential:
             simulate_differential(
                 campaign_cycle(),
                 TABLE3_PAIRS,
-                extra_sources=[ErrorSource.temperature_polynomial([1.0])],
+                extra_sources=[ErrorSource(name="temperature",
+                                           kind="temperature-polynomial",
+                                           coeffs_ppm=[1.0])],
             )
 
     def test_rounded_readings_sit_on_the_readout_grid(self):
@@ -469,7 +509,7 @@ class TestSimulateDifferential:
         assert abs(model.phase - QUARTER_TURN) < 2e-6
 
     def test_noise_reproducible_per_seed(self):
-        extra = [ErrorSource.gaussian_noise(0.5)]
+        extra = [ErrorSource(name="noise", kind="gaussian-noise", sigma_mm=0.5)]
         a = simulate_differential(
             campaign_cycle(), TABLE3_PAIRS, extra_sources=extra, noise_seed=11
         )
@@ -483,8 +523,8 @@ class TestSimulateDifferential:
         assert a.rows.columns.s1.tolist() != c.rows.columns.s1.tolist()
 
     def test_overflowing_series_raises_value_error(self):
-        source = ErrorSource.additive_constant(1e308)
-        schedule = ConditionSchedule.constant(3, distance=10.0)
+        source = ErrorSource(name="constant", kind="additive-constant", c_mm=1e308)
+        schedule = ConditionSchedule(3, conditions={"distance": 10.0})
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="observed must be finite, got inf"):
                 simulate_repeated([source], schedule, true_value=1.797e308)
@@ -492,7 +532,8 @@ class TestSimulateDifferential:
     def test_overflowing_contribution_names_the_source(self):
         with pytest.raises(ConfigurationError) as excinfo:
             simulate_differential(
-                campaign_cycle(), TABLE3_PAIRS, [ErrorSource.multiplicative(1e308)])
+                campaign_cycle(), TABLE3_PAIRS,
+                [ErrorSource(name="scale", kind="multiplicative", r_ppm=1e308)])
         assert str(excinfo.value) == (
             "source 'scale': row 1: contribution must be finite, got inf")
 
@@ -500,7 +541,8 @@ class TestSimulateDifferential:
     def test_overflowing_sum_names_the_source(self):
         # The constants cancel in s1 - s2, but their sum on each leg leaves
         # the double range at the second, with no numpy warning on the way.
-        extra = [ErrorSource.additive_constant(1.5e308, name=n) for n in ("a", "b")]
+        extra = [ErrorSource(name=n, kind="additive-constant", c_mm=1.5e308)
+                 for n in ("a", "b")]
         with pytest.raises(ConfigurationError) as excinfo:
             simulate_differential(campaign_cycle(), TABLE3_PAIRS, extra)
         assert str(excinfo.value) == (
@@ -510,7 +552,7 @@ class TestSimulateDifferential:
     def test_overflowing_sum_of_differences_names_the_source(self):
         # Each cycle is +6e307 mm on the short leg and -6e307 mm on the
         # long one: the legs' sums stay finite, the differences' do not.
-        cycles = [ErrorSource.cycle(6e307, name=n) for n in ("a", "b")]
+        cycles = [ErrorSource(name=n, kind="cycle", amplitude_mm=6e307) for n in ("a", "b")]
         with pytest.raises(ConfigurationError) as excinfo:
             simulate_differential(cycles[0], LegPairs([5.0], [15.0]), cycles[1:])
         assert str(excinfo.value) == (
@@ -521,7 +563,8 @@ class TestSimulateDifferential:
             simulate_differential(
                 campaign_cycle(),
                 TABLE3_PAIRS,
-                extra_sources=[ErrorSource.additive_constant(1.0, name="cycle")],
+                extra_sources=[
+                    ErrorSource(name="cycle", kind="additive-constant", c_mm=1.0)],
             )
 
     @settings(max_examples=40)
@@ -535,7 +578,8 @@ class TestSimulateDifferential:
         shifted = simulate_differential(
             campaign_cycle(),
             leg_pairs(ref.TABLE3_PAIRS[:5]),
-            extra_sources=[ErrorSource.additive_constant(c_mm)],
+            extra_sources=[
+                ErrorSource(name="constant", kind="additive-constant", c_mm=c_mm)],
         )
         assert leg_differences(shifted) == leg_differences(base)
 
@@ -621,12 +665,13 @@ class TestClassifyEffects:
         # and random once the schedule varies the distance
         frozen = simulate_repeated(
             [campaign_cycle()],
-            ConditionSchedule.constant(100, distance=12.5),
+            ConditionSchedule(100, conditions={"distance": 12.5}),
             true_value=12.5,
         )
         varied = simulate_repeated(
             [campaign_cycle()],
-            ConditionSchedule.uniform_random(100, seed=5, distance=(0.0, 20.0)),
+            ConditionSchedule(100, "uniform-random", ranges={"distance": (0.0, 20.0)},
+                              seed=5),
             true_value=12.5,
         )
         frozen_class = classify_effects(frozen.contributions).by_name()["cycle"]
@@ -882,7 +927,8 @@ class TestLoadScenario:
         }))
         schedule = load_scenario(p).schedule
         assert (type(schedule.repeats), type(schedule.seed)) == (int, int)
-        assert schedule == ConditionSchedule.uniform_random(3, 7, distance=(0.0, 20.0))
+        assert schedule == ConditionSchedule(
+            3, "uniform-random", ranges={"distance": (0.0, 20.0)}, seed=7)
         run = simulate_repeated(load_scenario(p).sources, schedule, 10.0)
         assert len(run.series) == 3
 

@@ -207,9 +207,11 @@ def test_differential_writer_matches_the_row_writer(tmp_path_factory, n, seed, e
 
 def _simulated_campaign(pairs):
     return simulate.simulate_differential(
-        ErrorSource.cycle(5.0, 10.0, 0.3, depends_on="distance"),
+        ErrorSource(name="cycle", kind="cycle", amplitude_mm=5.0, wavelength_m=10.0,
+                    phase_rad=0.3, depends_on="distance"),
         pairs,
-        [ErrorSource.additive_constant(2.0), ErrorSource.gaussian_noise(0.4)],
+        [ErrorSource(name="constant", kind="additive-constant", c_mm=2.0),
+         ErrorSource(name="noise", kind="gaussian-noise", sigma_mm=0.4)],
         round_readings=True,
         noise_seed=3,
     )
@@ -386,8 +388,9 @@ def test_an_out_of_window_cell_sends_its_block_to_percent(tmp_path, monkeypatch,
 
 def test_contributions_are_the_same_python_floats():
     run = simulate.simulate_repeated(
-        [ErrorSource.additive_constant(1.5), ErrorSource.gaussian_noise(0.2)],
-        simulate.ConditionSchedule.constant(50, temperature=20.0),
+        [ErrorSource(name="constant", kind="additive-constant", c_mm=1.5),
+         ErrorSource(name="noise", kind="gaussian-noise", sigma_mm=0.2)],
+        simulate.ConditionSchedule(50, conditions={"temperature": 20.0}),
         true_value=10.0,
         noise_seed=4,
     )
